@@ -13,6 +13,8 @@ from .errors import PrimeSearchExhausted
 try:
     import gmpy2
 
+    HAVE_GMPY2 = True
+
     def powmod(base: int, exp: int, mod: int) -> int:
         return int(gmpy2.powmod(base, exp, mod))
 
@@ -23,6 +25,8 @@ try:
         return bool(gmpy2.is_prime(n, rounds))
 
 except ImportError:  # pragma: no cover - exercised only without gmpy2
+    HAVE_GMPY2 = False
+
     def powmod(base: int, exp: int, mod: int) -> int:
         return pow(base, exp, mod)
 

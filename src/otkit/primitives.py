@@ -75,4 +75,4 @@ def parse(lambda_bits: int, y: ByteString) -> tuple[ByteString, ByteString]:
 def xor_bytes(a: ByteString, b: ByteString) -> ByteString:
     if len(a) != len(b):
         raise LengthMismatch(f"{len(a)} vs {len(b)} bytes")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")

@@ -6,8 +6,8 @@ SHAKE-256 counter stream; SystemSource draws from the OS CSPRNG and is the
 production default.
 """
 
-import hashlib
 import secrets
+from hashlib import shake_256
 
 
 class SeededSource:
@@ -21,13 +21,19 @@ class SeededSource:
         self._buf = b""
 
     def randbytes(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            block = hashlib.shake_256(
-                self._key + self._counter.to_bytes(8, "big")
-            ).digest(64)
-            self._counter += 1
-            self._buf += block
-        out, self._buf = self._buf[:n], self._buf[n:]
+        buf = self._buf
+        if len(buf) < n:
+            # Joined once, so a request costs time linear in its length.
+            key, counter = self._key, self._counter
+            blocks = [buf]
+            have = len(buf)
+            while have < n:
+                blocks.append(shake_256(key + counter.to_bytes(8, "big")).digest(64))
+                counter += 1
+                have += 64
+            self._counter = counter
+            buf = b"".join(blocks)
+        out, self._buf = buf[:n], buf[n:]
         return out
 
     def randbits(self, k: int) -> int:

@@ -1,12 +1,17 @@
 """Group arithmetic over the order-q subgroup mod a safe prime."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otkit.errors import UsageError
 from otkit.groupmath import (
+    COMB_GROUPS,
+    COMB_ROWS,
     PINNED_SAFE_PRIMES,
+    GroupParams,
     TOY_G,
     TOY_P,
     TOY_Q,
@@ -20,6 +25,8 @@ from otkit.groupmath import (
     modexp,
     rand_scalar,
     toy_group,
+    _comb_table,
+    _pow_g,
 )
 from otkit.numth import is_probable_prime
 from otkit.rng import SeededSource
@@ -136,6 +143,61 @@ class TestGenGroup:
         assert 0 in seen
         nonzero = {rand_scalar(toy, rng, nonzero=True) for _ in range(200)}
         assert 0 not in nonzero
+
+
+@pytest.fixture(scope="module", params=["toy", 512, 1024, 2048, "fresh"])
+def any_group(request):
+    if request.param == "toy":
+        return toy_group(retain_dlog=True)
+    if request.param == "fresh":
+        return gen_group(32, SeededSource(3), retain_dlog=True, fresh_modulus=True)
+    return gen_group(request.param, SeededSource(request.param), retain_dlog=True)
+
+
+class TestFixedBase:
+    """Powers of g take the comb table; they must equal pow() exactly."""
+
+    def test_edge_exponents(self, any_group):
+        P, q, g = any_group.P, any_group.q, any_group.g
+        rows, cols, _ = _comb_table(g, P)
+        boundaries = [1 << (i * cols) for i in range(1, rows) if i * cols < q.bit_length()]
+        exponents = [0, 1, 2, q - 1, q, q + 1, -1, 2 * q + 5] + [
+            b + d for b in boundaries for d in (-1, 0, 1)
+        ]
+        for e in exponents:
+            assert modexp(g, e, any_group) == pow(g, e % q, P), e
+
+    def test_seeded_exponents(self, any_group):
+        P, q, g = any_group.P, any_group.q, any_group.g
+        rnd = random.Random(q.bit_length())
+        for _ in range(40):
+            e = rnd.randrange(-q, 3 * q)
+            assert modexp(g, e, any_group) == pow(g, e % q, P), e
+
+    def test_public_element_is_g_to_a(self, any_group):
+        assert any_group.C == pow(any_group.g, any_group.a, any_group.P)
+
+    def test_table_shape(self, any_group):
+        rows, cols, table = _comb_table(any_group.g, any_group.P)
+        assert rows == min(COMB_ROWS, any_group.P.bit_length())
+        assert cols == -(-any_group.P.bit_length() // rows)
+        assert len(table) == 1 << rows
+        assert table[1] == any_group.g and table[2] == pow(any_group.g, 1 << cols, any_group.P)
+
+    def test_exponents_outside_table_width(self, group512):
+        P, g = group512.P, group512.g
+        for e in (P - 1, P, P + 5, 1 << P.bit_length(), -3):
+            assert _pow_g(g, e, P) == pow(g, e, P), e
+
+    def test_cache_bounded(self, group512):
+        P, q = group512.P, group512.q
+        groups = [
+            GroupParams(P=P, q=q, g=k * k, C=k * k, lambda_bits=512)
+            for k in range(2, COMB_GROUPS + 6)
+        ]
+        for params in groups + groups[:2]:
+            assert modexp(params.g, 12345, params) == pow(params.g, 12345, P)
+        assert _comb_table.cache_info().currsize == COMB_GROUPS
 
 
 class TestSerialization:

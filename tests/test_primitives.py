@@ -1,5 +1,7 @@
 """Shared protocol building blocks: shares, swaps, hashes, parsing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,3 +114,13 @@ class TestXor:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             xor_bytes(b"ab", b"abc")
+        with pytest.raises(LengthMismatch):
+            xor_bytes(b"", b"a")
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 65536])
+    def test_matches_bytewise_reference(self, n):
+        rnd = random.Random(n)
+        a, b = rnd.randbytes(n), rnd.randbytes(n)
+        zeros, ones = bytes(n), b"\xff" * n
+        for x, y in ((a, b), (a, a), (zeros, b), (a, ones), (zeros, zeros)):
+            assert xor_bytes(x, y) == bytes(u ^ v for u, v in zip(x, y))

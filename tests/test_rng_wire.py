@@ -1,5 +1,8 @@
 """Deterministic randomness and the low-level payload codecs."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,25 @@ from hypothesis import strategies as st
 from otkit.errors import DecodeError, TruncatedFrame
 from otkit.rng import SeededSource, SystemSource, derive_source
 from otkit.wire import Reader, encode_bytes, encode_uint
+
+
+class BlockAppendSource:
+    """Reference stream: SHAKE-256 counter blocks appended one at a time."""
+
+    def __init__(self, seed: int, label: bytes = b""):
+        self._key = seed.to_bytes(8, "big") + label
+        self._counter = 0
+        self._buf = b""
+
+    def randbytes(self, n: int) -> bytes:
+        while len(self._buf) < n:
+            block = hashlib.shake_256(
+                self._key + self._counter.to_bytes(8, "big")
+            ).digest(64)
+            self._counter += 1
+            self._buf += block
+        out, self._buf = self._buf[:n], self._buf[n:]
+        return out
 
 
 class TestSeededSource:
@@ -39,6 +61,19 @@ class TestSeededSource:
     @settings(max_examples=50)
     def test_randbits_width(self, k):
         assert SeededSource(9).randbits(k) < (1 << k)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 65536])
+    def test_single_request_matches_reference(self, n):
+        assert SeededSource(5, b"x").randbytes(n) == BlockAppendSource(5, b"x").randbytes(n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 77])
+    def test_mixed_requests_match_reference(self, seed):
+        rnd = random.Random(seed)
+        sizes = [0, 1, 15, 16, 63, 64, 65, 127, 128, 129, 1000, 4096, 65536]
+        ours, ref = SeededSource(seed), BlockAppendSource(seed)
+        for _ in range(300):
+            n = rnd.choice(sizes)
+            assert ours.randbytes(n) == ref.randbytes(n), n
 
     def test_system_source_shape(self):
         src = SystemSource()
