@@ -40,7 +40,14 @@ from .paillier import (
     hscale,
     kgen,
 )
-from .primitives import ByteString, hash_G, random_permute_pair, ss_share, xor_bytes
+from .primitives import (
+    ByteString,
+    hash_G,
+    parse,
+    random_permute_pair,
+    ss_share,
+    xor_bytes,
+)
 from .rng import RandomSource
 
 
@@ -131,9 +138,9 @@ def _tag_match(
         if sigma_bits < 0:
             continue
         pad = hash_G(elem_to_bytes(modexp(head, x, pk), pk), sigma_bits, 8 * lam)
-        y = xor_bytes(pad, body)
-        if y[len(y) - lam :] == tag:
-            hits.append(y[: len(y) - lam])
+        message, trailer = parse(8 * lam, xor_bytes(pad, body))
+        if trailer == tag:
+            hits.append(message)
     if not hits:
         raise NoTagMatch("no decryption candidate carries the tag")
     if len(hits) > 1:

@@ -28,7 +28,6 @@ from functools import lru_cache
 from .errors import PrimeSearchExhausted, UsageError
 from .numth import HAVE_GMPY2, gen_safe_prime, invmod, powmod
 from .rng import RandomSource
-from .wire import Reader, encode_uint
 
 GroupElement = int
 Scalar = int
@@ -176,19 +175,3 @@ def in_subgroup(x: int, params: GroupParams) -> bool:
 def elem_to_bytes(x: GroupElement, params: GroupParams) -> bytes:
     """Canonical fixed-width big-endian form, used as hash input."""
     return x.to_bytes(params.elem_bytes(), "big")
-
-
-def encode_group_params(params: GroupParams) -> bytes:
-    return (
-        encode_uint(params.P)
-        + encode_uint(params.q)
-        + encode_uint(params.g)
-        + encode_uint(params.C)
-    )
-
-
-def decode_group_params(buf: bytes) -> GroupParams:
-    r = Reader(buf)
-    P, q, g, C = r.read_uint(), r.read_uint(), r.read_uint(), r.read_uint()
-    r.expect_end()
-    return GroupParams(P=P, q=q, g=g, C=C, lambda_bits=q.bit_length())

@@ -1,17 +1,23 @@
 """Multi-party session engine with transcript capture.
 
 One session owns every role's state and plays the protocol's phases in
-their canonical order over an in-process bus. Every inter-role message is framed,
-encoded, decoded, and only then consumed by the receiving role, so the wire
-codecs are exercised on every hop even without sockets. Transcripts record
-the envelopes in send order plus per-role outputs; phase wall-clock timings
-ride along for the bench command but stay out of the canonical export.
+their canonical order over an in-process bus. Each message goes through
+`_hop`, which encodes it with its type's entry in the codec table `_CODECS`,
+frames and round-trips the envelope, records it, and decodes it for the
+receiving role. Table entries look `encode_uint`, `encode_bytes` and the
+`Reader` methods up by name when called, so a tracer that rebinds them sees
+every call. The four delegated-query protocols share one pipeline,
+`_run_delegated`; the protocol id fixes who deals the choice-bit shares (the
+receiver or an issuer) and whether P1 filters a whole database's response.
+
+A ProtocolError ends the run as error:<Name> at the role that raised it (for
+a failed decode, the hop's receiver). Phase wall-clock timings ride along
+for the bench command but stay out of the canonical export.
 """
 
 import enum
 import secrets
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import supersonic as sup
@@ -274,21 +280,142 @@ def project_view(t: SessionTranscript, role: Role) -> list[Envelope]:
     return [e for e in t.events if role in (e.src, e.dst)]
 
 
-def _send(t: SessionTranscript, src: Role, dst: Role, mtype: MsgType, payload: bytes) -> bytes:
-    """Frame, encode, decode, record; hand back the decoded payload."""
-    env = Envelope(src=src, dst=dst, msg_type=mtype, payload=payload)
-    round_tripped = decode_envelope(encode_envelope(env))
-    if round_tripped != env:
-        raise DecodeError("envelope did not survive its wire round trip")
-    t.events.append(round_tripped)
-    return round_tripped.payload
+# ----------------------------------------------------------------- codecs
 
 
-@contextmanager
-def _phase(t: SessionTranscript, label: str):
-    t0 = time.perf_counter()
-    yield
-    t.phase_times.append((label, time.perf_counter() - t0))
+def _reading(read):
+    """Payload decoder from a Reader walk that must use every byte."""
+
+    def decode(payload: bytes):
+        r = Reader(payload)
+        value = read(r)
+        r.expect_end()
+        return value
+
+    return decode
+
+
+def _read_bit(r: Reader) -> int:
+    bit = r.read_byte()
+    if bit > 1:
+        raise DecodeError(f"share byte {bit:#04x} is not a bit")
+    return bit
+
+
+def _vector(encode_item, read_item):
+    """Codec for a 4-byte count followed by that many items, as a tuple."""
+    return (
+        lambda items: len(items).to_bytes(4, "big")
+        + b"".join(encode_item(x) for x in items),
+        _reading(lambda r: tuple(read_item(r) for _ in range(r.read_u32()))),
+    )
+
+
+_UINT = (lambda x: encode_uint(x), _reading(lambda r: r.read_uint()))
+_BIT = (lambda b: bytes((b,)), _reading(_read_bit))
+_BYTES = (lambda b: encode_bytes(b), _reading(lambda r: r.read_bytes()))
+_CIPHERTEXTS = _vector(
+    lambda c: encode_uint(c.value), lambda r: HomCiphertext(r.read_uint())
+)
+_DELEGATION = (
+    lambda req: bytes((req.share,)) + encode_uint(req.blind),
+    _reading(lambda r: DelegationRequest(share=_read_bit(r), blind=r.read_uint())),
+)
+
+_CODECS = {
+    MsgType.REQ1: _DELEGATION,
+    MsgType.REQ2: _DELEGATION,
+    MsgType.PARTIAL_Q: (
+        lambda d: encode_uint(d.d0) + encode_uint(d.d1),
+        _reading(lambda r: PartialQueryPair(d0=r.read_uint(), d1=r.read_uint())),
+    ),
+    MsgType.FINAL_Q: (
+        lambda b: encode_uint(b.b0) + encode_uint(b.b1),
+        _reading(lambda r: FinalQueryPair(b0=r.read_uint(), b1=r.read_uint())),
+    ),
+    MsgType.RESPONSE: (
+        lambda res: encode_np_response(res), lambda buf: decode_np_response(buf)
+    ),
+    MsgType.RESPONSE_VEC: _vector(
+        lambda res: encode_np_response(res),
+        lambda r: NpResponse(e0=read_response_element(r), e1=read_response_element(r)),
+    ),
+    MsgType.ISSUER_REQ1: _BIT,
+    MsgType.ISSUER_REQ2: _BIT,
+    MsgType.SP_S: _BYTES,
+    MsgType.SP_R: (
+        lambda share_tag: bytes((share_tag[0],)) + encode_bytes(share_tag[1]),
+        _reading(lambda r: (_read_bit(r), r.read_bytes())),
+    ),
+    MsgType.COMPRESS_VEC: _CIPHERTEXTS,
+    MsgType.TAGGED_RESPONSE_VEC: _vector(
+        lambda res: b"".join(encode_response_element(e) for e in res.pair),
+        lambda r: TaggedResponse(
+            pair=(read_response_element(r), read_response_element(r))),
+    ),
+    MsgType.FILTERED_RESPONSE: (
+        lambda f: b"".join(encode_uint(o.value) for o in (f.o00, f.o01, f.o10, f.o11)),
+        _reading(lambda r: FilteredResponse(
+            *(HomCiphertext(r.read_uint()) for _ in range(4)))),
+    ),
+    MsgType.SELECTOR_VEC: _CIPHERTEXTS,
+    # the value is (response, pk_R): ciphertexts travel at the key's full width
+    MsgType.COMPRESSED_RESPONSE: (
+        lambda cr_pk: encode_compressed_response(*cr_pk),
+        lambda buf: decode_compressed_response(buf),
+    ),
+    MsgType.PAD_KEYS: (
+        lambda k: encode_bytes(k.k0) + encode_bytes(k.k1),
+        _reading(lambda r: sup.PadKeys(k0=r.read_bytes(), k1=r.read_bytes())),
+    ),
+    MsgType.SUP_Q1: _BIT,
+    MsgType.SUP_Q2: _BIT,
+    MsgType.SUP_EPAIR: (
+        lambda e: encode_bytes(e.c0) + encode_bytes(e.c1),
+        _reading(lambda r: sup.EncPair(c0=r.read_bytes(), c1=r.read_bytes())),
+    ),
+    MsgType.SUP_RESULT: _BYTES,
+    MsgType.NP_QUERY: _UINT,
+}
+
+
+class _Refusal(Exception):
+    """args[0] is the Role that refused a message or aborted; the cause says why."""
+
+
+def _hop(t: SessionTranscript, src: Role, dst: Role, mtype: MsgType, value, codec=None):
+    """Encode value, frame and round-trip it, record it, and decode it at dst.
+
+    codec replaces the table's entry for the issuer variants' bare blinds.
+    """
+    encode, decode = codec or _CODECS[mtype]
+    env = Envelope(src=src, dst=dst, msg_type=mtype, payload=encode(value))
+    try:
+        round_tripped = decode_envelope(encode_envelope(env))
+        if round_tripped != env:
+            raise DecodeError("envelope did not survive its wire round trip")
+        t.events.append(round_tripped)
+        return decode(round_tripped.payload)
+    except ProtocolError as err:
+        raise _Refusal(dst) from err
+
+
+class _phase:
+    """Times one phase; a ProtocolError in it is a refusal by role.
+
+    A class: @contextmanager costs microseconds more per phase.
+    """
+
+    def __init__(self, t: SessionTranscript, label: str, role: Role):
+        self.t, self.label, self.role = t, label, role
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, kind, err, tb):
+        self.t.phase_times.append((self.label, time.perf_counter() - self.t0))
+        if isinstance(err, ProtocolError):
+            raise _Refusal(self.role) from err
 
 
 def _validate(cfg: SessionConfig) -> None:
@@ -300,9 +427,10 @@ def _validate(cfg: SessionConfig) -> None:
         raise UsageError("lambda_bits must be a positive multiple of 8")
     if cfg.s not in (0, 1):
         raise UsageError("choice bit s must be 0 or 1")
+    if cfg.seed is not None and not 0 <= cfg.seed < 1 << 64:
+        raise UsageError("seed must be an unsigned 64-bit integer")
     sigma = cfg.sigma_bits // 8
-    multi = cfg.protocol in ("dq-mr", "duq-mr")
-    if multi:
+    if cfg.protocol.endswith("-mr"):
         if not cfg.db:
             raise UsageError("multi-receiver protocols need a message database")
         if cfg.v is None:
@@ -317,17 +445,10 @@ def _validate(cfg: SessionConfig) -> None:
             raise UsageError("two-message protocols need m0 and m1")
         if len(cfg.m0) != sigma or len(cfg.m1) != sigma:
             raise UsageError("messages must be exactly sigma bits")
-    if cfg.tamper is not None:
-        allowed = {
-            "dq-ot": ("beta",),
-            "dq-mr": ("beta",),
-            "duq-ot": ("beta", "tag"),
-            "duq-mr": ("beta", "tag"),
-        }.get(cfg.protocol, ())
-        if cfg.tamper not in allowed:
-            raise UsageError(
-                f"tamper {cfg.tamper!r} not applicable to {cfg.protocol}"
-            )
+    # a tamper alters one message type, so it applies where that type is sent
+    target = {"beta": MsgType.FINAL_Q, "tag": MsgType.SP_S}.get(cfg.tamper)
+    if cfg.tamper is not None and target not in GOLDEN_PHASES[cfg.protocol]:
+        raise UsageError(f"tamper {cfg.tamper!r} not applicable to {cfg.protocol}")
     needs_group = cfg.protocol != "supersonic"
     if needs_group and not cfg.toy and cfg.group_bits is None:
         raise UsageError("group protocols need group_bits or toy mode")
@@ -349,443 +470,171 @@ def _paillier_bits(cfg: SessionConfig, params: GroupParams) -> int:
 def run_session(config: SessionConfig) -> SessionTranscript:
     """Execute one protocol run and return its full transcript.
 
-    Protocol errors (aborts, tag failures) do not raise: they are recorded
-    in outputs against the role that hit them, and the run stops there.
+    Protocol errors (aborts, tag failures, undecodable messages) do not
+    raise: the run stops there and records error:<Name> in outputs against
+    the role that hit it.
     """
     _validate(config)
     seed = config.seed if config.seed is not None else secrets.randbits(64)
     rng = SeededSource(seed)
     t = SessionTranscript(protocol=config.protocol, seed=seed)
-    runner = _RUNNERS[config.protocol]
-    runner(config, rng, t)
+    try:
+        t.outputs[Role.RECEIVER.name] = _RUNNERS[config.protocol](config, rng, t)
+    except _Refusal as refusal:
+        role, err = refusal.args[0], refusal.__cause__
+        t.outputs[role.name] = f"error:{type(err).__name__}"
     return t
 
 
 # ---------------------------------------------------------------- runners
 
 
-def _run_np(cfg: SessionConfig, rng, t: SessionTranscript) -> None:
-    with _phase(t, "init"):
+def _run_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
+    with _phase(t, "init", Role.RECEIVER):
         params = _make_group(cfg, rng)
-    with _phase(t, "gen_query"):
+    with _phase(t, "gen_query", Role.RECEIVER):
         query, secret = np_gen_query(params, cfg.s, rng)
-        q_rx = Reader(_send(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY,
-                            encode_uint(query))).read_uint()
-    with _phase(t, "gen_res"):
+        q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)
+    with _phase(t, "gen_res", Role.SENDER):
         res = np_gen_res(cfg.m0, cfg.m1, params, q_rx, rng)
-        res_rx = decode_np_response(
-            _send(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE,
-                  encode_np_response(res))
-        )
-    with _phase(t, "retrieve"):
-        t.outputs[Role.RECEIVER.name] = np_retrieve(res_rx, secret, params)
+        res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
+    with _phase(t, "retrieve", Role.RECEIVER):
+        return np_retrieve(res_rx, secret, params)
 
 
-def _encode_delegation(req: DelegationRequest) -> bytes:
-    return bytes((req.share,)) + encode_uint(req.blind)
+def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
+    """dq-ot, duq-ot, dq-mr and duq-mr: request, partial and final query.
 
-
-def _decode_delegation(buf: bytes) -> DelegationRequest:
-    r = Reader(buf)
-    share = r.read_byte()
-    blind = r.read_uint()
-    r.expect_end()
-    return DelegationRequest(share=share, blind=blind)
-
-
-def _encode_pair(x: int, y: int) -> bytes:
-    return encode_uint(x) + encode_uint(y)
-
-
-def _decode_pair(buf: bytes) -> tuple[int, int]:
-    r = Reader(buf)
-    out = (r.read_uint(), r.read_uint())
-    r.expect_end()
-    return out
-
-
-def _tampered(query: FinalQueryPair, cfg: SessionConfig, params: GroupParams) -> FinalQueryPair:
-    if cfg.tamper == "beta":
-        return FinalQueryPair(b0=elem_mul(query.b0, params.g, params), b1=query.b1)
-    return query
-
-
-def _flip_tag(tag: bytes, cfg: SessionConfig) -> bytes:
-    if cfg.tamper == "tag":
-        return bytes((tag[0] ^ 0x01,)) + tag[1:]
-    return tag
-
-
-def _run_dq(cfg: SessionConfig, rng, t: SessionTranscript) -> None:
-    with _phase(t, "init"):
-        params = _make_group(cfg, rng)
-    with _phase(t, "request"):
-        req1, req2 = dq_r_request(cfg.s, params, rng)
-        req1_rx = _decode_delegation(
-            _send(t, Role.RECEIVER, Role.P1, MsgType.REQ1, _encode_delegation(req1))
-        )
-        req2_rx = _decode_delegation(
-            _send(t, Role.RECEIVER, Role.P2, MsgType.REQ2, _encode_delegation(req2))
-        )
-    with _phase(t, "partial_query"):
-        partial = dq_p2_gen_query(req2_rx, params)
-        d_rx = _decode_pair(
-            _send(t, Role.P2, Role.P1, MsgType.PARTIAL_Q,
-                  _encode_pair(partial.d0, partial.d1))
-        )
-    with _phase(t, "final_query"):
-        final = dq_p1_gen_query(req1_rx, PartialQueryPair(*d_rx), params)
-        final = _tampered(final, cfg, params)
-        b_rx = _decode_pair(
-            _send(t, Role.P1, Role.SENDER, MsgType.FINAL_Q,
-                  _encode_pair(final.b0, final.b1))
-        )
-    with _phase(t, "gen_res"):
-        try:
-            res = dq_s_gen_res(cfg.m0, cfg.m1, params, FinalQueryPair(*b_rx), rng)
-        except ProtocolError as err:
-            t.outputs[Role.SENDER.name] = f"error:{type(err).__name__}"
-            return
-        res_rx = decode_np_response(
-            _send(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE,
-                  encode_np_response(res))
-        )
-    with _phase(t, "retrieve"):
-        t.outputs[Role.RECEIVER.name] = dq_r_retrieve(
-            res_rx, req1, req2, cfg.s, params
-        )
-
-
-def _encode_response_vec(responses) -> bytes:
-    out = [len(responses).to_bytes(4, "big")]
-    for res in responses:
-        out.append(encode_np_response(res))
-    return b"".join(out)
-
-
-def _decode_response_vec(buf: bytes) -> list[NpResponse]:
-    r = Reader(buf)
-    count = r.read_u32()
-    out = []
-    for _ in range(count):
-        e0 = read_response_element(r)
-        e1 = read_response_element(r)
-        out.append(NpResponse(e0=e0, e1=e1))
-    r.expect_end()
-    return out
-
-
-def _run_dq_mr(cfg: SessionConfig, rng, t: SessionTranscript) -> None:
-    with _phase(t, "init"):
-        params = _make_group(cfg, rng)
-        db = MessageDatabase(pairs=tuple(cfg.db))
-    with _phase(t, "request"):
-        req1, req2 = dq_r_request(cfg.s, params, rng)
-        req1_rx = _decode_delegation(
-            _send(t, Role.RECEIVER, Role.P1, MsgType.REQ1, _encode_delegation(req1))
-        )
-        req2_rx = _decode_delegation(
-            _send(t, Role.RECEIVER, Role.P2, MsgType.REQ2, _encode_delegation(req2))
-        )
-    with _phase(t, "partial_query"):
-        partial = dq_p2_gen_query(req2_rx, params)
-        d_rx = _decode_pair(
-            _send(t, Role.P2, Role.P1, MsgType.PARTIAL_Q,
-                  _encode_pair(partial.d0, partial.d1))
-        )
-    with _phase(t, "final_query"):
-        final = dq_p1_gen_query(req1_rx, PartialQueryPair(*d_rx), params)
-        final = _tampered(final, cfg, params)
-        b_rx = _decode_pair(
-            _send(t, Role.P1, Role.SENDER, MsgType.FINAL_Q,
-                  _encode_pair(final.b0, final.b1))
-        )
-    with _phase(t, "gen_res"):
-        try:
-            responses = dqmr_s_gen_res_multi(db, params, FinalQueryPair(*b_rx), rng)
-        except ProtocolError as err:
-            t.outputs[Role.SENDER.name] = f"error:{type(err).__name__}"
-            return
-        vec_rx = _decode_response_vec(
-            _send(t, Role.SENDER, Role.P1, MsgType.RESPONSE_VEC,
-                  _encode_response_vec(responses))
-        )
-    with _phase(t, "filter"):
-        picked = dqmr_p1_filter(vec_rx, cfg.v)
-        res_rx = decode_np_response(
-            _send(t, Role.P1, Role.RECEIVER, MsgType.RESPONSE,
-                  encode_np_response(picked))
-        )
-    with _phase(t, "retrieve"):
-        t.outputs[Role.RECEIVER.name] = dq_r_retrieve(
-            res_rx, req1, req2, cfg.s, params
-        )
-
-
-def _issuer_phase(cfg, rng, t: SessionTranscript):
-    """Issuer distribution common to both unknown-query runs.
-
-    Returns what each party decoded: (s1, s2 at helpers, tag at sender,
-    (share2, tag) at receiver, bundle at issuer).
+    issuer: an issuer holds s and deals its shares and the tag (duq), else
+    the receiver deals them with its blinds (dq). multi: the sender answers
+    every database pair and P1 filters out the one at v, in the clear (dq-mr)
+    or under the receiver's Paillier key (duq-mr).
     """
-    bundle = duq_t_request(cfg.s, cfg.lambda_bits, rng)
-    s1_rx = Reader(
-        _send(t, Role.ISSUER, Role.P1, MsgType.ISSUER_REQ1, bytes((bundle.share1,)))
-    ).read_byte()
-    s2_rx = Reader(
-        _send(t, Role.ISSUER, Role.P2, MsgType.ISSUER_REQ2, bytes((bundle.share2,)))
-    ).read_byte()
-    tag_s = _flip_tag(bundle.tag, cfg)
-    sp_s = Reader(
-        _send(t, Role.ISSUER, Role.SENDER, MsgType.SP_S, encode_bytes(tag_s))
-    ).read_bytes()
-    sp_r_reader = Reader(
-        _send(t, Role.ISSUER, Role.RECEIVER, MsgType.SP_R,
-              bytes((bundle.share2,)) + encode_bytes(bundle.tag))
-    )
-    r_share2 = sp_r_reader.read_byte()
-    r_tag = sp_r_reader.read_bytes()
-    return s1_rx, s2_rx, sp_s, (r_share2, r_tag)
-
-
-def _run_duq(cfg: SessionConfig, rng, t: SessionTranscript) -> None:
-    with _phase(t, "init"):
+    issuer = cfg.protocol.startswith("duq")
+    multi = cfg.protocol.endswith("-mr")
+    with _phase(t, "init", Role.RECEIVER):
         params = _make_group(cfg, rng)
-    with _phase(t, "request"):
-        r1, r2 = duq_r_request(params, rng)
-        r1_rx = Reader(
-            _send(t, Role.RECEIVER, Role.P1, MsgType.REQ1, encode_uint(r1))
-        ).read_uint()
-        r2_rx = Reader(
-            _send(t, Role.RECEIVER, Role.P2, MsgType.REQ2, encode_uint(r2))
-        ).read_uint()
-    with _phase(t, "issue"):
-        s1_rx, s2_rx, tag_at_s, (r_share2, r_tag) = _issuer_phase(cfg, rng, t)
-    with _phase(t, "partial_query"):
-        partial = dq_p2_gen_query(
-            DelegationRequest(share=s2_rx, blind=r2_rx), params
-        )
-        d_rx = _decode_pair(
-            _send(t, Role.P2, Role.P1, MsgType.PARTIAL_Q,
-                  _encode_pair(partial.d0, partial.d1))
-        )
-    with _phase(t, "final_query"):
-        final = dq_p1_gen_query(
-            DelegationRequest(share=s1_rx, blind=r1_rx),
-            PartialQueryPair(*d_rx),
-            params,
-        )
-        final = _tampered(final, cfg, params)
-        b_rx = _decode_pair(
-            _send(t, Role.P1, Role.SENDER, MsgType.FINAL_Q,
-                  _encode_pair(final.b0, final.b1))
-        )
-    with _phase(t, "gen_res"):
-        try:
-            res = duq_s_gen_res(
-                cfg.m0, cfg.m1, params, FinalQueryPair(*b_rx), tag_at_s, rng
+        if multi:
+            db = MessageDatabase(pairs=tuple(cfg.db))
+        if issuer and multi:
+            pk_j, sk_j = duqmr_r_setup(
+                _paillier_bits(cfg, params), rng, group=params,
+                sigma_bits=cfg.sigma_bits, lambda_bits=cfg.lambda_bits,
             )
-        except ProtocolError as err:
-            t.outputs[Role.SENDER.name] = f"error:{type(err).__name__}"
-            return
-        res_rx = decode_np_response(
-            _send(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE,
-                  encode_response_element(res.pair[0])
-                  + encode_response_element(res.pair[1]))
-        )
-    with _phase(t, "retrieve"):
-        try:
-            t.outputs[Role.RECEIVER.name] = duq_r_retrieve(
-                TaggedResponse(pair=(res_rx.e0, res_rx.e1)),
-                r1, r2, r_share2, r_tag, params,
+    if issuer and multi:
+        with _phase(t, "compress_vector", Role.ISSUER):
+            w = duqmr_t_setup(db.z, cfg.v, pk_j, rng)
+            w_rx = CompressVector(
+                entries=_hop(t, Role.ISSUER, Role.P1, MsgType.COMPRESS_VEC, w.entries)
             )
-        except ProtocolError as err:
-            t.outputs[Role.RECEIVER.name] = f"error:{type(err).__name__}"
+    with _phase(t, "request", Role.RECEIVER):
+        # issuer variants send bare blinds: the shares come from the issuer
+        req1, req2 = (duq_r_request(params, rng) if issuer
+                      else dq_r_request(cfg.s, params, rng))
+        codec = _UINT if issuer else None
+        req1_rx = _hop(t, Role.RECEIVER, Role.P1, MsgType.REQ1, req1, codec)
+        req2_rx = _hop(t, Role.RECEIVER, Role.P2, MsgType.REQ2, req2, codec)
+    if issuer:
+        with _phase(t, "issue", Role.ISSUER):
+            bundle = duq_t_request(cfg.s, cfg.lambda_bits, rng)
+            share1 = _hop(t, Role.ISSUER, Role.P1, MsgType.ISSUER_REQ1, bundle.share1)
+            share2 = _hop(t, Role.ISSUER, Role.P2, MsgType.ISSUER_REQ2, bundle.share2)
+            tag = bundle.tag
+            if cfg.tamper == "tag":
+                tag = bytes((tag[0] ^ 0x01,)) + tag[1:]
+            tag_at_s = _hop(t, Role.ISSUER, Role.SENDER, MsgType.SP_S, tag)
+            share2_at_r, tag_at_r = _hop(t, Role.ISSUER, Role.RECEIVER, MsgType.SP_R,
+                                         (bundle.share2, bundle.tag))
+            req1_rx = DelegationRequest(share=share1, blind=req1_rx)
+            req2_rx = DelegationRequest(share=share2, blind=req2_rx)
+    with _phase(t, "partial_query", Role.P2):
+        partial = dq_p2_gen_query(req2_rx, params)
+        d_rx = _hop(t, Role.P2, Role.P1, MsgType.PARTIAL_Q, partial)
+    with _phase(t, "final_query", Role.P1):
+        final = dq_p1_gen_query(req1_rx, d_rx, params)
+        if cfg.tamper == "beta":
+            final = FinalQueryPair(b0=elem_mul(final.b0, params.g, params), b1=final.b1)
+        b_rx = _hop(t, Role.P1, Role.SENDER, MsgType.FINAL_Q, final)
+    with _phase(t, "gen_res", Role.SENDER):
+        if multi and issuer:
+            vec = duqmr_s_gen_res_multi(db, params, b_rx, tag_at_s, rng)
+            vec_rx = _hop(t, Role.SENDER, Role.P1, MsgType.TAGGED_RESPONSE_VEC, vec)
+        elif multi:
+            vec = dqmr_s_gen_res_multi(db, params, b_rx, rng)
+            vec_rx = _hop(t, Role.SENDER, Role.P1, MsgType.RESPONSE_VEC, vec)
+        elif issuer:
+            res = duq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, tag_at_s, rng)
+            res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE,
+                          NpResponse(*res.pair))
+        else:
+            res = dq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, rng)
+            res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
+    if multi:
+        with _phase(t, "filter", Role.P1):
+            if issuer:
+                res_rx = _hop(t, Role.P1, Role.RECEIVER, MsgType.FILTERED_RESPONSE,
+                              duqmr_p1_filter(vec_rx, w_rx, pk_j))
+            else:
+                res_rx = _hop(t, Role.P1, Role.RECEIVER, MsgType.RESPONSE,
+                              dqmr_p1_filter(vec_rx, cfg.v))
+    with _phase(t, "retrieve", Role.RECEIVER):
+        if not issuer:
+            return dq_r_retrieve(res_rx, req1, req2, cfg.s, params)
+        if multi:
+            return duqmr_r_retrieve(res_rx, sk_j, req1, req2, share2_at_r, tag_at_r,
+                                    cfg.sigma_bits, params)
+        return duq_r_retrieve(TaggedResponse(pair=(res_rx.e0, res_rx.e1)),
+                              req1, req2, share2_at_r, tag_at_r, params)
 
 
-def _run_duq_mr(cfg: SessionConfig, rng, t: SessionTranscript) -> None:
-    with _phase(t, "init"):
-        params = _make_group(cfg, rng)
-        db = MessageDatabase(pairs=tuple(cfg.db))
-        pk_j, sk_j = duqmr_r_setup(
-            _paillier_bits(cfg, params),
-            rng,
-            group=params,
-            sigma_bits=cfg.sigma_bits,
-            lambda_bits=cfg.lambda_bits,
-        )
-    with _phase(t, "compress_vector"):
-        w = duqmr_t_setup(db.z, cfg.v, pk_j, rng)
-        w_reader = Reader(
-            _send(t, Role.ISSUER, Role.P1, MsgType.COMPRESS_VEC,
-                  len(w.entries).to_bytes(4, "big")
-                  + b"".join(encode_uint(c.value) for c in w.entries))
-        )
-        w_rx = CompressVector(
-            entries=tuple(
-                HomCiphertext(w_reader.read_uint())
-                for _ in range(w_reader.read_u32())
-            )
-        )
-        w_reader.expect_end()
-    with _phase(t, "request"):
-        r1, r2 = duq_r_request(params, rng)
-        r1_rx = Reader(
-            _send(t, Role.RECEIVER, Role.P1, MsgType.REQ1, encode_uint(r1))
-        ).read_uint()
-        r2_rx = Reader(
-            _send(t, Role.RECEIVER, Role.P2, MsgType.REQ2, encode_uint(r2))
-        ).read_uint()
-    with _phase(t, "issue"):
-        s1_rx, s2_rx, tag_at_s, (r_share2, r_tag) = _issuer_phase(cfg, rng, t)
-    with _phase(t, "partial_query"):
-        partial = dq_p2_gen_query(
-            DelegationRequest(share=s2_rx, blind=r2_rx), params
-        )
-        d_rx = _decode_pair(
-            _send(t, Role.P2, Role.P1, MsgType.PARTIAL_Q,
-                  _encode_pair(partial.d0, partial.d1))
-        )
-    with _phase(t, "final_query"):
-        final = dq_p1_gen_query(
-            DelegationRequest(share=s1_rx, blind=r1_rx),
-            PartialQueryPair(*d_rx),
-            params,
-        )
-        final = _tampered(final, cfg, params)
-        b_rx = _decode_pair(
-            _send(t, Role.P1, Role.SENDER, MsgType.FINAL_Q,
-                  _encode_pair(final.b0, final.b1))
-        )
-    with _phase(t, "gen_res"):
-        try:
-            responses = duqmr_s_gen_res_multi(
-                db, params, FinalQueryPair(*b_rx), tag_at_s, rng
-            )
-        except ProtocolError as err:
-            t.outputs[Role.SENDER.name] = f"error:{type(err).__name__}"
-            return
-        vec_reader = Reader(
-            _send(t, Role.SENDER, Role.P1, MsgType.TAGGED_RESPONSE_VEC,
-                  len(responses).to_bytes(4, "big")
-                  + b"".join(
-                      encode_response_element(res.pair[0])
-                      + encode_response_element(res.pair[1])
-                      for res in responses
-                  ))
-        )
-        count = vec_reader.read_u32()
-        vec_rx = [
-            TaggedResponse(pair=(read_response_element(vec_reader),
-                                 read_response_element(vec_reader)))
-            for _ in range(count)
-        ]
-        vec_reader.expect_end()
-    with _phase(t, "filter"):
-        filtered = duqmr_p1_filter(vec_rx, w_rx, pk_j)
-        f_reader = Reader(
-            _send(t, Role.P1, Role.RECEIVER, MsgType.FILTERED_RESPONSE,
-                  b"".join(encode_uint(o.value)
-                           for o in (filtered.o00, filtered.o01,
-                                     filtered.o10, filtered.o11)))
-        )
-        f_rx = FilteredResponse(
-            o00=HomCiphertext(f_reader.read_uint()),
-            o01=HomCiphertext(f_reader.read_uint()),
-            o10=HomCiphertext(f_reader.read_uint()),
-            o11=HomCiphertext(f_reader.read_uint()),
-        )
-        f_reader.expect_end()
-    with _phase(t, "retrieve"):
-        try:
-            t.outputs[Role.RECEIVER.name] = duqmr_r_retrieve(
-                f_rx, sk_j, r1, r2, r_share2, r_tag, cfg.sigma_bits, params
-            )
-        except ProtocolError as err:
-            t.outputs[Role.RECEIVER.name] = f"error:{type(err).__name__}"
-
-
-def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> None:
+def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     suite = np_suite()
-    with _phase(t, "init"):
+    with _phase(t, "init", Role.RECEIVER):
         params = _make_group(cfg, rng)
         pk_R, sk_R = kgen(_paillier_bits(cfg, params), rng)
-    with _phase(t, "gen_query"):
+    with _phase(t, "gen_query", Role.RECEIVER):
         query, secret, selector = comp_gen_query(
             suite, params, 2, cfg.s, pk_R, rng,
             component_bits=max(params.P.bit_length(), cfg.sigma_bits),
         )
-        q_rx = Reader(
-            _send(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY,
-                  encode_uint(query))
-        ).read_uint()
-        sel_reader = Reader(
-            _send(t, Role.RECEIVER, Role.SENDER, MsgType.SELECTOR_VEC,
-                  len(selector.entries).to_bytes(4, "big")
-                  + b"".join(encode_uint(c.value) for c in selector.entries))
-        )
-        sel_rx = SelectorVector(
-            entries=tuple(
-                HomCiphertext(sel_reader.read_uint())
-                for _ in range(sel_reader.read_u32())
-            )
-        )
-        sel_reader.expect_end()
-    with _phase(t, "gen_res"):
+        q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)
+        sel_rx = SelectorVector(entries=_hop(
+            t, Role.RECEIVER, Role.SENDER, MsgType.SELECTOR_VEC, selector.entries
+        ))
+    with _phase(t, "gen_res", Role.SENDER):
         compressed = comp_gen_res(
             suite, [cfg.m0, cfg.m1], params, q_rx, sel_rx, pk_R, rng
         )
-        cr_rx = decode_compressed_response(
-            _send(t, Role.SENDER, Role.RECEIVER, MsgType.COMPRESSED_RESPONSE,
-                  encode_compressed_response(compressed, pk_R))
-        )
-    with _phase(t, "retrieve"):
-        t.outputs[Role.RECEIVER.name] = comp_retrieve(
-            suite, cr_rx, sk_R, query, secret, params, cfg.s
-        )
+        cr_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.COMPRESSED_RESPONSE,
+                     (compressed, pk_R))
+    with _phase(t, "retrieve", Role.RECEIVER):
+        return comp_retrieve(suite, cr_rx, sk_R, query, secret, params, cfg.s)
 
 
-def _run_supersonic(cfg: SessionConfig, rng, t: SessionTranscript) -> None:
-    with _phase(t, "setup"):
+def _run_supersonic(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
+    with _phase(t, "setup", Role.RECEIVER):
         keys = sup.sup_setup(cfg.sigma_bits, rng)
-        k_reader = Reader(
-            _send(t, Role.RECEIVER, Role.SENDER, MsgType.PAD_KEYS,
-                  encode_bytes(keys.k0) + encode_bytes(keys.k1))
-        )
-        keys_at_s = sup.PadKeys(k0=k_reader.read_bytes(), k1=k_reader.read_bytes())
-        k_reader.expect_end()
-    with _phase(t, "gen_query"):
+        keys_at_s = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.PAD_KEYS, keys)
+    with _phase(t, "gen_query", Role.RECEIVER):
         q1, q2 = sup.sup_gen_query(cfg.s, rng)
-        q1_rx = Reader(
-            _send(t, Role.RECEIVER, Role.SENDER, MsgType.SUP_Q1, bytes((q1,)))
-        ).read_byte()
-        q2_rx = Reader(
-            _send(t, Role.RECEIVER, Role.SERVER, MsgType.SUP_Q2, bytes((q2,)))
-        ).read_byte()
-    with _phase(t, "gen_res"):
+        q1_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.SUP_Q1, q1)
+        q2_rx = _hop(t, Role.RECEIVER, Role.SERVER, MsgType.SUP_Q2, q2)
+    with _phase(t, "gen_res", Role.SENDER):
         ep = sup.sup_gen_res(cfg.m0, cfg.m1, keys_at_s, q1_rx)
-        ep_reader = Reader(
-            _send(t, Role.SENDER, Role.SERVER, MsgType.SUP_EPAIR,
-                  encode_bytes(ep.c0) + encode_bytes(ep.c1))
-        )
-        ep_rx = sup.EncPair(c0=ep_reader.read_bytes(), c1=ep_reader.read_bytes())
-        ep_reader.expect_end()
-    with _phase(t, "obl_filter"):
+        ep_rx = _hop(t, Role.SENDER, Role.SERVER, MsgType.SUP_EPAIR, ep)
+    with _phase(t, "obl_filter", Role.SERVER):
         res = sup.sup_obl_filter(ep_rx, q2_rx)
-        res_rx = Reader(
-            _send(t, Role.SERVER, Role.RECEIVER, MsgType.SUP_RESULT,
-                  encode_bytes(res))
-        ).read_bytes()
-    with _phase(t, "retrieve"):
-        t.outputs[Role.RECEIVER.name] = sup.sup_retrieve(res_rx, keys, cfg.s)
+        res_rx = _hop(t, Role.SERVER, Role.RECEIVER, MsgType.SUP_RESULT, res)
+    with _phase(t, "retrieve", Role.RECEIVER):
+        return sup.sup_retrieve(res_rx, keys, cfg.s)
 
 
 _RUNNERS = {
     "np-ot": _run_np,
-    "dq-ot": _run_dq,
-    "duq-ot": _run_duq,
-    "dq-mr": _run_dq_mr,
-    "duq-mr": _run_duq_mr,
+    "dq-ot": _run_delegated,
+    "duq-ot": _run_delegated,
+    "dq-mr": _run_delegated,
+    "duq-mr": _run_delegated,
     "comp-np": _run_comp_np,
     "supersonic": _run_supersonic,
 }

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .errors import MalformedCiphertext, PlaintextOutOfRange
 from .numth import gen_prime, invmod, powmod
 from .rng import RandomSource
-from .wire import Reader, encode_uint
 
 
 @dataclass(frozen=True)
@@ -88,18 +87,3 @@ def hadd(pk: PaillierPublicKey, c1: HomCiphertext, c2: HomCiphertext) -> HomCiph
 def hscale(pk: PaillierPublicKey, c: HomCiphertext, k: int) -> HomCiphertext:
     """Ciphertext of m * k mod n."""
     return HomCiphertext(value=powmod(c.value, k, pk.n_squared))
-
-
-def encode_ciphertext(c: HomCiphertext) -> bytes:
-    return encode_uint(c.value)
-
-
-def encode_public_key(pk: PaillierPublicKey) -> bytes:
-    return encode_uint(pk.n)
-
-
-def decode_public_key(buf: bytes) -> PaillierPublicKey:
-    r = Reader(buf)
-    n = r.read_uint()
-    r.expect_end()
-    return PaillierPublicKey(n=n, n_squared=n * n, generator=n + 1)

@@ -31,10 +31,6 @@ def ss_share(s: int, rng: RandomSource) -> BitShares:
     return BitShares(s1=s1, s2=s ^ s1)
 
 
-def ss_reconstruct(shares: BitShares) -> int:
-    return shares.s1 ^ shares.s2
-
-
 def controlled_swap(b: int, pair):
     """Return the pair as-is for b=0, elements exchanged for b=1."""
     if b not in (0, 1):

@@ -76,8 +76,3 @@ class SystemSource:
 
 # Either class above satisfies this; annotations use the alias for clarity.
 RandomSource = SeededSource | SystemSource
-
-
-def derive_source(seed: int, label: bytes) -> SeededSource:
-    """Independent substream for a worker or role, keyed off one master seed."""
-    return SeededSource(seed, label)

@@ -76,6 +76,13 @@ class TestRun:
     def test_missing_messages(self, capsys):
         assert main(["run", "np-ot", "--s", "0", "--sigma", "8"]) == 2
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_out_of_range(self, capsys, seed):
+        rc = main(["run", "np-ot", "--s", "1", "--m0", "00", "--m1", "ff",
+                   "--sigma", "8", "--seed", seed])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_transcript_stable_across_runs(self, capsys, tmp_path):
         argv = ["run", "dq-ot", "--m0", "aa", "--m1", "bb", "--s", "1",
                 "--sigma", "8", "--seed", "123"]

@@ -15,11 +15,9 @@ from otkit.groupmath import (
     TOY_G,
     TOY_P,
     TOY_Q,
-    decode_group_params,
     elem_div,
     elem_mul,
     elem_to_bytes,
-    encode_group_params,
     gen_group,
     in_subgroup,
     modexp,
@@ -204,11 +202,3 @@ class TestSerialization:
     def test_elem_bytes_width(self, toy, group512):
         assert len(elem_to_bytes(1, toy)) == toy.elem_bytes() == 1
         assert len(elem_to_bytes(1, group512)) == group512.elem_bytes() == 65
-
-    def test_params_round_trip(self, toy, group512):
-        for params in (toy, group512):
-            decoded = decode_group_params(encode_group_params(params))
-            assert (decoded.P, decoded.q, decoded.g, decoded.C) == (
-                params.P, params.q, params.g, params.C,
-            )
-            assert decoded.a is None  # the dlog never travels

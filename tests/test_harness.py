@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit.errors import TruncatedFrame, UnknownRole, UnknownTag, UsageError
+from otkit import harness
+from otkit.errors import (
+    DecodeError,
+    MalformedCiphertext,
+    TruncatedFrame,
+    UnknownRole,
+    UnknownTag,
+    UsageError,
+)
 from otkit.harness import (
     GOLDEN_PHASES,
     PROTOCOLS,
@@ -205,8 +213,91 @@ class TestErrorPropagation:
         with pytest.raises(UsageError):
             run_session(_config("dq-ot", tamper="tag"))
 
+    def test_retrieve_error_recorded_at_receiver(self, monkeypatch):
+        def refuse(*args):
+            raise MalformedCiphertext("injected")
+
+        monkeypatch.setattr(harness, "comp_retrieve", refuse)
+        t = run_session(_config("comp-np"))
+        assert t.outputs == {Role.RECEIVER.name: "error:MalformedCiphertext"}
+
+    def test_decode_error_recorded_at_destination(self, monkeypatch):
+        encode, _ = harness._CODECS[MsgType.PARTIAL_Q]
+
+        def refuse(payload):
+            raise DecodeError("injected")
+
+        monkeypatch.setitem(harness._CODECS, MsgType.PARTIAL_Q, (encode, refuse))
+        t = run_session(_config("dq-ot"))
+        assert t.outputs == {Role.P1.name: "error:DecodeError"}
+        assert t.events[-1].msg_type == MsgType.PARTIAL_Q
+
+    def test_non_bit_share_refused_by_helper(self, monkeypatch):
+        _, decode = harness._CODECS[MsgType.ISSUER_REQ2]
+        monkeypatch.setitem(
+            harness._CODECS, MsgType.ISSUER_REQ2, (lambda b: b"\x02", decode)
+        )
+        t = run_session(_config("duq-ot"))
+        assert t.outputs == {Role.P2.name: "error:DecodeError"}
+        assert t.events[-1].msg_type == MsgType.ISSUER_REQ2
+
+
+@pytest.fixture(scope="module")
+def samples():
+    """One payload per message type, off honest toy runs; REQ1/REQ2 from dq-ot."""
+    out = {}
+    for protocol in PROTOCOLS:
+        for e in run_session(_config(protocol)).events:
+            if protocol.startswith("duq") and e.msg_type in (MsgType.REQ1, MsgType.REQ2):
+                continue
+            out.setdefault(e.msg_type, e.payload)
+    return out
+
+
+SHARE_TYPES = (MsgType.REQ1, MsgType.REQ2, MsgType.ISSUER_REQ1, MsgType.ISSUER_REQ2,
+               MsgType.SP_R, MsgType.SUP_Q1, MsgType.SUP_Q2)
+
+
+class TestCodecTable:
+    def test_table_covers_every_type(self, samples):
+        assert set(harness._CODECS) == set(MsgType) == set(samples)
+
+    # COMPRESSED_RESPONSE's encoder also takes the key, for the ciphertext width
+    @pytest.mark.parametrize(
+        "mtype", [m for m in MsgType if m is not MsgType.COMPRESSED_RESPONSE],
+        ids=lambda m: m.name,
+    )
+    def test_encode_inverts_decode(self, samples, mtype):
+        encode, decode = harness._CODECS[mtype]
+        assert encode(decode(samples[mtype])) == samples[mtype]
+
+    @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda m: m.name)
+    def test_trailing_byte_rejected(self, samples, mtype):
+        _, decode = harness._CODECS[mtype]
+        with pytest.raises(DecodeError):
+            decode(samples[mtype] + b"\x00")
+
+    def test_bare_blind_trailing_byte_rejected(self):
+        payload = run_session(_config("duq-ot")).events[0].payload
+        _, decode = harness._UINT
+        decode(payload)
+        with pytest.raises(DecodeError):
+            decode(payload + b"\x00")
+
+    @pytest.mark.parametrize("mtype", SHARE_TYPES, ids=lambda m: m.name)
+    def test_share_byte_must_be_a_bit(self, samples, mtype):
+        _, decode = harness._CODECS[mtype]
+        assert samples[mtype][0] in (0, 1)
+        with pytest.raises(DecodeError):
+            decode(b"\x02" + samples[mtype][1:])
+
 
 class TestValidation:
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_range(self, seed):
+        with pytest.raises(UsageError):
+            run_session(_config("np-ot", seed=seed))
+
     def test_unknown_protocol(self):
         with pytest.raises(UsageError):
             run_session(SessionConfig(protocol="uq-ot", s=0, toy=True))

@@ -8,16 +8,12 @@ from otkit.errors import MalformedCiphertext, PlaintextOutOfRange
 from otkit.paillier import (
     HomCiphertext,
     dec,
-    decode_public_key,
     enc,
-    encode_ciphertext,
-    encode_public_key,
     hadd,
     hscale,
     kgen,
 )
 from otkit.rng import SeededSource
-from otkit.wire import Reader
 
 
 class TestKeygen:
@@ -107,19 +103,3 @@ class TestRandomization:
         rng = SeededSource(90210)
         seen = {enc(pk, 5, rng).value for _ in range(10_000)}
         assert len(seen) == 10_000
-
-
-class TestSerialization:
-    def test_public_key_is_n_alone(self, paillier512):
-        pk, _ = paillier512
-        buf = encode_public_key(pk)
-        r = Reader(buf)
-        assert r.read_uint() == pk.n
-        r.expect_end()
-        decoded = decode_public_key(buf)
-        assert decoded == pk
-
-    def test_ciphertext_encoding(self, paillier512, rng):
-        pk, _ = paillier512
-        ct = enc(pk, 1234, rng)
-        assert Reader(encode_ciphertext(ct)).read_uint() == ct.value

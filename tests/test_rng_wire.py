@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otkit.errors import DecodeError, TruncatedFrame
-from otkit.rng import SeededSource, SystemSource, derive_source
+from otkit.rng import SeededSource, SystemSource
 from otkit.wire import Reader, encode_bytes, encode_uint
 
 
@@ -44,7 +44,7 @@ class TestSeededSource:
         assert SeededSource(1).randbytes(32) != SeededSource(2).randbytes(32)
 
     def test_label_separates_streams(self):
-        assert derive_source(7, b"a").randbytes(32) != derive_source(7, b"b").randbytes(32)
+        assert SeededSource(7, b"a").randbytes(32) != SeededSource(7, b"b").randbytes(32)
 
     def test_seed_range_enforced(self):
         with pytest.raises(ValueError):
