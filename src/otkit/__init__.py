@@ -5,8 +5,9 @@ where two helpers assemble the query from shares (dq / duq, with or without
 a separate choice issuer), their multi-receiver forms (dq-mr / duq-mr), a
 compiler wrapping any base suite with a constant-size response, and a
 pad-based three-party variant (supersonic). harness runs any of them as a
-multi-party session with a byte-exact transcript; cli exposes run, verify,
-and bench commands.
+multi-party session with a byte-exact transcript; laws states each protocol
+law once, as a check that raises LawViolation; cli exposes run, verify
+(the laws), and bench commands.
 """
 
 from .errors import (
@@ -17,6 +18,7 @@ from .errors import (
     IndexOutOfRange,
     InputTooShort,
     KeyTooSmall,
+    LawViolation,
     LengthMismatch,
     MalformedCiphertext,
     NoTagMatch,
@@ -52,6 +54,7 @@ __all__ = [
     "IndexOutOfRange",
     "InputTooShort",
     "KeyTooSmall",
+    "LawViolation",
     "LengthMismatch",
     "MalformedCiphertext",
     "MsgType",

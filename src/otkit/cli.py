@@ -1,4 +1,5 @@
-"""Command-line surface: run one protocol, verify the protocol laws, bench.
+"""Command-line surface: run one protocol, bench it, or check the protocol
+laws of otkit.laws with verify's own counts.
 
 Exit codes: 0 success, 2 usage error, 3 protocol abort during a run,
 4 verification failure.
@@ -10,57 +11,12 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .base_ot import np_suite
-from .dq_family import (
-    DelegationRequest,
-    FinalQueryPair,
-    MessageDatabase,
-    dq_p1_gen_query,
-    dq_p2_gen_query,
-    dq_r_retrieve,
-    dq_s_gen_res,
-    dqmr_p1_filter,
-    dqmr_s_gen_res_multi,
-    retrieval_exponent,
-)
-from .duq_family import (
-    duq_r_request,
-    duq_r_retrieve,
-    duq_s_gen_res,
-    duq_t_request,
-    duqmr_p1_filter,
-    duqmr_r_retrieve,
-    duqmr_s_gen_res_multi,
-    duqmr_t_setup,
-)
-from .errors import ConsistencyAbort, NoTagMatch, TruncatedFrame, UsageError
-from .groupmath import elem_mul, gen_group, modexp, rand_scalar, toy_group, TOY_Q
-from .harness import (
-    GOLDEN_PHASES,
-    PROTOCOLS,
-    Envelope,
-    MsgType,
-    Role,
-    SessionConfig,
-    decode_envelope,
-    encode_envelope,
-    export_transcript,
-    run_session,
-)
-from .ot_compiler import (
-    comp_gen_query,
-    comp_gen_res,
-    comp_retrieve,
-    encode_compressed_response,
-)
-from .paillier import dec, enc, hadd, hscale, kgen
+from . import laws
+from .errors import UsageError
+from .groupmath import TOY_Q, gen_group, toy_group
+from .harness import PROTOCOLS, Role, SessionConfig, export_transcript, run_session
+from .paillier import kgen
 from .rng import SeededSource
-from .supersonic import (
-    sup_gen_res,
-    sup_obl_filter,
-    sup_retrieve,
-    sup_setup,
-)
 
 
 # ------------------------------------------------------------------- shared
@@ -144,300 +100,32 @@ def cmd_run(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-def _closed_form_pairs(params, s1, s2, r1, r2):
-    a = params.a
-    d_exp = (r2, a - r2) if s2 == 0 else (a - r2, r2)
-    if s1 == 0:
-        b_exp = (d_exp[0] + r1, d_exp[1] - r1)
-    else:
-        b_exp = (d_exp[1] - r1, d_exp[0] + r1)
-    to_elem = lambda e: modexp(params.g, e % params.q, params)
-    return tuple(map(to_elem, d_exp)), tuple(map(to_elem, b_exp))
-
-
-def _cells():
-    return ((s1, s2) for s1 in (0, 1) for s2 in (0, 1))
-
-
-def _query_for(params, s1, s2, r1, r2):
-    partial = dq_p2_gen_query(DelegationRequest(share=s2, blind=r2), params)
-    final = dq_p1_gen_query(DelegationRequest(share=s1, blind=r1), partial, params)
-    return partial, final
-
-
-def _check_closed_forms(groups, seeds):
-    rng = SeededSource(101)
-    for params, group_seeds in zip(groups, seeds):
-        for s1, s2 in _cells():
-            for _ in range(group_seeds):
-                r1 = rand_scalar(params, rng)
-                r2 = rand_scalar(params, rng)
-                partial, final = _query_for(params, s1, s2, r1, r2)
-                d_exp, b_exp = _closed_form_pairs(params, s1, s2, r1, r2)
-                assert (partial.d0, partial.d1) == d_exp, "delta mismatch"
-                assert (final.b0, final.b1) == b_exp, "beta mismatch"
-                assert elem_mul(final.b0, final.b1, params) == params.C
-                x = retrieval_exponent(r1, r2, s2, params)
-                chosen = (final.b0, final.b1)[s1 ^ s2]
-                assert modexp(params.g, x, params) == chosen, "x misses beta_s"
-
-
-def _check_dq_e2e(groups, seeds):
-    rng = SeededSource(102)
-    for params, group_seeds in zip(groups, seeds):
-        for s1, s2 in _cells():
-            for _ in range(group_seeds):
-                m0, m1 = rng.randbytes(16), rng.randbytes(16)
-                req1 = DelegationRequest(share=s1, blind=rand_scalar(params, rng))
-                req2 = DelegationRequest(share=s2, blind=rand_scalar(params, rng))
-                partial = dq_p2_gen_query(req2, params)
-                final = dq_p1_gen_query(req1, partial, params)
-                res = dq_s_gen_res(m0, m1, params, final, rng)
-                s = s1 ^ s2
-                got = dq_r_retrieve(res, req1, req2, s, params)
-                assert got == (m0, m1)[s], f"cell ({s1},{s2}) returned wrong message"
-
-
-def _check_supersonic(per_cell):
-    rng = SeededSource(103)
-    for s1, s2 in _cells():
-        for _ in range(per_cell):
-            m0, m1 = rng.randbytes(16), rng.randbytes(16)
-            keys = sup_setup(128, rng)
-            e_prime = sup_gen_res(m0, m1, keys, s1)
-            c = sup_obl_filter(e_prime, s2)
-            s = s1 ^ s2
-            assert sup_retrieve(c, keys, s) == (m0, m1)[s]
-
-
-def _duq_round(params, s, tag_at_sender, rng, m0, m1):
-    bundle = duq_t_request(s, 128, rng)
-    r1, r2 = duq_r_request(params, rng)
-    partial = dq_p2_gen_query(DelegationRequest(share=bundle.share2, blind=r2), params)
-    final = dq_p1_gen_query(DelegationRequest(share=bundle.share1, blind=r1), partial, params)
-    tag = bundle.tag if tag_at_sender is None else tag_at_sender(bundle.tag)
-    res = duq_s_gen_res(m0, m1, params, final, tag, rng)
-    return duq_r_retrieve(res, r1, r2, bundle.share2, bundle.tag, params)
-
-
-def _check_duq_tags(params, honest, tampered):
-    # needs a group where degenerate exponents (y = 0, 2x = a) are negligible;
-    # in the toy group either hits with probability 1/11 and a second
-    # candidate then legitimately carries the tag
-    rng = SeededSource(104)
-    for i in range(honest):
-        m0, m1 = rng.randbytes(16), rng.randbytes(16)
-        s = i & 1
-        assert _duq_round(params, s, None, rng, m0, m1) == (m0, m1)[s]
-    flip = lambda t: bytes((t[0] ^ 1,)) + t[1:]
-    for i in range(tampered):
-        try:
-            _duq_round(params, i & 1, flip, rng, rng.randbytes(16), rng.randbytes(16))
-        except NoTagMatch:
-            continue
-        raise AssertionError("tampered tag still matched")
-
-
-def _check_mr(big_params):
-    rng = SeededSource(105)
-    toy_params = toy_group()
-    z = 4
-    db = MessageDatabase(
-        pairs=tuple((rng.randbytes(8), rng.randbytes(8)) for _ in range(z))
-    )
-    for s1, s2 in _cells():
-        for v in range(z):
-            req1 = DelegationRequest(share=s1, blind=rand_scalar(toy_params, rng))
-            req2 = DelegationRequest(share=s2, blind=rand_scalar(toy_params, rng))
-            partial = dq_p2_gen_query(req2, toy_params)
-            final = dq_p1_gen_query(req1, partial, toy_params)
-            responses = dqmr_s_gen_res_multi(db, toy_params, final, rng)
-            picked = dqmr_p1_filter(responses, v)
-            s = s1 ^ s2
-            assert dq_r_retrieve(picked, req1, req2, s, toy_params) == db.pairs[v][s]
-    # the tagged variant runs on the big group (see _check_duq_tags)
-    pk_j, sk_j = kgen(big_params.P.bit_length() + 72, rng)
-    for s in (0, 1):
-        for v in range(z):
-            bundle = duq_t_request(s, 64, rng)
-            r1, r2 = duq_r_request(big_params, rng)
-            partial = dq_p2_gen_query(
-                DelegationRequest(share=bundle.share2, blind=r2), big_params
-            )
-            final = dq_p1_gen_query(
-                DelegationRequest(share=bundle.share1, blind=r1), partial, big_params
-            )
-            responses = duqmr_s_gen_res_multi(db, big_params, final, bundle.tag, rng)
-            w = duqmr_t_setup(z, v, pk_j, rng)
-            filtered = duqmr_p1_filter(responses, w, pk_j)
-            got = duqmr_r_retrieve(
-                filtered, sk_j, r1, r2, bundle.share2, bundle.tag, 64, big_params
-            )
-            assert got == db.pairs[v][s]
-
-
-def _check_compiler(trials, paillier_bits):
-    rng = SeededSource(106)
-    params = toy_group()
-    suite = np_suite()
-    pk_R, sk_R = kgen(paillier_bits, rng)
-    for s in (0, 1):
-        for t in range(trials):
-            msgs = [rng.randbytes(16), rng.randbytes(16)]
-            seed = 7000 + 2 * t + s
-            rng_a = SeededSource(seed)
-            q_plain, sec_plain = suite.gen_query(params, 2, s, rng_a)
-            res = suite.gen_res(msgs, params, q_plain, rng_a)
-            plain = suite.retrieve(res, q_plain, sec_plain, params, s)
-            rng_b = SeededSource(seed)
-            q_c, sec_c, sel = comp_gen_query(suite, params, 2, s, pk_R, rng_b)
-            cr = comp_gen_res(suite, msgs, params, q_c, sel, pk_R, rng_b)
-            compiled = comp_retrieve(suite, cr, sk_R, q_c, sec_c, params, s)
-            assert q_c == q_plain, "compiled base query diverged"
-            assert compiled == plain == msgs[s]
-    sizes = set()
-    for n in (2, 4, 8):
-        msgs = [rng.randbytes(16) for _ in range(n)]
-        q, sec, sel = comp_gen_query(suite, params, n, 1, pk_R, rng)
-        cr = comp_gen_res(suite, msgs, params, q, sel, pk_R, rng)
-        sizes.add(len(encode_compressed_response(cr, pk_R)))
-    assert len(sizes) == 1, f"response size varies with n: {sizes}"
-
-
-def _check_paillier(triples, bits):
-    rng = SeededSource(107)
-    pk, sk = kgen(bits, rng)
-    for _ in range(triples):
-        m1, m2 = rng.randbelow(pk.n), rng.randbelow(pk.n)
-        k = rng.randbelow(1 << 64)
-        total = hadd(pk, enc(pk, m1, rng), enc(pk, m2, rng))
-        assert dec(sk, total) == (m1 + m2) % pk.n
-        assert dec(sk, hscale(pk, enc(pk, m1, rng), k)) == (m1 * k) % pk.n
-    z = 4
-    values = [rng.randbelow(1 << 64) for _ in range(z)]
-    for v in range(z):
-        one_hot = [enc(pk, 1 if i == v else 0, rng) for i in range(z)]
-        acc = None
-        for ct, val in zip(one_hot, values):
-            term = hscale(pk, ct, val)
-            acc = term if acc is None else hadd(pk, acc, term)
-        assert dec(sk, acc) == values[v]
-
-
-def _check_abort(trials):
-    rng = SeededSource(108)
-    params = toy_group()
-    m0, m1 = rng.randbytes(8), rng.randbytes(8)
-    db = MessageDatabase(pairs=((m0, m1),))
-    tag = rng.randbytes(8)
-    senders = (
-        lambda q: dq_s_gen_res(m0, m1, params, q, rng),
-        lambda q: duq_s_gen_res(m0, m1, params, q, tag, rng),
-        lambda q: dqmr_s_gen_res_multi(db, params, q, rng),
-        lambda q: duqmr_s_gen_res_multi(db, params, q, tag, rng),
-    )
-    for sender in senders:
-        for i in range(trials):
-            _, final = _query_for(
-                params, i & 1, (i >> 1) & 1,
-                rand_scalar(params, rng), rand_scalar(params, rng),
-            )
-            factor = modexp(params.g, 1 + rng.randbelow(params.q - 1), params)
-            if i & 1:
-                bad = FinalQueryPair(b0=elem_mul(final.b0, factor, params), b1=final.b1)
-            else:
-                bad = FinalQueryPair(b0=final.b0, b1=elem_mul(final.b1, factor, params))
-            try:
-                sender(bad)
-            except ConsistencyAbort:
-                continue
-            raise AssertionError("tampered query was answered")
-
-
-def _demo_config(protocol: str, seed: int) -> SessionConfig:
-    rng = SeededSource(seed ^ 0xD5)
-    base = dict(protocol=protocol, sigma_bits=64, lambda_bits=64, toy=True,
-                seed=seed, s=1)
-    if protocol in ("dq-mr", "duq-mr"):
-        base["db"] = tuple((rng.randbytes(8), rng.randbytes(8)) for _ in range(4))
-        base["v"] = 2
-    else:
-        base["m0"], base["m1"] = rng.randbytes(8), rng.randbytes(8)
-    return SessionConfig(**base)
-
-
-def _check_determinism():
-    for protocol in PROTOCOLS:
-        first = export_transcript(run_session(_demo_config(protocol, 99)))
-        second = export_transcript(run_session(_demo_config(protocol, 99)))
-        assert first == second, f"{protocol} transcripts diverged"
-        golden = tuple(GOLDEN_PHASES[protocol])
-        seen = tuple(
-            MsgType[line.split()[4]]
-            for line in first.splitlines()
-            if line.startswith("event ")
-        )
-        assert seen == golden, f"{protocol} message order off: {seen}"
-
-
-def _check_envelopes(rounds):
-    rng = SeededSource(109)
-    roles = list(Role)
-    types = list(MsgType)
-    for _ in range(rounds):
-        env = Envelope(
-            src=roles[rng.randbelow(len(roles))],
-            dst=roles[rng.randbelow(len(roles))],
-            msg_type=types[rng.randbelow(len(types))],
-            payload=rng.randbytes(rng.randbelow(64)),
-        )
-        wire = encode_envelope(env)
-        assert decode_envelope(wire) == env
-        try:
-            decode_envelope(wire[: len(wire) - 1 - rng.randbelow(3)])
-        except TruncatedFrame:
-            pass
-        else:
-            raise AssertionError("truncated frame decoded")
-
-
-def _tamper_check(kind: str):
-    def run():
-        protocol = "dq-ot" if kind == "beta" else "duq-ot"
-        cfg = _demo_config(protocol, 55)
-        cfg.tamper = kind
-        t = run_session(cfg)
-        expect = ("SENDER", "error:ConsistencyAbort") if kind == "beta" else (
-            "RECEIVER", "error:NoTagMatch")
-        if t.outputs.get(expect[0]) != expect[1]:
-            raise AssertionError(f"tamper {kind} did not trigger {expect[1]}")
-        return f"{expect[1][6:]} triggered"
-
-    return run
-
-
 def cmd_verify(args) -> int:
     toy = args.toy
     rng = SeededSource(100)
     toy_dbg = toy_group(a=1 + rng.randbelow(TOY_Q - 1), retain_dlog=True)
     big = gen_group(512, rng, retain_dlog=True)
-    groups = [toy_dbg] if toy else [toy_dbg, big]
-    cf_seeds = [50] if toy else [50, 10]
-    e2e_seeds = [25] if toy else [25, 10]
+    groups = lambda toy_n, big_n: [(toy_dbg, toy_n)] + ([] if toy else [(big, big_n)])
+    key = lambda bits, seed: kgen(bits, SeededSource(seed, b"key"))
     checks = [
-        ("closed-form-identities", lambda: _check_closed_forms(groups, cf_seeds)),
-        ("dq-e2e-cells", lambda: _check_dq_e2e(groups, e2e_seeds)),
-        ("supersonic-cells", lambda: _check_supersonic(500 if toy else 2000)),
-        ("duq-tag-match", lambda: _check_duq_tags(big, 150 if toy else 300, 30 if toy else 50)),
-        ("mr-filter-exactness", lambda: _check_mr(big)),
-        ("compiler-equivalence", lambda: _check_compiler(10, 256 if toy else 512)),
-        ("paillier-homomorphism", lambda: _check_paillier(30 if toy else 100, 256 if toy else 512)),
-        ("abort-on-tamper", lambda: _check_abort(10)),
-        ("session-determinism", _check_determinism),
-        ("envelope-roundtrip", lambda: _check_envelopes(200)),
+        ("closed-form-identities", lambda: laws.closed_forms(groups(50, 10), 101)),
+        ("dq-e2e-cells", lambda: laws.delegated_cells(groups(25, 10), 102)),
+        ("supersonic-cells", lambda: laws.pad_swap_cells(500 if toy else 2000, 103)),
+        ("duq-tag-match", lambda: laws.tag_selection(
+            big, 150 if toy else 300, 30 if toy else 50, 104)),
+        ("mr-filter-exactness", lambda: laws.multi_receiver(
+            toy_group(), big, key(big.P.bit_length() + 72, 105), 4, 2, 105)),
+        ("compiler-equivalence", lambda: laws.compiler_equivalence(
+            toy_group(), key(256 if toy else 512, 106), 10, 106)),
+        ("paillier-homomorphism", lambda: laws.homomorphic_laws(
+            key(256 if toy else 512, 107), 30 if toy else 100, 107)),
+        ("abort-on-tamper", lambda: laws.tamper_aborts(toy_group(), 40, 108)),
+        ("session-determinism", lambda: laws.session_determinism(99)),
+        ("envelope-roundtrip", lambda: laws.envelope_roundtrip(200, 109)),
     ]
     if args.inject_tamper:
-        checks.append((f"inject-tamper-{args.inject_tamper}", _tamper_check(args.inject_tamper)))
+        checks.append((f"inject-tamper-{args.inject_tamper}",
+                       lambda: laws.tamper_trips(args.inject_tamper, 55)))
     failures = 0
     for name, fn in checks:
         started = time.perf_counter()
@@ -497,6 +185,10 @@ def bench_protocol(protocol: str, iterations: int, args) -> BenchReport:
     if iterations < 1:
         raise UsageError("iterations must be at least 1")
     seed0 = args.seed if args.seed is not None else 1
+    # session i runs with seed0 + i, and every session seed is 64-bit
+    if not 0 <= seed0 <= (1 << 64) - iterations:
+        raise UsageError(f"seed must lie in [0, 2^64 - {iterations}] for "
+                         f"{iterations} iterations")
     phase_sums: dict[str, float] = {}
     phase_order: list[str] = []
     started = time.perf_counter()

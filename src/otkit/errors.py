@@ -19,6 +19,10 @@ class ProtocolError(OtkitError):
     """A party aborted or rejected data during a protocol run."""
 
 
+class LawViolation(OtkitError):
+    """A protocol law failed to hold; the message says which and where."""
+
+
 class PrimeSearchExhausted(OtkitError):
     """No suitable prime found within the retry budget."""
 

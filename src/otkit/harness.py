@@ -68,7 +68,14 @@ from .errors import (
     UnknownTag,
     UsageError,
 )
-from .groupmath import GroupParams, TOY_Q, elem_mul, gen_group, toy_group
+from .groupmath import (
+    PINNED_SAFE_PRIMES,
+    GroupParams,
+    TOY_Q,
+    elem_mul,
+    gen_group,
+    toy_group,
+)
 from .ot_compiler import (
     SelectorVector,
     comp_gen_query,
@@ -449,9 +456,15 @@ def _validate(cfg: SessionConfig) -> None:
     target = {"beta": MsgType.FINAL_Q, "tag": MsgType.SP_S}.get(cfg.tamper)
     if cfg.tamper is not None and target not in GOLDEN_PHASES[cfg.protocol]:
         raise UsageError(f"tamper {cfg.tamper!r} not applicable to {cfg.protocol}")
+    # only pinned moduli: a fresh safe prime of arbitrary size may take forever
     needs_group = cfg.protocol != "supersonic"
-    if needs_group and not cfg.toy and cfg.group_bits is None:
-        raise UsageError("group protocols need group_bits or toy mode")
+    if needs_group and not cfg.toy and cfg.group_bits not in PINNED_SAFE_PRIMES:
+        raise UsageError(
+            f"group protocols need group_bits in {sorted(PINNED_SAFE_PRIMES)} "
+            "or toy mode"
+        )
+    if cfg.paillier_bits is not None and cfg.paillier_bits < 16:
+        raise UsageError("paillier_bits must be at least 16")
 
 
 def _make_group(cfg: SessionConfig, rng) -> GroupParams:

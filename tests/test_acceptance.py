@@ -1,116 +1,26 @@
 """Acceptance suite: one test per shipping criterion, budgets pinned.
 
 Each test prints a single pass line on success, so a -v -s run reads as a
-ten-row checklist. Criteria that carry a wall-clock budget assert it.
+ten-row checklist. The laws themselves live in otkit.laws, which
+`otkit verify` calls with smaller counts; these tests fix the counts, the
+seeds and the wall-clock budgets.
 """
 
 import argparse
 import time
 
-import pytest
-
-from otkit.base_ot import np_gen_query, np_gen_res, np_retrieve, np_suite
+from otkit import laws
 from otkit.cli import bench_protocol
-from otkit.dq_family import (
-    DelegationRequest,
-    FinalQueryPair,
-    MessageDatabase,
-    dq_p1_gen_query,
-    dq_p2_gen_query,
-    dq_r_retrieve,
-    dq_s_gen_res,
-    dqmr_p1_filter,
-    dqmr_s_gen_res_multi,
-    retrieval_exponent,
-)
-from otkit.duq_family import (
-    duq_r_request,
-    duq_r_retrieve,
-    duq_s_gen_res,
-    duq_t_request,
-    duqmr_p1_filter,
-    duqmr_r_retrieve,
-    duqmr_s_gen_res_multi,
-    duqmr_t_setup,
-)
-from otkit.errors import ConsistencyAbort, NoTagMatch
-from otkit.groupmath import elem_mul, modexp, rand_scalar, toy_group
-from otkit.harness import MsgType, Role, SessionConfig, export_transcript
-from otkit.harness import PROTOCOLS, project_view, run_session
-from otkit.ot_compiler import (
-    comp_gen_query,
-    comp_gen_res,
-    comp_retrieve,
-    encode_compressed_response,
-)
-from otkit.paillier import dec, enc, hadd, hscale
-from otkit.rng import SeededSource
-from otkit.supersonic import (
-    sup_gen_query,
-    sup_gen_res,
-    sup_obl_filter,
-    sup_retrieve,
-    sup_setup,
-)
-from otkit.wire import Reader
 
 
 def _report(n: int, text: str) -> None:
     print(f"criterion {n:02d} pass: {text}")
 
 
-def _assemble(pk, s1, s2, r1, r2):
-    partial = dq_p2_gen_query(DelegationRequest(share=s2, blind=r2), pk)
-    return dq_p1_gen_query(DelegationRequest(share=s1, blind=r1), partial, pk)
-
-
-def _session_config(protocol, seed, s=1, z=4, sigma_bits=64, **kw):
-    cfg = SessionConfig(protocol=protocol, sigma_bits=sigma_bits, toy=True,
-                        seed=seed, s=s)
-    width = sigma_bits // 8
-    if protocol in ("dq-mr", "duq-mr"):
-        cfg.db = tuple((bytes([i]) * width, bytes([64 + i]) * width)
-                       for i in range(z))
-        cfg.v = 2 % z
-    else:
-        cfg.m0, cfg.m1 = b"\x0a" * width, b"\xf5" * width
-    for key, val in kw.items():
-        setattr(cfg, key, val)
-    return cfg
-
-
 def test_criterion_01_query_pair_closed_forms(toy_dbg, group512):
     """Both query pairs follow their closed forms in every share cell."""
     started = time.perf_counter()
-    for params in (toy_dbg, group512):
-        a = params.a
-        for seed in range(50):
-            rng = SeededSource(1000 + seed)
-            r1, r2 = rand_scalar(params, rng), rand_scalar(params, rng)
-            for s1 in (0, 1):
-                for s2 in (0, 1):
-                    partial = dq_p2_gen_query(
-                        DelegationRequest(share=s2, blind=r2), params
-                    )
-                    final = dq_p1_gen_query(
-                        DelegationRequest(share=s1, blind=r1), partial, params
-                    )
-                    d_exp = (r2, a - r2) if s2 == 0 else (a - r2, r2)
-                    b_exp = [0, 0]
-                    b_exp[s1] = d_exp[0] + r1
-                    b_exp[1 - s1] = d_exp[1] - r1
-                    assert (partial.d0, partial.d1) == (
-                        modexp(params.g, d_exp[0], params),
-                        modexp(params.g, d_exp[1], params),
-                    )
-                    assert (final.b0, final.b1) == (
-                        modexp(params.g, b_exp[0], params),
-                        modexp(params.g, b_exp[1], params),
-                    )
-                    assert elem_mul(final.b0, final.b1, params) == params.C
-                    x = retrieval_exponent(r1, r2, s2, params)
-                    b = (final.b0, final.b1)
-                    assert b[s1 ^ s2] == modexp(params.g, x, params)
+    assert laws.closed_forms(((toy_dbg, 50), (group512, 50)), seed=1000) == 400
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(1, f"closed forms, 2 groups x 4 cells x 50 seeds [{elapsed:.1f}s]")
@@ -119,20 +29,7 @@ def test_criterion_01_query_pair_closed_forms(toy_dbg, group512):
 def test_criterion_02_delegated_end_to_end(group512):
     """Delegated transfer returns m_s in every cell, 100 seeds, 512-bit."""
     started = time.perf_counter()
-    runs = 0
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            for seed in range(100):
-                rng = SeededSource(2000 + runs)
-                m0, m1 = rng.randbytes(16), rng.randbytes(16)
-                r1, r2 = rand_scalar(group512, rng), rand_scalar(group512, rng)
-                req1 = DelegationRequest(share=s1, blind=r1)
-                req2 = DelegationRequest(share=s2, blind=r2)
-                final = _assemble(group512, s1, s2, r1, r2)
-                res = dq_s_gen_res(m0, m1, group512, final, rng)
-                s = s1 ^ s2
-                assert dq_r_retrieve(res, req1, req2, s, group512) == (m0, m1)[s]
-                runs += 1
+    runs = laws.delegated_cells(((group512, 100),), seed=2000)
     elapsed = time.perf_counter() - started
     assert runs == 400 and elapsed < 60.0
     _report(2, f"delegated transfer, 4 cells x 100 seeds, 512-bit [{elapsed:.1f}s]")
@@ -140,18 +37,7 @@ def test_criterion_02_delegated_end_to_end(group512):
 
 def test_criterion_03_pad_swap_exactness_and_speed():
     """Pad-swap transfer: 4 cells x 10^4 exact, fast means, 10^5 in budget."""
-    rng = SeededSource(3000)
-    checked = 0
-    for q1 in (0, 1):
-        for q2 in (0, 1):
-            s = q1 ^ q2
-            for _ in range(10_000):
-                m0, m1 = rng.randbytes(16), rng.randbytes(16)
-                keys = sup_setup(128, rng)
-                head = sup_obl_filter(sup_gen_res(m0, m1, keys, q1), q2)
-                assert sup_retrieve(head, keys, s) == (m0, m1)[s]
-                checked += 1
-    assert checked == 40_000
+    assert laws.pad_swap_cells(10_000, seed=3000) == 40_000
 
     report = bench_protocol(
         "supersonic", 50,
@@ -161,12 +47,7 @@ def test_criterion_03_pad_swap_exactness_and_speed():
     assert report.mean_seconds <= 0.005
 
     started = time.perf_counter()
-    for i in range(100_000):
-        m0, m1 = rng.randbytes(16), rng.randbytes(16)
-        q1, q2 = sup_gen_query(i & 1, rng)
-        keys = sup_setup(128, rng)
-        head = sup_obl_filter(sup_gen_res(m0, m1, keys, q1), q2)
-        assert sup_retrieve(head, keys, i & 1) == (m0, m1)[i & 1]
+    assert laws.pad_swap_cells(25_000, seed=3001) == 100_000
     elapsed = time.perf_counter() - started
     assert elapsed <= 30.0
     _report(3, f"pad swap, 40k cells exact, mean "
@@ -187,210 +68,41 @@ def test_criterion_04_speedup_over_group_based_transfer():
 
 def test_criterion_05_tag_selection(group512):
     """Tag matching: unique hit in 10^4 honest runs; flips always refuse."""
-    m0, m1 = b"\x33" * 16, b"\xcc" * 16
-    for i in range(10_000):
-        rng = SeededSource(5000 + i)
-        bundle = duq_t_request(i & 1, 128, rng)
-        blind1, blind2 = duq_r_request(group512, rng)
-        final = _assemble(group512, bundle.share1, bundle.share2, blind1, blind2)
-        res = duq_s_gen_res(m0, m1, group512, final, bundle.tag, rng)
-        # NoTagMatch or AmbiguousTag would raise; unique match is the assert
-        got = duq_r_retrieve(
-            res, blind1, blind2, bundle.share2, bundle.tag, group512
-        )
-        assert got == (m0, m1)[i & 1]
-
-    refused = 0
-    for i in range(100):
-        rng = SeededSource(6000 + i)
-        bundle = duq_t_request(1, 128, rng)
-        blind1, blind2 = duq_r_request(group512, rng)
-        final = _assemble(group512, bundle.share1, bundle.share2, blind1, blind2)
-        flipped = bytes([bundle.tag[0] ^ 0x01]) + bundle.tag[1:]
-        res = duq_s_gen_res(m0, m1, group512, final, flipped, rng)
-        try:
-            duq_r_retrieve(res, blind1, blind2, bundle.share2, bundle.tag, group512)
-        except NoTagMatch:
-            refused += 1
-    assert refused == 100
+    assert laws.tag_selection(group512, 10_000, 100, seed=5000) == (10_000, 100)
     _report(5, "tags, 10^4 honest unique matches, 100/100 flips refused")
 
 
-def test_criterion_06_multi_receiver_exactness(group512, paillier640):
+def test_criterion_06_multi_receiver_exactness(toy, group512, paillier640):
     """Both multi-receiver paths hand back exactly m_{s,v}; inbound size
     stays one pair / four ciphertexts whatever the database size."""
-    db = MessageDatabase(
-        pairs=tuple((bytes([t]) * 8, bytes([128 + t]) * 8) for t in range(8))
-    )
-    pk = toy_group()
-    runs = 0
-    for s in (0, 1):
-        for v in range(8):
-            for seed in range(20):
-                rng = SeededSource(7000 + runs)
-                r1, r2 = rand_scalar(pk, rng), rand_scalar(pk, rng)
-                s2 = rng.randbit()
-                s1 = s ^ s2
-                req1 = DelegationRequest(share=s1, blind=r1)
-                req2 = DelegationRequest(share=s2, blind=r2)
-                final = _assemble(pk, s1, s2, r1, r2)
-                responses = dqmr_s_gen_res_multi(db, pk, final, rng)
-                picked = dqmr_p1_filter(responses, v)
-                assert dq_r_retrieve(picked, req1, req2, s, pk) == db.pairs[v][s]
-                runs += 1
-    assert runs == 320
-
-    pk_j, sk_j = paillier640
-    db512 = MessageDatabase(
-        pairs=tuple((bytes([t]) * 4, bytes([128 + t]) * 4) for t in range(8))
-    )
-    runs = 0
-    for s in (0, 1):
-        for v in range(8):
-            for seed in range(20):
-                rng = SeededSource(8000 + runs)
-                bundle = duq_t_request(s, 32, rng)
-                blind1, blind2 = duq_r_request(group512, rng)
-                final = _assemble(
-                    group512, bundle.share1, bundle.share2, blind1, blind2
-                )
-                responses = duqmr_s_gen_res_multi(
-                    db512, group512, final, bundle.tag, rng
-                )
-                w = duqmr_t_setup(db512.z, v, pk_j, rng)
-                filtered = duqmr_p1_filter(responses, w, pk_j)
-                got = duqmr_r_retrieve(
-                    filtered, sk_j, blind1, blind2, bundle.share2,
-                    bundle.tag, 32, group512,
-                )
-                assert got == db512.pairs[v][s]
-                runs += 1
-    assert runs == 320
-
-    for z in (1, 4, 8):
-        t = run_session(_session_config("dq-mr", seed=40, z=z))
-        inbound = [e for e in project_view(t, Role.RECEIVER)
-                   if e.dst is Role.RECEIVER]
-        assert [e.msg_type for e in inbound] == [MsgType.RESPONSE]
-        # structure: exactly two (element, mask) response halves
-        r = Reader(inbound[0].payload)
-        for _ in range(2):
-            r.read_uint()
-            r.read_bytes()
-        r.expect_end()
-
-        t = run_session(
-            _session_config("duq-mr", seed=40, z=z, toy=False, group_bits=512)
-        )
-        inbound = [e for e in project_view(t, Role.RECEIVER)
-                   if e.dst is Role.RECEIVER and
-                   e.msg_type is MsgType.FILTERED_RESPONSE]
-        assert len(inbound) == 1
-        r = Reader(inbound[0].payload)
-        for _ in range(4):
-            r.read_uint()
-        r.expect_end()
+    assert laws.multi_receiver(toy, group512, paillier640, z=8,
+                               per_choice=20, seed=7000) == 320
     _report(6, "multi-receiver, 2x320 runs exact; inbound constant in z")
 
 
 def test_criterion_07_compiled_suite_equivalence(toy, paillier512):
     """Compiled sessions agree with plain ones seed for seed; response
     bytes do not grow with the message count."""
-    suite = np_suite()
-    pk_R, sk_R = paillier512
-    for trial in range(100):
-        for s in (0, 1):
-            seed = 9000 + trial
-            msgs = [
-                SeededSource(seed).randbytes(8),
-                SeededSource(seed ^ 0xFF).randbytes(8),
-            ]
-            q_c, sec_c, selector = comp_gen_query(
-                suite, toy, 2, s, pk_R, SeededSource(seed)
-            )
-            q_p, sec_p = np_gen_query(toy, s, SeededSource(seed))
-            assert q_c == q_p and sec_c == sec_p
-            compressed = comp_gen_res(
-                suite, msgs, toy, q_c, selector, pk_R, SeededSource(seed + 1)
-            )
-            plain = np_gen_res(
-                msgs[0], msgs[1], toy, q_p, SeededSource(seed + 1)
-            )
-            got_c = comp_retrieve(suite, compressed, sk_R, q_c, sec_c, toy, s)
-            assert got_c == np_retrieve(plain, sec_p, toy) == msgs[s]
-
-    sizes = set()
-    rng = SeededSource(9500)
-    for n in (2, 4, 8):
-        msgs = [bytes([i]) * 8 for i in range(n)]
-        q, _, selector = comp_gen_query(suite, toy, n, 0, pk_R, rng)
-        compressed = comp_gen_res(suite, msgs, toy, q, selector, pk_R, rng)
-        sizes.add(len(encode_compressed_response(compressed, pk_R)))
-    assert len(sizes) == 1
+    runs, size = laws.compiler_equivalence(toy, paillier512, trials=100, seed=9000)
+    assert runs == 200
     _report(7, f"compiler, 100 trials x both s equal; "
-               f"{sizes.pop()} response bytes for n in (2,4,8)")
+               f"{size} response bytes for n in (2,4,8)")
 
 
 def test_criterion_08_homomorphic_laws(paillier1024):
     """1000 random triples obey both homomorphic laws; selector inner
     products pick exactly the hot entry."""
-    pk, sk = paillier1024
-    rng = SeededSource(10_000)
-    for _ in range(1000):
-        m1, m2 = rng.randbelow(pk.n), rng.randbelow(pk.n)
-        k = rng.randbelow(1 << 128)
-        c1, c2 = enc(pk, m1, rng), enc(pk, m2, rng)
-        assert dec(sk, hadd(pk, c1, c2)) == (m1 + m2) % pk.n
-        assert dec(sk, hscale(pk, c1, k)) == (m1 * k) % pk.n
-
-    for z in (1, 4, 16):
-        values = [rng.randbelow(1 << 64) for _ in range(z)]
-        for v in range(z):
-            entries = [enc(pk, 1 if t == v else 0, rng) for t in range(z)]
-            acc = None
-            for t in range(z):
-                term = hscale(pk, entries[t], values[t])
-                acc = term if acc is None else hadd(pk, acc, term)
-            assert dec(sk, acc) == values[v]
+    assert laws.homomorphic_laws(paillier1024, 1000, seed=10_000) == 1000
     _report(8, "homomorphic laws, 1000 triples at 1024-bit; selectors exact")
 
 
-def test_criterion_09_single_element_tamper_always_aborts(toy, rng):
+def test_criterion_09_single_element_tamper_always_aborts(toy):
     """Multiplying either final-query element trips the abort, all senders."""
-    db = MessageDatabase(pairs=((b"\x01" * 8, b"\x02" * 8),))
-    senders = (
-        lambda q, r: dq_s_gen_res(b"\x01" * 8, b"\x02" * 8, toy, q, r),
-        lambda q, r: duq_s_gen_res(b"\x01" * 8, b"\x02" * 8, toy, q,
-                                   b"\xaa" * 8, r),
-        lambda q, r: dqmr_s_gen_res_multi(db, toy, q, r),
-        lambda q, r: duqmr_s_gen_res_multi(db, toy, q, b"\xaa" * 8, r),
-    )
-    aborts = 0
-    for trial in range(100):
-        src = SeededSource(11_000 + trial)
-        s1, s2 = src.randbit(), src.randbit()
-        r1, r2 = rand_scalar(toy, src), rand_scalar(toy, src)
-        final = _assemble(toy, s1, s2, r1, r2)
-        factor = modexp(toy.g, 1 + src.randbelow(toy.q - 1), toy)
-        if trial % 2:
-            bad = FinalQueryPair(b0=elem_mul(final.b0, factor, toy), b1=final.b1)
-        else:
-            bad = FinalQueryPair(b0=final.b0, b1=elem_mul(final.b1, factor, toy))
-        sender = senders[trial % 4]
-        with pytest.raises(ConsistencyAbort):
-            sender(bad, src)
-        aborts += 1
-    assert aborts == 100
+    assert laws.tamper_aborts(toy, 100, seed=11_000) == 100
     _report(9, "tampered query pairs, 100/100 aborts across all four senders")
 
 
 def test_criterion_10_transcript_determinism():
     """Same config and seed reproduce every transcript byte, all protocols."""
-    for protocol in PROTOCOLS:
-        cfg_a = _session_config(protocol, seed=21)
-        cfg_b = _session_config(protocol, seed=21)
-        a = export_transcript(run_session(cfg_a))
-        b = export_transcript(run_session(cfg_b))
-        assert a == b, protocol
-        assert "error:" not in a, protocol
+    assert laws.session_determinism(seed=21) == 7
     _report(10, "byte-identical reruns across all seven protocols")

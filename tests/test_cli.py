@@ -1,6 +1,7 @@
 """Command surface: exit codes, output formats, timing budgets."""
 
 import argparse
+import ast
 import os
 import shutil
 import subprocess
@@ -11,11 +12,21 @@ from pathlib import Path
 
 import pytest
 
+from otkit import laws
 from otkit.cli import bench_protocol, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 DB_TEXT = "00000001 00000011\n00000002 00000012\n00000003 00000013\n00000004 00000014\n"
+
+# `otkit verify --toy` with dq_r_retrieve broken to read the other message's slot
+BROKEN_VERIFY = """
+from otkit import laws
+from otkit.cli import main
+real = laws.dq_r_retrieve
+laws.dq_r_retrieve = lambda res, req1, req2, s, pk: real(res, req1, req2, 1 - s, pk)
+raise SystemExit(main(["verify", "--toy"]))
+"""
 
 
 def _bench_args(**kw):
@@ -82,6 +93,19 @@ class TestRun:
                    "--sigma", "8", "--seed", seed])
         assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bits", ["100000000", "64"])
+    def test_unpinned_group_size(self, capsys, bits):
+        rc = main(["run", "np-ot", "--s", "1", "--m0", "00", "--m1", "ff",
+                   "--sigma", "8", "--group-bits", bits])
+        assert rc == 2
+        assert "group_bits" in capsys.readouterr().err
+
+    def test_paillier_key_below_16_bits(self, capsys):
+        rc = main(["run", "comp-np", "--s", "1", "--m0", "00", "--m1", "ff",
+                   "--sigma", "8", "--toy", "--paillier-bits", "8"])
+        assert rc == 2
+        assert "paillier_bits" in capsys.readouterr().err
 
     def test_transcript_stable_across_runs(self, capsys, tmp_path):
         argv = ["run", "dq-ot", "--m0", "aa", "--m1", "bb", "--s", "1",
@@ -168,6 +192,35 @@ class TestVerify:
         assert main(["verify", "--toy", "--inject-tamper", "beta"]) == 0
         assert "ConsistencyAbort triggered" in capsys.readouterr().out
 
+    def test_broken_law_fails(self, capsys, monkeypatch):
+        real = laws.dq_r_retrieve
+        other_slot = lambda res, req1, req2, s, pk: real(res, req1, req2, 1 - s, pk)
+        monkeypatch.setattr(laws, "dq_r_retrieve", other_slot)
+        assert main(["verify", "--toy"]) == 4
+        out = capsys.readouterr().out
+        assert "dq-e2e-cells             FAIL  cell (0,0) returned the wrong" in out
+        assert "mr-filter-exactness      FAIL  s=0 v=0: dq-mr and duq-mr" in out
+        assert "2 of 10 checks failed" in out
+
+    def test_broken_law_fails_under_optimize(self):
+        proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_VERIFY],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4, proc.stdout + proc.stderr
+        fails = [line.split(" FAIL ", 1)[1] for line in proc.stdout.splitlines()
+                 if " FAIL " in line]
+        assert len(fails) == 2 and all(reason.strip() for reason in fails)
+
+    def test_laws_raise_reasons_not_asserts(self):
+        tree = ast.parse(Path(laws.__file__).read_text())
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        raised = [n.exc for n in ast.walk(tree) if isinstance(n, ast.Raise)]
+        assert raised
+        for exc in raised:
+            assert exc.func.id == "LawViolation" and len(exc.args) == 1
+            reason = exc.args[0]
+            assert isinstance(reason, (ast.Constant, ast.JoinedStr))
+            assert ast.unparse(reason).strip("f'\"")
+
 
 class TestBench:
     def test_report_arithmetic(self):
@@ -193,6 +246,13 @@ class TestBench:
 
     def test_iterations_checked(self, capsys):
         assert main(["bench", "supersonic", "--iters", "0"]) == 2
+
+    @pytest.mark.parametrize("seed, iters, rc", [
+        ("-5", "1", 2), (str(2**64 - 1), "2", 2), (str(2**64 - 2), "2", 0),
+    ])
+    def test_seed_range(self, capsys, seed, iters, rc):
+        assert main(["bench", "supersonic", "--iters", iters, "--toy",
+                     "--seed", seed]) == rc
 
     def test_group_protocol_bench(self, capsys):
         assert main(["bench", "dq-ot", "--iters", "3", "--sigma", "64"]) == 0
