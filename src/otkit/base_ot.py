@@ -14,7 +14,9 @@ from .errors import IndexOutOfRange, LengthMismatch
 from .groupmath import (
     GroupElement,
     GroupParams,
+    Power,
     Scalar,
+    base_powers,
     elem_div,
     elem_to_bytes,
     gen_group,
@@ -53,21 +55,27 @@ def np_gen_query(
     return b0, NpSecret(r=r, s=s)
 
 
+def np_query_powers(
+    query: GroupElement, pk: GroupParams, uses: int = 1
+) -> tuple[Power, Power]:
+    """Power functions of the query pair (b0, C / b0), each for `uses` exponents."""
+    return base_powers(query, pk, uses), base_powers(elem_div(pk.C, query, pk), pk, uses)
+
+
 def np_gen_res(
     m0: ByteString,
     m1: ByteString,
     pk: GroupParams,
-    query: GroupElement,
+    powers: tuple[Power, Power],
     rng: RandomSource,
 ) -> NpResponse:
-    """Mask both messages against the query pair (b0, C / b0)."""
+    """Mask both messages against the query pair whose power functions are given."""
     if len(m0) != len(m1):
         raise LengthMismatch("messages must share the session length")
-    b = (query, elem_div(pk.C, query, pk))
     elements = []
     for i in (0, 1):
         y = rand_scalar(pk, rng)
-        pad = hash_H(elem_to_bytes(modexp(b[i], y, pk), pk), 8 * len(m0))
+        pad = hash_H(elem_to_bytes(powers[i](y), pk), 8 * len(m0))
         elements.append((modexp(pk.g, y, pk), xor_bytes(pad, (m0, m1)[i])))
     return NpResponse(e0=elements[0], e1=elements[1])
 
@@ -134,9 +142,10 @@ def _suite_gen_query(pk, n, s, rng):
 
 def _suite_gen_res(msgs, pk, query, rng):
     if len(msgs) == 2:
-        res = np_gen_res(msgs[0], msgs[1], pk, query, rng)
+        res = np_gen_res(msgs[0], msgs[1], pk, np_query_powers(query, pk), rng)
         return [res.e0, res.e1]
-    return [np_gen_res(m, m, pk, query, rng).e0 for m in msgs]
+    powers = np_query_powers(query, pk, uses=len(msgs))
+    return [np_gen_res(m, m, pk, powers, rng).e0 for m in msgs]
 
 
 def _suite_retrieve(res_elements, query, secret, pk, s):

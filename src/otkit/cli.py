@@ -36,7 +36,7 @@ def _load_db(path: str, width: int) -> tuple[tuple[bytes, bytes], ...]:
     """One record per line, two whitespace-separated hex fields; line = v."""
     try:
         text = open(path, encoding="ascii").read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read database file: {err}") from None
     pairs = []
     for lineno, line in enumerate(text.splitlines()):

@@ -17,7 +17,9 @@ from .errors import ConsistencyAbort, IndexOutOfRange, UsageError
 from .groupmath import (
     GroupElement,
     GroupParams,
+    Power,
     Scalar,
+    base_powers,
     elem_div,
     elem_mul,
     modexp,
@@ -110,6 +112,14 @@ def check_consistency(query: FinalQueryPair, pk: GroupParams) -> None:
         raise ConsistencyAbort("query pair does not multiply to C")
 
 
+def query_powers(
+    query: FinalQueryPair, pk: GroupParams, uses: int = 1
+) -> tuple[Power, Power]:
+    """Power functions of b0 and b1, each for `uses` exponents; abort unless b0 * b1 = C."""
+    check_consistency(query, pk)
+    return base_powers(query.b0, pk, uses), base_powers(query.b1, pk, uses)
+
+
 def dq_s_gen_res(
     m0: ByteString,
     m1: ByteString,
@@ -118,8 +128,7 @@ def dq_s_gen_res(
     rng: RandomSource,
 ) -> NpResponse:
     """Answer a well-formed pair exactly like the base OT sender."""
-    check_consistency(query, pk)
-    return np_gen_res(m0, m1, pk, query.b0, rng)
+    return np_gen_res(m0, m1, pk, query_powers(query, pk), rng)
 
 
 def retrieval_exponent(
@@ -149,9 +158,10 @@ def dqmr_s_gen_res_multi(
     query: FinalQueryPair,
     rng: RandomSource,
 ) -> list[NpResponse]:
-    """One independent response pair per database entry."""
-    check_consistency(query, pk)
-    return [np_gen_res(m0, m1, pk, query.b0, rng) for m0, m1 in db.pairs]
+    """One independent response pair per database entry, all against one
+    pair of power functions built for z exponents each."""
+    powers = query_powers(query, pk, uses=db.z)
+    return [np_gen_res(m0, m1, pk, powers, rng) for m0, m1 in db.pairs]
 
 
 def dqmr_p1_filter(responses: list[NpResponse], v: int) -> NpResponse:

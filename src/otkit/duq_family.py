@@ -17,7 +17,7 @@ from .base_ot import ResponseElement
 from .dq_family import (
     FinalQueryPair,
     MessageDatabase,
-    check_consistency,
+    query_powers,
     retrieval_exponent,
 )
 from .errors import (
@@ -29,7 +29,7 @@ from .errors import (
     NoTagMatch,
     UsageError,
 )
-from .groupmath import GroupParams, Scalar, elem_to_bytes, modexp, rand_scalar
+from .groupmath import GroupParams, Power, Scalar, elem_to_bytes, modexp, rand_scalar
 from .paillier import (
     HomCiphertext,
     PaillierPublicKey,
@@ -104,20 +104,19 @@ def duq_s_gen_res(
     m0: ByteString,
     m1: ByteString,
     pk: GroupParams,
-    query: FinalQueryPair,
+    powers: tuple[Power, Power],
     tag: ByteString,
     rng: RandomSource,
 ) -> TaggedResponse:
-    """Mask (m_i || tag) per slot, then randomly permute the pair."""
+    """Mask (m_i || tag) per slot against the query pair whose power
+    functions are given (see query_powers), then randomly permute the pair."""
     if len(m0) != len(m1):
         raise LengthMismatch("messages must share the session length")
-    check_consistency(query, pk)
     sigma_bits, lambda_bits = 8 * len(m0), 8 * len(tag)
-    b = (query.b0, query.b1)
     elements = []
     for i in (0, 1):
         y = rand_scalar(pk, rng)
-        pad = hash_G(elem_to_bytes(modexp(b[i], y, pk), pk), sigma_bits, lambda_bits)
+        pad = hash_G(elem_to_bytes(powers[i](y), pk), sigma_bits, lambda_bits)
         elements.append(
             (modexp(pk.g, y, pk), xor_bytes(pad, (m0, m1)[i] + tag))
         )
@@ -206,11 +205,10 @@ def duqmr_s_gen_res_multi(
     tag: ByteString,
     rng: RandomSource,
 ) -> list[TaggedResponse]:
-    """One independently masked and permuted tagged pair per entry."""
-    check_consistency(query, pk)
-    return [
-        duq_s_gen_res(m0, m1, pk, query, tag, rng) for m0, m1 in db.pairs
-    ]
+    """One independently masked and permuted tagged pair per entry, all
+    against one pair of power functions built for z exponents each."""
+    powers = query_powers(query, pk, uses=db.z)
+    return [duq_s_gen_res(m0, m1, pk, powers, tag, rng) for m0, m1 in db.pairs]
 
 
 def _embed(component: int | ByteString, pk_j: PaillierPublicKey) -> int:

@@ -20,10 +20,24 @@ multiplications instead of about n squarings. At 2048 bits that is 205 + 205
 products, the table takes about 0.3 MB and 50 ms to build, and g^e runs
 about 4x faster than pow(). Tables are built on first use and kept for the
 last COMB_GROUPS distinct (g, P); with gmpy2, powers of g use its powmod.
+
+A sender that raises one other base to many exponents in a session (the
+multi-receiver senders raise b0 and b1 to z exponents each) asks
+base_powers(base, params, uses) for a power function. It builds a comb table
+of that base for exponents below q, used for that session only, when the
+table pays. comb_rows picks its row count r <= SHARED_ROWS_MAX from the bit
+length k of q and the number of uses u. With c = ceil(k / r) columns, the
+table costs (r - 1) * c squarings and 2^r products to build and 2c products
+per exponent, against about 1.2 * k products per pow(). The cheapest r wins
+if it beats u pow() calls. One use never builds a table, and neither does a
+q under SHARED_MIN_BITS, where interpreter overhead outweighs the products
+saved (so the toy group never does). Without a table, and always with
+gmpy2, the power function is modexp.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .errors import PrimeSearchExhausted, UsageError
 from .numth import HAVE_GMPY2, gen_safe_prime, invmod, powmod
@@ -31,6 +45,7 @@ from .rng import RandomSource
 
 GroupElement = int
 Scalar = int
+Power = Callable[[Scalar], GroupElement]
 
 
 @dataclass(frozen=True)
@@ -111,15 +126,17 @@ def gen_group(
 
 COMB_ROWS = 10
 COMB_GROUPS = 8
+SHARED_ROWS_MAX = 8
+SHARED_MIN_BITS = 512
+POW_PRODUCTS_PER_BIT = 1.2
 
 
-@lru_cache(maxsize=COMB_GROUPS)
-def _comb_table(g: int, P: int) -> tuple[int, int, tuple[int, ...]]:
-    """(rows, cols, table) with table[j] = prod of g^(2^(i*cols)) over the bits i of j."""
-    rows = min(COMB_ROWS, P.bit_length())
-    cols = -(-P.bit_length() // rows)
+def _comb_build(base: int, P: int, rows: int, bits: int) -> tuple[int, int, tuple[int, ...]]:
+    """(rows, cols, table) for exponents below 2^bits, with cols = ceil(bits / rows)
+    and table[j] = prod of base^(2^(i*cols)) over the bits i of j."""
+    cols = -(-bits // rows)
     table = [1]
-    head = g % P
+    head = base % P
     for i in range(rows):
         table += [t * head % P for t in table]
         if i < rows - 1:
@@ -128,11 +145,9 @@ def _comb_table(g: int, P: int) -> tuple[int, int, tuple[int, ...]]:
     return rows, cols, tuple(table)
 
 
-def _pow_g(g: int, e: int, P: int) -> int:
-    """g^e mod P; for 0 <= e < P without gmpy2, by the comb table of (g, P)."""
-    if HAVE_GMPY2 or not 0 <= e < P:
-        return powmod(g, e, P)
-    rows, cols, table = _comb_table(g, P)
+def _comb_eval(comb: tuple[int, int, tuple[int, ...]], e: int, P: int) -> int:
+    """base^e mod P for 0 <= e < 2^(rows*cols), from the base's _comb_build table."""
+    rows, cols, table = comb
     # Row i of e is the string digits[(rows-1-i)*cols : (rows-i)*cols], so
     # zipping the rows gives e's columns, high column first, with row i's bit
     # at place i of the column's index.
@@ -143,12 +158,51 @@ def _pow_g(g: int, e: int, P: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=COMB_GROUPS)
+def _comb_table(g: int, P: int) -> tuple[int, int, tuple[int, ...]]:
+    """The comb table of g for exponents below P, kept per (g, P)."""
+    return _comb_build(g, P, min(COMB_ROWS, P.bit_length()), P.bit_length())
+
+
+def _pow_g(g: int, e: int, P: int) -> int:
+    """g^e mod P; for 0 <= e < P without gmpy2, by the comb table of (g, P)."""
+    if HAVE_GMPY2 or not 0 <= e < P:
+        return powmod(g, e, P)
+    return _comb_eval(_comb_table(g, P), e, P)
+
+
 def modexp(base: GroupElement, e: Scalar, params: GroupParams) -> GroupElement:
     """base^e mod P with the exponent reduced mod q; powers of g use the comb table."""
     e %= params.q
     if base == params.g:
         return _pow_g(base, e, params.P)
     return powmod(base, e, params.P)
+
+
+def comb_rows(bits: int, uses: int) -> int:
+    """Rows of the cheapest table for `uses` exponents below 2^bits, or 0 when
+    `uses` pow() calls cost less (see the module docstring)."""
+    if uses < 2 or bits < SHARED_MIN_BITS:
+        return 0
+
+    def products(rows: int) -> int:
+        cols = -(-bits // rows)
+        return (rows - 1) * cols + (1 << rows) + uses * 2 * cols
+
+    rows = min(range(1, SHARED_ROWS_MAX + 1), key=products)
+    return rows if products(rows) < uses * POW_PRODUCTS_PER_BIT * bits else 0
+
+
+def base_powers(base: GroupElement, params: GroupParams, uses: int) -> Power:
+    """e -> base^(e mod q) mod P, for about `uses` exponents: through one comb
+    table of base when comb_rows says it pays, else through modexp."""
+    bits = params.q.bit_length()
+    rows = 0 if HAVE_GMPY2 else comb_rows(bits, uses)
+    if not rows:
+        return lambda e: modexp(base, e, params)
+    P, q = params.P, params.q
+    comb = _comb_build(base, P, rows, bits)
+    return lambda e: _comb_eval(comb, e % q, P)
 
 
 def elem_mul(x: GroupElement, y: GroupElement, params: GroupParams) -> GroupElement:

@@ -1,8 +1,14 @@
 """Additive homomorphic encryption (Paillier, generator fixed at n + 1).
 
 Used for oblivious filtering and response compression: ciphertexts support
-addition of plaintexts and multiplication by a known scalar. Decryption uses
-the standard L(u) = (u - 1) / n route; no CRT acceleration.
+addition of plaintexts and multiplication by a known scalar. The secret key
+keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
+joins the halves by CRT (Paillier, EUROCRYPT '99, section 7): two
+exponentiations with half-size moduli and exponents, about 3x faster than
+the single L(c^lambda mod n^2) * mu route they agree with. With g = n + 1 no
+key constant needs an exponentiation: (n+1)^k = 1 + kn (mod n^2), so
+mu = L((n+1)^lambda mod n^2)^-1 = lambda^-1 mod n, and
+h_p = L_p((n+1)^(p-1) mod p^2)^-1 = (-q)^-1 mod p, h_q likewise.
 """
 
 import math
@@ -25,9 +31,16 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierSecretKey:
+    """lambda and mu of the textbook key, plus the primes and the CRT
+    constants h_p = (-q)^-1 mod p and h_q = (-p)^-1 mod q that dec uses."""
+
     lambda_tot: int
     mu: int
     pk: PaillierPublicKey
+    p: int
+    q: int
+    h_p: int
+    h_q: int
 
 
 @dataclass(frozen=True)
@@ -53,9 +66,15 @@ def kgen(
     n_sq = n * n
     pk = PaillierPublicKey(n=n, n_squared=n_sq, generator=n + 1)
     lam = math.lcm(p - 1, r - 1)
-    # mu = L(g^lambda mod n^2)^-1 mod n, with L(u) = (u - 1) // n
-    mu = invmod((powmod(pk.generator, lam, n_sq) - 1) // n, n)
-    return pk, PaillierSecretKey(lambda_tot=lam, mu=mu, pk=pk)
+    return pk, PaillierSecretKey(
+        lambda_tot=lam,
+        mu=invmod(lam % n, n),
+        pk=pk,
+        p=p,
+        q=r,
+        h_p=invmod(-r % p, p),
+        h_q=invmod(-p % r, r),
+    )
 
 
 def enc(pk: PaillierPublicKey, m: int, rng: RandomSource) -> HomCiphertext:
@@ -72,11 +91,14 @@ def enc(pk: PaillierPublicKey, m: int, rng: RandomSource) -> HomCiphertext:
 
 
 def dec(sk: PaillierSecretKey, c: HomCiphertext) -> int:
-    pk = sk.pk
-    if math.gcd(c.value, pk.n) != 1:
+    """m mod p = L_p(c^(p-1) mod p^2) * h_p, m mod q likewise, joined by CRT."""
+    if math.gcd(c.value, sk.pk.n) != 1:
         raise MalformedCiphertext("ciphertext shares a factor with n")
-    u = powmod(c.value, sk.lambda_tot, pk.n_squared)
-    return (u - 1) // pk.n * sk.mu % pk.n
+    p, q = sk.p, sk.q
+    m_p = (powmod(c.value, p - 1, p * p) - 1) // p * sk.h_p % p
+    m_q = (powmod(c.value, q - 1, q * q) - 1) // q * sk.h_q % q
+    # q^-1 = -h_p (mod p), so m = m_q + q * ((m_p - m_q) * q^-1 mod p)
+    return m_q + q * ((m_q - m_p) * sk.h_p % p)
 
 
 def hadd(pk: PaillierPublicKey, c1: HomCiphertext, c2: HomCiphertext) -> HomCiphertext:

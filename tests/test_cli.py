@@ -165,6 +165,14 @@ class TestDatabaseFile:
                    "--v", "0", "--s", "0", "--sigma", "32", "--seed", "1"])
         assert rc == 2
 
+    def test_non_ascii_file(self, capsys, tmp_path):
+        path = tmp_path / "quote.txt"
+        path.write_bytes(b"00000001 00000011\n\xe2\x80\x9c\n")
+        rc = main(["run", "dq-mr", "--db", str(path), "--v", "0", "--s", "0",
+                   "--sigma", "8", "--seed", "1"])
+        assert rc == 2
+        assert "cannot read database file" in capsys.readouterr().err
+
     def test_index_outside_database(self, capsys, db_file):
         rc = main(["run", "dq-mr", "--db", db_file, "--v", "4", "--s", "0",
                    "--sigma", "32", "--seed", "1"])

@@ -1,20 +1,25 @@
 """Group arithmetic over the order-q subgroup mod a safe prime."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otkit import groupmath
 from otkit.errors import UsageError
 from otkit.groupmath import (
     COMB_GROUPS,
     COMB_ROWS,
     PINNED_SAFE_PRIMES,
+    SHARED_ROWS_MAX,
     GroupParams,
     TOY_G,
     TOY_P,
     TOY_Q,
+    base_powers,
+    comb_rows,
     elem_div,
     elem_mul,
     elem_to_bytes,
@@ -26,6 +31,7 @@ from otkit.groupmath import (
     _comb_table,
     _pow_g,
 )
+from otkit.harness import SessionConfig, export_transcript, run_session
 from otkit.numth import is_probable_prime
 from otkit.rng import SeededSource
 
@@ -196,6 +202,82 @@ class TestFixedBase:
         for params in groups + groups[:2]:
             assert modexp(params.g, 12345, params) == pow(params.g, 12345, P)
         assert _comb_table.cache_info().currsize == COMB_GROUPS
+
+
+USES = (1, 2, 4, 32)
+
+# (bits of q, uses) -> rows of the shared-base table; 0 means modexp
+SHARED_ROWS = {
+    (4, 1): 0, (4, 2): 0, (4, 4): 0, (4, 32): 0,
+    (512, 1): 0, (512, 2): 6, (512, 4): 7, (512, 32): 8,
+    (1024, 1): 0, (1024, 2): 7, (1024, 4): 8, (1024, 32): 8,
+    (2048, 1): 0, (2048, 2): 7, (2048, 4): 8, (2048, 32): 8,
+}
+
+
+@pytest.fixture(scope="module", params=["toy", 512, 1024, 2048])
+def shared_group(request):
+    if request.param == "toy":
+        return toy_group()
+    return gen_group(request.param, SeededSource(request.param))
+
+
+class TestSharedBase:
+    """Powers of one other base through base_powers must equal pow() exactly."""
+
+    def test_powers_match_pow(self, shared_group):
+        P, q = shared_group.P, shared_group.q
+        base = shared_group.C
+        rnd = random.Random(q.bit_length() + 1)
+        common = [0, 1, 2, q - 1, q, q + 1, -1] + [
+            rnd.randrange(-q, 3 * q) for _ in range(40)
+        ]
+        expected = {}  # the pow() oracle, once per exponent
+        for uses in USES:
+            rows = comb_rows(q.bit_length(), uses)
+            cols = -(-q.bit_length() // rows) if rows else 0
+            boundaries = [(1 << (i * cols)) + d for i in range(1, rows) for d in (-1, 1)]
+            power = base_powers(base, shared_group, uses)
+            for e in common + boundaries:
+                if e not in expected:
+                    expected[e] = pow(base, e % q, P)
+                assert power(e) == expected[e], (uses, e)
+
+    def test_pinned_paths(self, shared_group, monkeypatch):
+        built = []
+        build = groupmath._comb_build
+        monkeypatch.setattr(
+            groupmath, "_comb_build", lambda *args: built.append(args[2]) or build(*args)
+        )
+        bits = shared_group.q.bit_length()
+        for uses in USES:
+            built.clear()
+            base_powers(shared_group.C, shared_group, uses)
+            rows = SHARED_ROWS[(bits, uses)]
+            assert comb_rows(bits, uses) == rows
+            assert built == ([rows] if rows else [])
+
+    def test_row_cap_and_single_use(self):
+        for bits in (4, 64, 511, 512, 1024, 2048, 4096, 8192):
+            assert comb_rows(bits, 1) == 0
+            for uses in (2, 3, 8, 100, 10_000):
+                assert 0 <= comb_rows(bits, uses) <= SHARED_ROWS_MAX == 8
+
+    @pytest.mark.parametrize("protocol", ["dq-mr", "duq-mr"])
+    @pytest.mark.parametrize("z", [1, 4])
+    def test_session_matches_single_use_path(self, protocol, z, monkeypatch):
+        db = tuple((bytes([i]) * 8, bytes([0x80 | i]) * 8) for i in range(z))
+        cfg = SessionConfig(protocol=protocol, sigma_bits=64, lambda_bits=64,
+                            group_bits=512, seed=4100 + z, s=1, db=db, v=z - 1)
+
+        def digest():
+            t = run_session(cfg)
+            assert t.outputs["RECEIVER"] == db[z - 1][1]
+            return hashlib.sha256(export_transcript(t).encode()).hexdigest()
+
+        shared = digest()
+        monkeypatch.setattr(groupmath, "comb_rows", lambda bits, uses: 0)
+        assert digest() == shared
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
 """Additive homomorphic encryption round trips and algebra."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,3 +105,36 @@ class TestRandomization:
         rng = SeededSource(90210)
         seen = {enc(pk, 5, rng).value for _ in range(10_000)}
         assert len(seen) == 10_000
+
+
+@pytest.fixture(scope="module", params=[16, 64, 1152])
+def crt_key(request):
+    return kgen(request.param, SeededSource(request.param))
+
+
+class TestCrt:
+    """CRT decryption and the key constants against their textbook formulas."""
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_dec_matches_the_l_route(self, crt_key, data):
+        pk, sk = crt_key
+        n, n_sq = pk.n, pk.n_squared
+        c = data.draw(st.integers(1, n_sq - 1).filter(lambda c: math.gcd(c, n) == 1))
+        expected = (pow(c, sk.lambda_tot, n_sq) - 1) // n * sk.mu % n
+        assert dec(sk, HomCiphertext(value=c)) == expected
+
+    def test_constants_match_their_exponentiation_formulas(self, crt_key):
+        pk, sk = crt_key
+        p, q, n = sk.p, sk.q, pk.n
+        assert p * q == n and p != q
+        assert sk.lambda_tot == math.lcm(p - 1, q - 1)
+        L = lambda u, d: (u - 1) // d  # noqa: E731
+        assert sk.mu == pow(L(pow(n + 1, sk.lambda_tot, n * n), n), -1, n)
+        assert sk.h_p == pow(L(pow(n + 1, p - 1, p * p), p), -1, p)
+        assert sk.h_q == pow(L(pow(n + 1, q - 1, q * q), q), -1, q)
+
+    def test_round_trip_at_the_edges(self, crt_key, rng):
+        pk, sk = crt_key
+        for m in (0, 1, 2, pk.n - 2, pk.n - 1, sk.p, sk.q):
+            assert dec(sk, enc(pk, m, rng)) == m
