@@ -1,15 +1,15 @@
 """Record the benchmark in one BENCH_<tag>.json file, and diff two such files.
 
     python3 scripts/bench_record.py --tag NAME [--checkout DIR] [--workloads W ...]
-                                    [--seeds 901 902 903] [--seconds 20] [--append]
+                                    [--seeds 901 902 903] [--append]
     python3 scripts/bench_record.py --diff BENCH_a.json BENCH_b.json
 
-Recording runs BENCHMARK.json's command once per workload and seed, each in
-a fresh process in the checkout (this one unless --checkout names another),
-and writes BENCH_<tag>.json beside BENCHMARK.json. The file holds every
-run's end-to-end metrics, their median and quartiles per workload, the
-interpreter's version, whether gmpy2 was importable, and the checkout's git
-commit (with `dirty` set when src/ or perfbench/ differ from it). --append
+Recording runs BENCHMARK.json's command once per workload and seed, for its
+run_seconds, each in a fresh process in the checkout (this one unless
+--checkout names another), and writes BENCH_<tag>.json beside
+BENCHMARK.json. The file holds every run's end-to-end metrics, their median
+and quartiles per workload, the interpreter's version, whether gmpy2 was
+importable, and the checkout's git commit (with `dirty` set when src/ or perfbench/ differ from it). --append
 adds runs to an existing record of the same commit, so two checkouts can be
 run in alternation, one seed at a time.
 
@@ -50,10 +50,10 @@ def environment(checkout: Path) -> dict:
     }
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One fresh benchmark process; its result line, with metrics as plain values."""
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", str(seconds), "--trace", "0"]
+                             "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -131,10 +131,10 @@ def record(args) -> None:
     for workload in args.workloads:
         for seed in args.seeds:
             runs = [r for r in runs if (r["workload"], r["seed"]) != (workload, seed)]
-            runs.append(run_once(checkout, workload, seed, args.seconds))
+            runs.append(run_once(checkout, workload, seed))
             print(f"{workload} seed {seed}: session_ms "
                   f"{runs[-1]['metrics'].get('session_ms', float('nan')):.4g}", flush=True)
-    doc = {"tag": args.tag, **env, "command": SPEC["command"], "seconds": args.seconds,
+    doc = {"tag": args.tag, **env, "command": SPEC["command"], "seconds": SPEC["run_seconds"],
            "runs": runs, "summary": summarize(runs)}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
@@ -148,7 +148,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+",
                     default=[w["name"] for w in SPEC["workloads"]])
     ap.add_argument("--seeds", nargs="+", type=int, default=list(DEFAULT_SEEDS))
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     ap.add_argument("--append", action="store_true")
     args = ap.parse_args(argv)
     if args.diff:

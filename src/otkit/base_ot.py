@@ -66,10 +66,22 @@ def np_gen_res(
     m0: ByteString,
     m1: ByteString,
     pk: GroupParams,
+    query: GroupElement,
+    rng: RandomSource,
+) -> NpResponse:
+    """Mask both messages against the query pair (b0, C / b0)."""
+    return _mask_pair(m0, m1, pk, np_query_powers(query, pk), rng)
+
+
+def _mask_pair(
+    m0: ByteString,
+    m1: ByteString,
+    pk: GroupParams,
     powers: tuple[Power, Power],
     rng: RandomSource,
 ) -> NpResponse:
-    """Mask both messages against the query pair whose power functions are given."""
+    """Mask m_i with a hash of powers[i](y) for a fresh y per slot. The caller
+    vouches that the powers belong to a pair multiplying to C."""
     if len(m0) != len(m1):
         raise LengthMismatch("messages must share the session length")
     elements = []
@@ -142,10 +154,10 @@ def _suite_gen_query(pk, n, s, rng):
 
 def _suite_gen_res(msgs, pk, query, rng):
     if len(msgs) == 2:
-        res = np_gen_res(msgs[0], msgs[1], pk, np_query_powers(query, pk), rng)
+        res = np_gen_res(msgs[0], msgs[1], pk, query, rng)
         return [res.e0, res.e1]
     powers = np_query_powers(query, pk, uses=len(msgs))
-    return [np_gen_res(m, m, pk, powers, rng).e0 for m in msgs]
+    return [_mask_pair(m, m, pk, powers, rng).e0 for m in msgs]
 
 
 def _suite_retrieve(res_elements, query, secret, pk, s):

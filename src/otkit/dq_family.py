@@ -12,7 +12,7 @@ database entry and P1 forwards exactly the pair at the receiver's index v.
 
 from dataclasses import dataclass
 
-from .base_ot import NpResponse, np_gen_res, unmask_element
+from .base_ot import NpResponse, _mask_pair, unmask_element
 from .errors import ConsistencyAbort, IndexOutOfRange, UsageError
 from .groupmath import (
     GroupElement,
@@ -128,7 +128,7 @@ def dq_s_gen_res(
     rng: RandomSource,
 ) -> NpResponse:
     """Answer a well-formed pair exactly like the base OT sender."""
-    return np_gen_res(m0, m1, pk, query_powers(query, pk), rng)
+    return _mask_pair(m0, m1, pk, query_powers(query, pk), rng)
 
 
 def retrieval_exponent(
@@ -161,7 +161,7 @@ def dqmr_s_gen_res_multi(
     """One independent response pair per database entry, all against one
     pair of power functions built for z exponents each."""
     powers = query_powers(query, pk, uses=db.z)
-    return [np_gen_res(m0, m1, pk, powers, rng) for m0, m1 in db.pairs]
+    return [_mask_pair(m0, m1, pk, powers, rng) for m0, m1 in db.pairs]
 
 
 def dqmr_p1_filter(responses: list[NpResponse], v: int) -> NpResponse:

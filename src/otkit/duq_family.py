@@ -104,12 +104,24 @@ def duq_s_gen_res(
     m0: ByteString,
     m1: ByteString,
     pk: GroupParams,
+    query: FinalQueryPair,
+    tag: ByteString,
+    rng: RandomSource,
+) -> TaggedResponse:
+    """Mask (m_i || tag) per slot, then randomly permute the pair."""
+    return _mask_tagged_pair(m0, m1, pk, query_powers(query, pk), tag, rng)
+
+
+def _mask_tagged_pair(
+    m0: ByteString,
+    m1: ByteString,
+    pk: GroupParams,
     powers: tuple[Power, Power],
     tag: ByteString,
     rng: RandomSource,
 ) -> TaggedResponse:
-    """Mask (m_i || tag) per slot against the query pair whose power
-    functions are given (see query_powers), then randomly permute the pair."""
+    """duq_s_gen_res against power functions from query_powers, which has
+    already checked that the pair multiplies to C."""
     if len(m0) != len(m1):
         raise LengthMismatch("messages must share the session length")
     sigma_bits, lambda_bits = 8 * len(m0), 8 * len(tag)
@@ -208,7 +220,7 @@ def duqmr_s_gen_res_multi(
     """One independently masked and permuted tagged pair per entry, all
     against one pair of power functions built for z exponents each."""
     powers = query_powers(query, pk, uses=db.z)
-    return [duq_s_gen_res(m0, m1, pk, powers, tag, rng) for m0, m1 in db.pairs]
+    return [_mask_tagged_pair(m0, m1, pk, powers, tag, rng) for m0, m1 in db.pairs]
 
 
 def _embed(component: int | ByteString, pk_j: PaillierPublicKey) -> int:

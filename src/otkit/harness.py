@@ -27,7 +27,6 @@ from .base_ot import (
     encode_response_element,
     np_gen_query,
     np_gen_res,
-    np_query_powers,
     np_retrieve,
     np_suite,
     read_response_element,
@@ -45,7 +44,6 @@ from .dq_family import (
     dq_s_gen_res,
     dqmr_p1_filter,
     dqmr_s_gen_res_multi,
-    query_powers,
 )
 from .duq_family import (
     CompressVector,
@@ -511,7 +509,7 @@ def _run_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         query, secret = np_gen_query(params, cfg.s, rng)
         q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)
     with _phase(t, "gen_res", Role.SENDER):
-        res = np_gen_res(cfg.m0, cfg.m1, params, np_query_powers(q_rx, params), rng)
+        res = np_gen_res(cfg.m0, cfg.m1, params, q_rx, rng)
         res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
     with _phase(t, "retrieve", Role.RECEIVER):
         return np_retrieve(res_rx, secret, params)
@@ -578,8 +576,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
             vec = dqmr_s_gen_res_multi(db, params, b_rx, rng)
             vec_rx = _hop(t, Role.SENDER, Role.P1, MsgType.RESPONSE_VEC, vec)
         elif issuer:
-            res = duq_s_gen_res(cfg.m0, cfg.m1, params, query_powers(b_rx, params),
-                                tag_at_s, rng)
+            res = duq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, tag_at_s, rng)
             res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE,
                           NpResponse(*res.pair))
         else:

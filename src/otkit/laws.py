@@ -21,7 +21,6 @@ from .dq_family import (
     dq_s_gen_res,
     dqmr_p1_filter,
     dqmr_s_gen_res_multi,
-    query_powers,
     retrieval_exponent,
 )
 from .duq_family import (
@@ -152,7 +151,7 @@ def tag_selection(params, honest: int, flipped: int, seed: int) -> tuple[int, in
         r1, r2 = duq_r_request(params, rng)
         *_, final = _query(params, bundle.share1, r1, bundle.share2, r2)
         tag = bundle.tag if i < honest else bytes((bundle.tag[0] ^ 1,)) + bundle.tag[1:]
-        res = duq_s_gen_res(m0, m1, params, query_powers(final, params), tag, rng)
+        res = duq_s_gen_res(m0, m1, params, final, tag, rng)
         try:
             got = duq_r_retrieve(res, r1, r2, bundle.share2, bundle.tag, params)
         except NoTagMatch:
@@ -276,7 +275,7 @@ def tamper_aborts(params, trials: int, seed: int) -> int:
     db = MessageDatabase(pairs=((m0, m1),))
     senders = (
         lambda q, rng: dq_s_gen_res(m0, m1, params, q, rng),
-        lambda q, rng: duq_s_gen_res(m0, m1, params, query_powers(q, params), tag, rng),
+        lambda q, rng: duq_s_gen_res(m0, m1, params, q, tag, rng),
         lambda q, rng: dqmr_s_gen_res_multi(db, params, q, rng),
         lambda q, rng: duqmr_s_gen_res_multi(db, params, q, tag, rng),
     )

@@ -5,9 +5,9 @@ addition of plaintexts and multiplication by a known scalar. The secret key
 keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
 joins the halves by CRT (Paillier, EUROCRYPT '99, section 7): two
 exponentiations with half-size moduli and exponents, about 3x faster than
-the single L(c^lambda mod n^2) * mu route they agree with. With g = n + 1 no
-key constant needs an exponentiation: (n+1)^k = 1 + kn (mod n^2), so
-mu = L((n+1)^lambda mod n^2)^-1 = lambda^-1 mod n, and
+the single L(c^lambda mod n^2) * mu route they agree with, so the key keeps
+neither lambda nor mu. With g = n + 1 no key constant needs an
+exponentiation: (n+1)^k = 1 + kn (mod n^2), so
 h_p = L_p((n+1)^(p-1) mod p^2)^-1 = (-q)^-1 mod p, h_q likewise.
 """
 
@@ -31,11 +31,9 @@ class PaillierPublicKey:
 
 @dataclass(frozen=True)
 class PaillierSecretKey:
-    """lambda and mu of the textbook key, plus the primes and the CRT
-    constants h_p = (-q)^-1 mod p and h_q = (-p)^-1 mod q that dec uses."""
+    """The primes and the CRT constants h_p = (-q)^-1 mod p and
+    h_q = (-p)^-1 mod q that dec uses."""
 
-    lambda_tot: int
-    mu: int
     pk: PaillierPublicKey
     p: int
     q: int
@@ -65,10 +63,7 @@ def kgen(
     n = p * r
     n_sq = n * n
     pk = PaillierPublicKey(n=n, n_squared=n_sq, generator=n + 1)
-    lam = math.lcm(p - 1, r - 1)
     return pk, PaillierSecretKey(
-        lambda_tot=lam,
-        mu=invmod(lam % n, n),
         pk=pk,
         p=p,
         q=r,

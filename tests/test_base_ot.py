@@ -10,7 +10,6 @@ from otkit.base_ot import (
     encode_np_response,
     np_gen_query,
     np_gen_res,
-    np_query_powers,
     np_retrieve,
     np_suite,
     unmask_element,
@@ -75,27 +74,27 @@ class TestEndToEnd:
     def test_round_trip_toy(self, toy, rng, s, width):
         m0, m1 = rng.randbytes(width), rng.randbytes(width)
         query, secret = np_gen_query(toy, s, rng)
-        res = np_gen_res(m0, m1, toy, np_query_powers(query, toy), rng)
+        res = np_gen_res(m0, m1, toy, query, rng)
         assert np_retrieve(res, secret, toy) == (m0, m1)[s]
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_round_trip_512(self, group512, rng, s):
         m0, m1 = rng.randbytes(16), rng.randbytes(16)
         query, secret = np_gen_query(group512, s, rng)
-        res = np_gen_res(m0, m1, group512, np_query_powers(query, group512), rng)
+        res = np_gen_res(m0, m1, group512, query, rng)
         assert np_retrieve(res, secret, group512) == (m0, m1)[s]
 
     def test_other_slot_stays_masked(self, group512, rng):
         m0, m1 = b"\x00" * 16, b"\xff" * 16
         query, secret = np_gen_query(group512, 0, rng)
-        res = np_gen_res(m0, m1, group512, np_query_powers(query, group512), rng)
+        res = np_gen_res(m0, m1, group512, query, rng)
         # the receiver's blind unmasks e0 only; e1 under r is just noise
         assert unmask_element(res.e1, secret.r, group512) != m1
 
     def test_length_mismatch(self, toy, rng):
         query, _ = np_gen_query(toy, 0, rng)
         with pytest.raises(LengthMismatch):
-            np_gen_res(b"\x01", b"\x02\x03", toy, np_query_powers(query, toy), rng)
+            np_gen_res(b"\x01", b"\x02\x03", toy, query, rng)
 
     @given(s=st.integers(0, 1), seed=st.integers(0, 2**32))
     @settings(max_examples=150)
@@ -106,20 +105,19 @@ class TestEndToEnd:
         rng = SeededSource(seed)
         m0, m1 = rng.randbytes(8), rng.randbytes(8)
         query, secret = np_gen_query(pk, s, rng)
-        res = np_gen_res(m0, m1, pk, np_query_powers(query, pk), rng)
+        res = np_gen_res(m0, m1, pk, query, rng)
         assert np_retrieve(res, secret, pk) == (m0, m1)[s]
 
 
 class TestSerialization:
     def test_round_trip(self, toy, rng):
         query, _ = np_gen_query(toy, 0, rng)
-        powers = np_query_powers(query, toy)
-        res = np_gen_res(b"\xaa" * 4, b"\xbb" * 4, toy, powers, rng)
+        res = np_gen_res(b"\xaa" * 4, b"\xbb" * 4, toy, query, rng)
         assert decode_np_response(encode_np_response(res)) == res
 
     def test_trailing_bytes_rejected(self, toy, rng):
         query, _ = np_gen_query(toy, 0, rng)
-        res = np_gen_res(b"\x01", b"\x02", toy, np_query_powers(query, toy), rng)
+        res = np_gen_res(b"\x01", b"\x02", toy, query, rng)
         with pytest.raises(DecodeError):
             decode_np_response(encode_np_response(res) + b"\x00")
 
@@ -140,8 +138,7 @@ class TestSuiteContract:
             q_p, sec_p = np_gen_query(toy, s, SeededSource(7))
             assert q_s == q_p and sec_s == sec_p
             res = suite.gen_res(msgs, toy, q_s, SeededSource(8))
-            powers = np_query_powers(q_p, toy)
-            plain = np_gen_res(msgs[0], msgs[1], toy, powers, SeededSource(8))
+            plain = np_gen_res(msgs[0], msgs[1], toy, q_p, SeededSource(8))
             assert res == [plain.e0, plain.e1]
             assert suite.retrieve(res, q_s, sec_s, toy, s) == msgs[s]
 

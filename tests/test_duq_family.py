@@ -3,7 +3,7 @@
 import pytest
 
 from otkit.dq_family import DelegationRequest, dq_p1_gen_query, dq_p2_gen_query
-from otkit.dq_family import FinalQueryPair, MessageDatabase, query_powers
+from otkit.dq_family import FinalQueryPair, MessageDatabase
 from otkit.duq_family import (
     TaggedResponse,
     duq_r_request,
@@ -65,7 +65,7 @@ class TestTaggedTransfer:
         tag = rng.randbytes(16)
         blind1, blind2 = duq_r_request(group512, rng)
         final = _assemble(group512, s1, s2, blind1, blind2)
-        res = duq_s_gen_res(m0, m1, group512, query_powers(final, group512), tag, rng)
+        res = duq_s_gen_res(m0, m1, group512, final, tag, rng)
         got = duq_r_retrieve(res, blind1, blind2, s2, tag, group512)
         assert got == (m0, m1)[s1 ^ s2]
 
@@ -75,8 +75,7 @@ class TestTaggedTransfer:
             m0, m1 = rng.randbytes(16), rng.randbytes(16)
             blind1, blind2 = duq_r_request(group512, rng)
             final = _assemble(group512, bundle.share1, bundle.share2, blind1, blind2)
-            powers = query_powers(final, group512)
-            res = duq_s_gen_res(m0, m1, group512, powers, bundle.tag, rng)
+            res = duq_s_gen_res(m0, m1, group512, final, bundle.tag, rng)
             got = duq_r_retrieve(
                 res, blind1, blind2, bundle.share2, bundle.tag, group512
             )
@@ -90,8 +89,7 @@ class TestTaggedTransfer:
             rng = SeededSource(seed)
             blind1, blind2 = duq_r_request(group512, rng)
             final = _assemble(group512, 0, 0, blind1, blind2)
-            powers = query_powers(final, group512)
-            res = duq_s_gen_res(b"\x01" * 4, b"\x02" * 4, group512, powers, tag, rng)
+            res = duq_s_gen_res(b"\x01" * 4, b"\x02" * 4, group512, final, tag, rng)
             try:
                 one_slot = duq_r_retrieve(
                     TaggedResponse(pair=(res.pair[0], (1, b""))),
@@ -109,16 +107,13 @@ class TestTaggedTransfer:
     def test_length_mismatch(self, group512, rng):
         final = _assemble(group512, 0, 0, 5, 6)
         with pytest.raises(LengthMismatch):
-            duq_s_gen_res(
-                b"\x01", b"\x02\x03", group512, query_powers(final, group512), b"\xaa" * 8, rng
-            )
+            duq_s_gen_res(b"\x01", b"\x02\x03", group512, final, b"\xaa" * 8, rng)
 
     def test_wrong_tag_rejected(self, group512, rng):
         tag = rng.randbytes(16)
         blind1, blind2 = duq_r_request(group512, rng)
         final = _assemble(group512, 1, 0, blind1, blind2)
-        powers = query_powers(final, group512)
-        res = duq_s_gen_res(b"\x0f" * 8, b"\xf0" * 8, group512, powers, tag, rng)
+        res = duq_s_gen_res(b"\x0f" * 8, b"\xf0" * 8, group512, final, tag, rng)
         flipped = bytes([tag[0] ^ 0x01]) + tag[1:]
         with pytest.raises(NoTagMatch):
             duq_r_retrieve(res, blind1, blind2, 0, flipped, group512)

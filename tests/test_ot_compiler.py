@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit.base_ot import np_gen_query, np_gen_res, np_query_powers, np_retrieve, np_suite
+from otkit.base_ot import np_gen_query, np_gen_res, np_retrieve, np_suite
 from otkit.errors import (
     DecodeError,
     EmbeddingOverflow,
@@ -108,8 +108,7 @@ class TestCompiledSession:
             compressed = comp_gen_res(
                 suite, msgs, toy, q_c, selector, pk_R, SeededSource(10)
             )
-            powers = np_query_powers(q_p, toy)
-            plain = np_gen_res(msgs[0], msgs[1], toy, powers, SeededSource(10))
+            plain = np_gen_res(msgs[0], msgs[1], toy, q_p, SeededSource(10))
             got_c = comp_retrieve(suite, compressed, sk_R, q_c, sec_c, toy, s)
             assert got_c == np_retrieve(plain, sec_p, toy) == msgs[s]
 
