@@ -13,9 +13,10 @@ importable, and the checkout's git commit (with `dirty` set when src/ or perfben
 adds runs to an existing record of the same commit, so two checkouts can be
 run in alternation, one seed at a time.
 
---diff prints, for each workload and metric in both files, both medians,
-their ratio B/A, A's interquartile range, and the pair wins: the seeds
-present in both where B's run was better than A's.
+--diff prints each workload's failed and attempted sessions in each file,
+summed over its runs, then, for each workload and metric in both files, both
+medians, their ratio B/A, A's interquartile range, and the pair wins: the
+seeds present in both where B's run was better than A's.
 """
 
 import argparse
@@ -80,6 +81,15 @@ def summarize(runs: list[dict]) -> dict:
     return summary
 
 
+def failures(rec: dict) -> dict[str, tuple[int, int]]:
+    """workload -> (failed, attempted) sessions, summed over the record's runs."""
+    out = {}
+    for run in rec["runs"]:
+        failed, attempted = out.get(run["workload"], (0, 0))
+        out[run["workload"]] = (failed + run["failed"], attempted + run["attempted"])
+    return out
+
+
 def diff_rows(a: dict, b: dict) -> list[dict]:
     """One row per workload and metric that both records hold."""
     rows = []
@@ -111,6 +121,11 @@ def print_diff(path_a: Path, path_b: Path) -> None:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     print(f"A = {path_a} ({a['commit'][:12]}{'+' if a['dirty'] else ''})")
     print(f"B = {path_b} ({b['commit'][:12]}{'+' if b['dirty'] else ''})")
+    fa, fb = failures(a), failures(b)
+    for workload in {**fa, **fb}:
+        shown = ["/".join(map(str, f[workload])) if workload in f else "-"
+                 for f in (fa, fb)]
+        print(f"{workload:<12} failed/attempted  A {shown[0]}  B {shown[1]}")
     print(f"{'workload':<12} {'metric':<16} {'A median':>12} {'B median':>12} "
           f"{'B/A':>7} {'A IQR':>10} {'B wins':>7}")
     for r in diff_rows(a, b):

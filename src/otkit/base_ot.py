@@ -4,7 +4,9 @@ The receiver sends a single group element; the sender derives the companion
 element through the public C, masks each message with a hash of a fresh
 DH share, and the receiver can unmask exactly the slot its blind matches.
 Also defines the pluggable four-operation contract that the response
-compiler consumes, plus that contract's instantiation for this OT.
+compiler consumes, plus that contract's instantiation for this OT. The
+response's wire format lives in the session engine's codec table
+(harness._CODECS), as every payload format does.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,6 @@ from .groupmath import (
 )
 from .primitives import ByteString, hash_H, xor_bytes
 from .rng import RandomSource
-from .wire import Reader, encode_bytes, encode_uint
 
 ResponseElement = tuple[GroupElement, ByteString]
 
@@ -55,13 +56,6 @@ def np_gen_query(
     return b0, NpSecret(r=r, s=s)
 
 
-def np_query_powers(
-    query: GroupElement, pk: GroupParams, uses: int = 1
-) -> tuple[Power, Power]:
-    """Power functions of the query pair (b0, C / b0), each for `uses` exponents."""
-    return base_powers(query, pk, uses), base_powers(elem_div(pk.C, query, pk), pk, uses)
-
-
 def np_gen_res(
     m0: ByteString,
     m1: ByteString,
@@ -70,7 +64,17 @@ def np_gen_res(
     rng: RandomSource,
 ) -> NpResponse:
     """Mask both messages against the query pair (b0, C / b0)."""
-    return _mask_pair(m0, m1, pk, np_query_powers(query, pk), rng)
+    powers = base_powers(query, pk, 1), base_powers(elem_div(pk.C, query, pk), pk, 1)
+    return _mask_pair(m0, m1, pk, powers, rng)
+
+
+def _mask(
+    m: ByteString, power: Power, pk: GroupParams, rng: RandomSource
+) -> ResponseElement:
+    """(g^y, m xor H(power(y))) for a fresh y."""
+    y = rand_scalar(pk, rng)
+    pad = hash_H(elem_to_bytes(power(y), pk), 8 * len(m))
+    return modexp(pk.g, y, pk), xor_bytes(pad, m)
 
 
 def _mask_pair(
@@ -80,16 +84,13 @@ def _mask_pair(
     powers: tuple[Power, Power],
     rng: RandomSource,
 ) -> NpResponse:
-    """Mask m_i with a hash of powers[i](y) for a fresh y per slot. The caller
-    vouches that the powers belong to a pair multiplying to C."""
+    """Mask m_i against powers[i], slot 0 first. The caller vouches that the
+    powers belong to a pair multiplying to C."""
     if len(m0) != len(m1):
         raise LengthMismatch("messages must share the session length")
-    elements = []
-    for i in (0, 1):
-        y = rand_scalar(pk, rng)
-        pad = hash_H(elem_to_bytes(powers[i](y), pk), 8 * len(m0))
-        elements.append((modexp(pk.g, y, pk), xor_bytes(pad, (m0, m1)[i])))
-    return NpResponse(e0=elements[0], e1=elements[1])
+    return NpResponse(
+        e0=_mask(m0, powers[0], pk, rng), e1=_mask(m1, powers[1], pk, rng)
+    )
 
 
 def unmask_element(
@@ -105,26 +106,6 @@ def np_retrieve(res: NpResponse, secret: NpSecret, pk: GroupParams) -> ByteStrin
     """m_s from the response slot matching the stored choice bit."""
     element = res.e0 if secret.s == 0 else res.e1
     return unmask_element(element, secret.r, pk)
-
-
-def encode_response_element(e: ResponseElement) -> bytes:
-    return encode_uint(e[0]) + encode_bytes(e[1])
-
-
-def read_response_element(r: Reader) -> ResponseElement:
-    return (r.read_uint(), r.read_bytes())
-
-
-def encode_np_response(res: NpResponse) -> bytes:
-    return encode_response_element(res.e0) + encode_response_element(res.e1)
-
-
-def decode_np_response(buf: bytes) -> NpResponse:
-    r = Reader(buf)
-    e0 = read_response_element(r)
-    e1 = read_response_element(r)
-    r.expect_end()
-    return NpResponse(e0=e0, e1=e1)
 
 
 @dataclass(frozen=True)
@@ -148,7 +129,7 @@ def _suite_gen_query(pk, n, s, rng):
     if not 0 <= s < n:
         raise IndexOutOfRange(f"choice {s} outside [0, {n})")
     # beyond two messages the query degenerates: every element is masked
-    # against slot 0 of the same pair, one element per index
+    # against the query element b0 itself, one element per index
     return np_gen_query(pk, s if n == 2 else 0, rng)
 
 
@@ -156,8 +137,8 @@ def _suite_gen_res(msgs, pk, query, rng):
     if len(msgs) == 2:
         res = np_gen_res(msgs[0], msgs[1], pk, query, rng)
         return [res.e0, res.e1]
-    powers = np_query_powers(query, pk, uses=len(msgs))
-    return [_mask_pair(m, m, pk, powers, rng).e0 for m in msgs]
+    power = base_powers(query, pk, len(msgs))
+    return [_mask(m, power, pk, rng) for m in msgs]
 
 
 def _suite_retrieve(res_elements, query, secret, pk, s):

@@ -67,9 +67,6 @@ class MessageDatabase:
     def z(self) -> int:
         return len(self.pairs)
 
-    def sigma_bytes(self) -> int:
-        return len(self.pairs[0][0])
-
 
 def dq_r_request(
     s: int, pk: GroupParams, rng: RandomSource

@@ -7,8 +7,10 @@ under the wider hash, then randomly permutes the pair, so the receiver
 recognizes the right slot by the tag alone and never learns the choice bit.
 
 The multi-receiver extension pushes all pairs through P1, which compresses
-them against an encrypted one-hot vector so the receiver gets four
-ciphertexts regardless of the database size.
+them against an encrypted one-hot vector (paillier.one_hot, dealt by the
+issuer) with one homomorphic inner product per pair slot and component
+(paillier.select), so the receiver gets four ciphertexts regardless of the
+database size.
 """
 
 from dataclasses import dataclass
@@ -35,10 +37,9 @@ from .paillier import (
     PaillierPublicKey,
     PaillierSecretKey,
     dec,
-    enc,
-    hadd,
-    hscale,
     kgen,
+    one_hot,
+    select,
 )
 from .primitives import (
     ByteString,
@@ -180,23 +181,18 @@ def embedding_min_bits(pk: GroupParams, sigma_bits: int, lambda_bits: int) -> in
 def duqmr_r_setup(
     bits: int,
     rng: RandomSource,
-    group: GroupParams | None = None,
-    sigma_bits: int = 0,
-    lambda_bits: int = 0,
-    max_attempts: int | None = None,
+    group: GroupParams,
+    sigma_bits: int,
+    lambda_bits: int,
 ) -> tuple[PaillierPublicKey, PaillierSecretKey]:
-    """Receiver's homomorphic keypair, sized to embed every component.
-
-    When the session context (group, sigma, lambda) is known the embedding
-    bound is enforced here; bare calls just generate a key.
-    """
-    if group is not None:
-        needed = embedding_min_bits(group, sigma_bits, lambda_bits)
-        if bits <= needed:
-            raise KeyTooSmall(
-                f"{bits}-bit modulus cannot embed components, need > {needed}"
-            )
-    return kgen(bits, rng, max_attempts)
+    """Receiver's homomorphic keypair, refused unless it can embed every
+    component of the session's group, messages and tags."""
+    needed = embedding_min_bits(group, sigma_bits, lambda_bits)
+    if bits <= needed:
+        raise KeyTooSmall(
+            f"{bits}-bit modulus cannot embed components, need > {needed}"
+        )
+    return kgen(bits, rng)
 
 
 def duqmr_t_setup(
@@ -205,9 +201,7 @@ def duqmr_t_setup(
     """Fresh encryptions of the one-hot vector with 1 at position v."""
     if not 0 <= v < z:
         raise IndexOutOfRange(f"index {v} outside [0, {z})")
-    return CompressVector(
-        entries=tuple(enc(pk_j, 1 if t == v else 0, rng) for t in range(z))
-    )
+    return CompressVector(entries=one_hot(pk_j, z, v, rng))
 
 
 def duqmr_s_gen_res_multi(
@@ -244,17 +238,10 @@ def duqmr_p1_filter(
         raise LengthMismatch(
             f"{len(responses)} responses against {len(w.entries)} selector entries"
         )
-    sums = {}
-    for i in (0, 1):
-        for c in (0, 1):
-            acc = None
-            for t, resp in enumerate(responses):
-                term = hscale(pk_j, w.entries[t], _embed(resp.pair[i][c], pk_j))
-                acc = term if acc is None else hadd(pk_j, acc, term)
-            sums[(i, c)] = acc
-    return FilteredResponse(
-        o00=sums[(0, 0)], o01=sums[(0, 1)], o10=sums[(1, 0)], o11=sums[(1, 1)]
-    )
+    return FilteredResponse(*(
+        select(pk_j, w.entries, [_embed(resp.pair[i][c], pk_j) for resp in responses])
+        for i in (0, 1) for c in (0, 1)
+    ))
 
 
 def duqmr_r_retrieve(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import PrimeSearchExhausted, UsageError
+from .errors import UsageError
 from .numth import HAVE_GMPY2, gen_safe_prime, invmod, powmod
 from .rng import RandomSource
 
@@ -93,25 +93,21 @@ def toy_group(a: int = 8, retain_dlog: bool = False) -> GroupParams:
 
 
 def gen_group(
-    lambda_bits: int,
-    rng: RandomSource,
-    retain_dlog: bool = False,
-    fresh_modulus: bool = False,
-    max_attempts: int | None = None,
+    lambda_bits: int, rng: RandomSource, retain_dlog: bool = False
 ) -> GroupParams:
     """Group parameters with a q of lambda_bits bits and a fresh C = g^a.
 
-    Pinned moduli are used when available unless fresh_modulus forces a
-    search. Raises PrimeSearchExhausted when the search budget runs out.
+    Pinned moduli are used when available, else a safe prime is searched
+    for. Raises PrimeSearchExhausted when the search budget runs out.
     """
     if lambda_bits < 4:
         raise UsageError("lambda_bits must be at least 4")
-    if not fresh_modulus and lambda_bits in PINNED_SAFE_PRIMES:
+    if lambda_bits in PINNED_SAFE_PRIMES:
         P = PINNED_SAFE_PRIMES[lambda_bits]
         q = (P - 1) // 2
         g = PINNED_G
     else:
-        P, q = gen_safe_prime(lambda_bits, rng, max_attempts)
+        P, q = gen_safe_prime(lambda_bits, rng)
         while True:
             h = 2 + rng.randbelow(P - 3)
             g = powmod(h, 2, P)

@@ -4,11 +4,14 @@ One session owns every role's state and plays the protocol's phases in
 their canonical order over an in-process bus. Each message goes through
 `_hop`, which encodes it with its type's entry in the codec table `_CODECS`,
 frames and round-trips the envelope, records it, and decodes it for the
-receiving role. Table entries look `encode_uint`, `encode_bytes` and the
-`Reader` methods up by name when called, so a tracer that rebinds them sees
-every call. The four delegated-query protocols share one pipeline,
-`_run_delegated`; the protocol id fixes who deals the choice-bit shares (the
-receiver or an issuer) and whether P1 filters a whole database's response.
+receiving role. The table is the only home of the payload formats: the
+protocol modules build and consume values and never touch bytes, and no
+other module imports from `wire`. Table entries look `encode_uint`,
+`encode_bytes` and the `Reader` methods up by name when called, so a tracer
+that rebinds them sees every call. The four delegated-query protocols share
+one pipeline, `_run_delegated`; the protocol id fixes who deals the
+choice-bit shares (the receiver or an issuer) and whether P1 filters a whole
+database's response.
 
 A ProtocolError ends the run as error:<Name> at the role that raised it (for
 a failed decode, the hop's receiver). Phase wall-clock timings ride along
@@ -21,17 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import supersonic as sup
-from .base_ot import (
-    decode_np_response,
-    encode_np_response,
-    encode_response_element,
-    np_gen_query,
-    np_gen_res,
-    np_retrieve,
-    np_suite,
-    read_response_element,
-    NpResponse,
-)
+from .base_ot import NpResponse, np_gen_query, np_gen_res, np_retrieve, np_suite
 from .dq_family import (
     DelegationRequest,
     FinalQueryPair,
@@ -77,12 +70,11 @@ from .groupmath import (
     toy_group,
 )
 from .ot_compiler import (
+    CompressedResponse,
     SelectorVector,
     comp_gen_query,
     comp_gen_res,
     comp_retrieve,
-    decode_compressed_response,
-    encode_compressed_response,
 )
 from .paillier import HomCiphertext, kgen
 from .rng import SeededSource
@@ -318,6 +310,30 @@ def _vector(encode_item, read_item):
     )
 
 
+def _encode_pair(pair) -> bytes:
+    """Two response elements, each a group element and then a masked body."""
+    return b"".join(encode_uint(head) + encode_bytes(body) for head, body in pair)
+
+
+def _read_pair(r: Reader) -> tuple:
+    return tuple((r.read_uint(), r.read_bytes()) for _ in range(2))
+
+
+def _encode_full_width(value) -> bytes:
+    """(response, pk_R) as a count and the ciphertexts, each at the width of
+    n^2, so the length is blind to the message count."""
+    cr, pk_R = value
+    width = (pk_R.n_squared.bit_length() + 7) // 8
+    return len(cr.components).to_bytes(4, "big") + b"".join(
+        width.to_bytes(4, "big") + ct.value.to_bytes(width, "big")
+        for ct in cr.components
+    )
+
+
+# (encode, read) for one response pair: RESPONSE alone, or RESPONSE_VEC's items
+_PAIR = (
+    lambda res: _encode_pair((res.e0, res.e1)), lambda r: NpResponse(*_read_pair(r))
+)
 _UINT = (lambda x: encode_uint(x), _reading(lambda r: r.read_uint()))
 _BIT = (lambda b: bytes((b,)), _reading(_read_bit))
 _BYTES = (lambda b: encode_bytes(b), _reading(lambda r: r.read_bytes()))
@@ -340,13 +356,8 @@ _CODECS = {
         lambda b: encode_uint(b.b0) + encode_uint(b.b1),
         _reading(lambda r: FinalQueryPair(b0=r.read_uint(), b1=r.read_uint())),
     ),
-    MsgType.RESPONSE: (
-        lambda res: encode_np_response(res), lambda buf: decode_np_response(buf)
-    ),
-    MsgType.RESPONSE_VEC: _vector(
-        lambda res: encode_np_response(res),
-        lambda r: NpResponse(e0=read_response_element(r), e1=read_response_element(r)),
-    ),
+    MsgType.RESPONSE: (_PAIR[0], _reading(_PAIR[1])),
+    MsgType.RESPONSE_VEC: _vector(*_PAIR),
     MsgType.ISSUER_REQ1: _BIT,
     MsgType.ISSUER_REQ2: _BIT,
     MsgType.SP_S: _BYTES,
@@ -356,9 +367,8 @@ _CODECS = {
     ),
     MsgType.COMPRESS_VEC: _CIPHERTEXTS,
     MsgType.TAGGED_RESPONSE_VEC: _vector(
-        lambda res: b"".join(encode_response_element(e) for e in res.pair),
-        lambda r: TaggedResponse(
-            pair=(read_response_element(r), read_response_element(r))),
+        lambda res: _encode_pair(res.pair),
+        lambda r: TaggedResponse(pair=_read_pair(r)),
     ),
     MsgType.FILTERED_RESPONSE: (
         lambda f: b"".join(encode_uint(o.value) for o in (f.o00, f.o01, f.o10, f.o11)),
@@ -366,10 +376,8 @@ _CODECS = {
             *(HomCiphertext(r.read_uint()) for _ in range(4)))),
     ),
     MsgType.SELECTOR_VEC: _CIPHERTEXTS,
-    # the value is (response, pk_R): ciphertexts travel at the key's full width
     MsgType.COMPRESSED_RESPONSE: (
-        lambda cr_pk: encode_compressed_response(*cr_pk),
-        lambda buf: decode_compressed_response(buf),
+        _encode_full_width, lambda buf: CompressedResponse(_CIPHERTEXTS[1](buf))
     ),
     MsgType.PAD_KEYS: (
         lambda k: encode_bytes(k.k0) + encode_bytes(k.k1),

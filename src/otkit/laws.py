@@ -36,6 +36,7 @@ from .duq_family import (
 from .errors import ConsistencyAbort, LawViolation, NoTagMatch, TruncatedFrame
 from .groupmath import elem_mul, modexp, rand_scalar
 from .harness import (
+    _CODECS,
     GOLDEN_PHASES,
     PROTOCOLS,
     Envelope,
@@ -47,13 +48,8 @@ from .harness import (
     export_transcript,
     run_session,
 )
-from .ot_compiler import (
-    comp_gen_query,
-    comp_gen_res,
-    comp_retrieve,
-    encode_compressed_response,
-)
-from .paillier import dec, enc, hadd, hscale
+from .ot_compiler import comp_gen_query, comp_gen_res, comp_retrieve
+from .paillier import dec, enc, hadd, hscale, one_hot, select
 from .rng import SeededSource
 from .supersonic import sup_gen_res, sup_obl_filter, sup_retrieve, sup_setup
 
@@ -231,11 +227,12 @@ def compiler_equivalence(params, key, trials: int, seed: int) -> tuple[int, int]
         if not compiled == plain == msgs[s]:
             raise LawViolation(f"compiled and plain runs disagree in run {k}")
     sizes = set()
+    encode, _ = _CODECS[MsgType.COMPRESSED_RESPONSE]
     for n in (2, 4, 8):
         msgs = [rng.randbytes(16) for _ in range(n)]
         q, _, selector = comp_gen_query(suite, params, n, n - 1, pk, rng)
         compressed = comp_gen_res(suite, msgs, params, q, selector, pk, rng)
-        sizes.add(len(encode_compressed_response(compressed, pk)))
+        sizes.add(len(encode((compressed, pk))))
     if len(sizes) != 1:
         raise LawViolation(f"response size varies with n: {sorted(sizes)}")
     return 2 * trials, sizes.pop()
@@ -258,11 +255,7 @@ def homomorphic_laws(key, triples: int, seed: int) -> int:
     for z in (1, 4, 16):
         values = [rng.randbelow(1 << 64) for _ in range(z)]
         for v in range(z):
-            acc = None
-            for t, value in enumerate(values):
-                term = hscale(pk, enc(pk, int(t == v), rng), value)
-                acc = term if acc is None else hadd(pk, acc, term)
-            if dec(sk, acc) != values[v]:
+            if dec(sk, select(pk, one_hot(pk, z, v, rng), values)) != values[v]:
                 raise LawViolation(f"selector {v} of {z} picked the wrong value")
     return triples
 

@@ -84,11 +84,11 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
     return _mr_backend(n, rounds)
 
 
-def gen_prime(bits: int, rng, max_attempts: int | None = None) -> int:
+def gen_prime(bits: int, rng) -> int:
     """Random prime with the top bit set, candidates drawn from rng."""
     if bits < 3:
         raise ValueError("bits must be at least 3")
-    budget = max_attempts if max_attempts is not None else 400 * bits
+    budget = 400 * bits
     for _ in range(budget):
         cand = rng.randbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(cand):
@@ -96,9 +96,9 @@ def gen_prime(bits: int, rng, max_attempts: int | None = None) -> int:
     raise PrimeSearchExhausted(f"no {bits}-bit prime in {budget} attempts")
 
 
-def gen_safe_prime(qbits: int, rng, max_attempts: int | None = None) -> tuple[int, int]:
+def gen_safe_prime(qbits: int, rng) -> tuple[int, int]:
     """Safe prime pair (P, q) with P = 2q + 1 and q of exactly qbits bits."""
-    budget = max_attempts if max_attempts is not None else 4000 * qbits * qbits
+    budget = 4000 * qbits * qbits
     for _ in range(budget):
         q = rng.randbits(qbits) | (1 << (qbits - 1)) | 1
         # P = 2q+1 is divisible by 3 unless q = 2 mod 3; skip those cheaply

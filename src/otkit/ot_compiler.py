@@ -1,10 +1,12 @@
 """Constant-size-response wrapper around any conventional OT suite.
 
-The receiver ships an encrypted one-hot selector along with its base query.
-The sender still computes every base response element, but collapses them
-into a single element's worth of ciphertexts by a component-wise homomorphic
-inner product with the selector, so the response size stops depending on the
-message count.
+The receiver ships an encrypted one-hot selector (paillier.one_hot) along
+with its base query. The sender still computes every base response element,
+but collapses them into a single element's worth of ciphertexts by a
+component-wise homomorphic inner product with the selector (paillier.select),
+so the response size stops depending on the message count. The response
+travels with each ciphertext at the key's full width; that format is the
+COMPRESSED_RESPONSE entry of the codec table in harness.py.
 
 Embedding: every component travels through the plaintext space as the
 big-endian integer of a 2-byte length header followed by the component bytes,
@@ -26,13 +28,11 @@ from .paillier import (
     PaillierPublicKey,
     PaillierSecretKey,
     dec,
-    enc,
-    hadd,
-    hscale,
+    one_hot,
+    select,
 )
 from .primitives import ByteString
 from .rng import RandomSource
-from .wire import Reader
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,7 @@ def comp_gen_query(
         if pk_R.bits() <= needed:
             raise KeyTooSmall(f"need a modulus over {needed} bits")
     base_query, base_secret = suite.gen_query(pk_base, n, s, rng)
-    selector = SelectorVector(
-        entries=tuple(enc(pk_R, 1 if i == s else 0, rng) for i in range(n))
-    )
-    return base_query, base_secret, selector
+    return base_query, base_secret, SelectorVector(entries=one_hot(pk_R, n, s, rng))
 
 
 def comp_gen_res(
@@ -130,17 +127,10 @@ def comp_gen_res(
             f"{len(msgs)} messages against {len(selector.entries)} selector entries"
         )
     elements = suite.gen_res(msgs, pk_base, base_query, rng)
-    w = len(suite.component_kinds)
-    components = []
-    for c in range(w):
-        acc = None
-        for i, element in enumerate(elements):
-            term = hscale(
-                pk_R, selector.entries[i], embed_component(element[c], pk_R)
-            )
-            acc = term if acc is None else hadd(pk_R, acc, term)
-        components.append(acc)
-    return CompressedResponse(components=tuple(components))
+    return CompressedResponse(components=tuple(
+        select(pk_R, selector.entries, [embed_component(e[c], pk_R) for e in elements])
+        for c in range(len(suite.component_kinds))
+    ))
 
 
 def comp_retrieve(
@@ -158,20 +148,3 @@ def comp_retrieve(
         for ct, kind in zip(compressed.components, suite.component_kinds)
     )
     return suite.retrieve([element], base_query, base_secret, pk_base, s)
-
-
-def encode_compressed_response(cr: CompressedResponse, pk_R: PaillierPublicKey) -> bytes:
-    """Ciphertexts at the full modulus width, so length is blind to n."""
-    width = (pk_R.n_squared.bit_length() + 7) // 8
-    out = [len(cr.components).to_bytes(4, "big")]
-    for ct in cr.components:
-        out.append(width.to_bytes(4, "big") + ct.value.to_bytes(width, "big"))
-    return b"".join(out)
-
-
-def decode_compressed_response(buf: bytes) -> CompressedResponse:
-    r = Reader(buf)
-    count = r.read_u32()
-    components = tuple(HomCiphertext(r.read_uint()) for _ in range(count))
-    r.expect_end()
-    return CompressedResponse(components=components)

@@ -1,7 +1,10 @@
 """Additive homomorphic encryption (Paillier, generator fixed at n + 1).
 
 Used for oblivious filtering and response compression: ciphertexts support
-addition of plaintexts and multiplication by a known scalar. The secret key
+addition of plaintexts and multiplication by a known scalar. Both constructions
+that use it pick one of z values the same way, so that step lives here once:
+one_hot encrypts a selector that is 1 at one index and 0 elsewhere, and select
+takes its homomorphic inner product with z plaintext values. The secret key
 keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
 joins the halves by CRT (Paillier, EUROCRYPT '99, section 7): two
 exponentiations with half-size moduli and exponents, about 3x faster than
@@ -23,7 +26,6 @@ from .rng import RandomSource
 class PaillierPublicKey:
     n: int
     n_squared: int
-    generator: int
 
     def bits(self) -> int:
         return self.n.bit_length()
@@ -48,21 +50,18 @@ class HomCiphertext:
     value: int
 
 
-def kgen(
-    bits: int, rng: RandomSource, max_attempts: int | None = None
-) -> tuple[PaillierPublicKey, PaillierSecretKey]:
+def kgen(bits: int, rng: RandomSource) -> tuple[PaillierPublicKey, PaillierSecretKey]:
     """Keypair with an n of exactly the requested bit length."""
     if bits < 16:
         raise ValueError("modulus below 16 bits cannot embed anything useful")
     half = bits // 2
     while True:
-        p = gen_prime(half, rng, max_attempts)
-        r = gen_prime(bits - half, rng, max_attempts)
+        p = gen_prime(half, rng)
+        r = gen_prime(bits - half, rng)
         if p != r and (p * r).bit_length() == bits:
             break
     n = p * r
-    n_sq = n * n
-    pk = PaillierPublicKey(n=n, n_squared=n_sq, generator=n + 1)
+    pk = PaillierPublicKey(n=n, n_squared=n * n)
     return pk, PaillierSecretKey(
         pk=pk,
         p=p,
@@ -104,3 +103,25 @@ def hadd(pk: PaillierPublicKey, c1: HomCiphertext, c2: HomCiphertext) -> HomCiph
 def hscale(pk: PaillierPublicKey, c: HomCiphertext, k: int) -> HomCiphertext:
     """Ciphertext of m * k mod n."""
     return HomCiphertext(value=powmod(c.value, k, pk.n_squared))
+
+
+def one_hot(
+    pk: PaillierPublicKey, size: int, hot: int, rng: RandomSource
+) -> tuple[HomCiphertext, ...]:
+    """Fresh encryptions of 1 at index hot and 0 elsewhere, drawn in index order."""
+    return tuple(enc(pk, 1 if i == hot else 0, rng) for i in range(size))
+
+
+def select(
+    pk: PaillierPublicKey, selector: tuple[HomCiphertext, ...], values: list[int]
+) -> HomCiphertext:
+    """Ciphertext of sum_i m_i * values[i] for the selector's plaintexts m_i:
+    values[hot] under a one-hot selector. Needs at least one value.
+
+    hscale and hadd are looked up as module globals, so a tracer that rebinds
+    them counts every call."""
+    acc = None
+    for c, k in zip(selector, values):
+        term = hscale(pk, c, k)
+        acc = term if acc is None else hadd(pk, acc, term)
+    return acc

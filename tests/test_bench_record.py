@@ -65,3 +65,21 @@ def test_diff_command_prints_one_line_per_metric(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[-1].split()
     assert line[:2] == ["dh-2048", "session_ms"]
     assert line[4] == "0.800" and line[-1] == "1/1"
+
+
+def test_diff_prints_failed_and_attempted_per_workload(tmp_path, capsys):
+    a = _record("dh-2048", {901: {"session_ms": 10.0}, 902: {"session_ms": 11.0}})
+    b = _record("dh-2048", {901: {"session_ms": 9.0}, 902: {"session_ms": 9.5}})
+    b["runs"][1]["failed"] = 3
+    b["runs"].append({"workload": "pad-small", "seed": 901, "correct": True,
+                      "attempted": 50, "failed": 0, "metrics": {}})
+    assert bench_record.failures(b) == {"dh-2048": (3, 20), "pad-small": (0, 50)}
+    paths = []
+    for name, rec in (("A", a), ("B", b)):
+        path = tmp_path / f"BENCH_{name}.json"
+        path.write_text(json.dumps(rec))
+        paths.append(str(path))
+    assert bench_record.main(["--diff", *paths]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "dh-2048      failed/attempted  A 0/20  B 3/20" in out
+    assert "pad-small    failed/attempted  A -  B 0/50" in out

@@ -159,7 +159,7 @@ class TestMessageDatabase:
     def test_shape_accessors(self, z, width):
         pairs = tuple((bytes([i]) * width, bytes([255 - i]) * width) for i in range(z))
         db = MessageDatabase(pairs=pairs)
-        assert db.z == z and db.sigma_bytes() == width
+        assert db.z == z
 
 
 class TestMultiReceiver:

@@ -145,10 +145,6 @@ class TestEmbeddingBounds:
         with pytest.raises(KeyTooSmall):
             duqmr_r_setup(512, rng, group=group512, sigma_bits=64, lambda_bits=64)
 
-    def test_setup_bare_generates(self, rng):
-        pk_j, sk_j = duqmr_r_setup(128, rng)
-        assert pk_j.n.bit_length() == 128 and sk_j.pk.n == pk_j.n
-
     def test_setup_sized_generates(self, toy, rng):
         pk_j, _ = duqmr_r_setup(160, rng, group=toy, sigma_bits=64, lambda_bits=64)
         assert pk_j.n.bit_length() == 160

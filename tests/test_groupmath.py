@@ -130,7 +130,7 @@ class TestGenGroup:
         assert a.a is None
 
     def test_fresh_modulus_search(self):
-        params = gen_group(32, SeededSource(3), fresh_modulus=True)
+        params = gen_group(32, SeededSource(3))
         assert params.q.bit_length() == 32
         assert is_probable_prime(params.P)
         assert is_probable_prime(params.q)
@@ -154,7 +154,7 @@ def any_group(request):
     if request.param == "toy":
         return toy_group(retain_dlog=True)
     if request.param == "fresh":
-        return gen_group(32, SeededSource(3), retain_dlog=True, fresh_modulus=True)
+        return gen_group(32, SeededSource(3), retain_dlog=True)
     return gen_group(request.param, SeededSource(request.param), retain_dlog=True)
 
 

@@ -1,5 +1,8 @@
 """Session engine: framing, golden phase orders, views, determinism."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,6 +264,26 @@ SHARE_TYPES = (MsgType.REQ1, MsgType.REQ2, MsgType.ISSUER_REQ1, MsgType.ISSUER_R
 class TestCodecTable:
     def test_table_covers_every_type(self, samples):
         assert set(harness._CODECS) == set(MsgType) == set(samples)
+
+    def test_only_the_engine_imports_the_wire_layer(self):
+        # every payload format lives in the table, so no protocol module
+        # needs encode_uint, encode_bytes or Reader
+        def imports_wire(node) -> bool:
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                return node.module in ("wire", "otkit.wire") or (
+                    node.module in (None, "otkit") and "wire" in names
+                )
+            return isinstance(node, ast.Import) and any(
+                a.name == "otkit.wire" for a in node.names
+            )
+
+        importers = {
+            path.stem
+            for path in Path(harness.__file__).parent.glob("*.py")
+            if any(map(imports_wire, ast.walk(ast.parse(path.read_text()))))
+        }
+        assert importers == {"harness"}
 
     # COMPRESSED_RESPONSE's encoder also takes the key, for the ciphertext width
     @pytest.mark.parametrize(

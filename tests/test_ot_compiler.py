@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otkit import paillier
 from otkit.base_ot import np_gen_query, np_gen_res, np_retrieve, np_suite
 from otkit.errors import (
     DecodeError,
@@ -12,17 +13,18 @@ from otkit.errors import (
     KeyTooSmall,
     LengthMismatch,
 )
+from otkit.harness import _CODECS, MsgType, SessionConfig, run_session
 from otkit.ot_compiler import (
     HEADER_BYTES,
     comp_gen_query,
     comp_gen_res,
     comp_retrieve,
-    decode_compressed_response,
     embed_component,
-    encode_compressed_response,
     unembed_component,
 )
 from otkit.rng import SeededSource
+
+ENCODE, DECODE = _CODECS[MsgType.COMPRESSED_RESPONSE]
 
 
 class TestEmbedding:
@@ -158,7 +160,7 @@ class TestConstantSize:
             msgs = [bytes([i]) * 8 for i in range(n)]
             q, _, selector = comp_gen_query(suite, toy, n, 0, pk_R, rng)
             compressed = comp_gen_res(suite, msgs, toy, q, selector, pk_R, rng)
-            sizes.add(len(encode_compressed_response(compressed, pk_R)))
+            sizes.add(len(ENCODE((compressed, pk_R))))
         assert len(sizes) == 1
 
     def test_component_count_is_suite_arity(self, toy, paillier512, rng):
@@ -177,5 +179,17 @@ class TestConstantSize:
         compressed = comp_gen_res(
             suite, [bytes([i]) * 4 for i in range(4)], toy, q, selector, pk_R, rng
         )
-        wire = encode_compressed_response(compressed, pk_R)
-        assert decode_compressed_response(wire) == compressed
+        wire = ENCODE((compressed, pk_R))
+        assert DECODE(wire) == compressed
+
+
+class TestOperationCounts:
+    def test_comp_np_paillier_operations_per_session(self, count_calls):
+        # one key, the two-entry selector, and one two-term inner product
+        # and one decryption per response component
+        counts = count_calls(*(getattr(paillier, op) for op in
+                               ("kgen", "enc", "hscale", "hadd", "dec")))
+        cfg = SessionConfig(protocol="comp-np", sigma_bits=64, toy=True, seed=5, s=1,
+                            m0=b"\x0a" * 8, m1=b"\xf5" * 8)
+        assert run_session(cfg).outputs == {"RECEIVER": b"\xf5" * 8}
+        assert counts == {"kgen": 1, "enc": 2, "hscale": 4, "hadd": 2, "dec": 2}

@@ -14,6 +14,8 @@ from otkit.paillier import (
     hadd,
     hscale,
     kgen,
+    one_hot,
+    select,
 )
 from otkit.rng import SeededSource
 
@@ -23,7 +25,6 @@ class TestKeygen:
         pk, sk = paillier512
         assert pk.bits() == 512
         assert pk.n_squared == pk.n * pk.n
-        assert pk.generator == pk.n + 1
         assert sk.pk is pk
 
     def test_tiny_modulus_rejected(self, rng):
@@ -89,12 +90,21 @@ class TestHomomorphism:
         pk, sk = paillier512
         values = [rng.randbelow(1 << 64) for _ in range(8)]
         for v in (0, 3, 7):
-            one_hot = [enc(pk, 1 if i == v else 0, rng) for i in range(8)]
-            acc = None
-            for ct, val in zip(one_hot, values):
-                term = hscale(pk, ct, val)
-                acc = term if acc is None else hadd(pk, acc, term)
-            assert dec(sk, acc) == values[v]
+            selector = one_hot(pk, 8, v, rng)
+            assert [dec(sk, ct) for ct in selector] == [int(i == v) for i in range(8)]
+            assert dec(sk, select(pk, selector, values)) == values[v]
+
+    def test_one_hot_encrypts_in_index_order(self, paillier512):
+        pk, _ = paillier512
+        rng = SeededSource(5)
+        expected = tuple(enc(pk, int(i == 2), rng) for i in range(4))
+        assert one_hot(pk, 4, 2, SeededSource(5)) == expected
+
+    def test_select_is_the_weighted_sum(self, paillier512, rng):
+        pk, sk = paillier512
+        weights, values = [3, 0, 5], [7, 11, 13]
+        selector = tuple(enc(pk, w, rng) for w in weights)
+        assert dec(sk, select(pk, selector, values)) == 3 * 7 + 5 * 13
 
 
 class TestRandomization:
