@@ -87,8 +87,11 @@ def _build_config(args) -> SessionConfig:
 def cmd_run(args) -> int:
     transcript = run_session(_build_config(args))
     if args.transcript:
-        with open(args.transcript, "w", encoding="ascii") as fh:
-            fh.write(export_transcript(transcript))
+        try:
+            with open(args.transcript, "w", encoding="ascii") as fh:
+                fh.write(export_transcript(transcript))
+        except OSError as err:
+            raise UsageError(f"cannot write transcript: {err}") from None
     for role, value in sorted(transcript.outputs.items()):
         if isinstance(value, str) and value.startswith("error:"):
             print(f"protocol error: {value[6:]} ({role})", file=sys.stderr)

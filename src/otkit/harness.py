@@ -20,6 +20,7 @@ for the bench command but stay out of the canonical export.
 
 import enum
 import secrets
+import struct
 import time
 from dataclasses import dataclass, field
 
@@ -122,36 +123,38 @@ class Envelope:
     payload: bytes
 
 
+# 4-byte total length, from-role byte, to-role byte, tag byte; the one
+# header layout, shared by the framer and the parser
+_HEADER = struct.Struct(">IBBB")
+_ROLE_BY_BYTE = {r.value: r for r in Role}
+_TYPE_BY_BYTE = {m.value: m for m in MsgType}
+
+
 def encode_envelope(e: Envelope) -> bytes:
-    """4-byte total length, from-role byte, to-role byte, tag byte, payload."""
+    """The 7-byte header, then the payload."""
     if len(e.payload) >= (1 << 32) - 3:
         raise ValueError("payload too long for the frame")
-    total = 3 + len(e.payload)
-    return (
-        total.to_bytes(4, "big")
-        + bytes((e.src.value, e.dst.value, e.msg_type.value))
-        + e.payload
-    )
+    return _HEADER.pack(3 + len(e.payload), e.src, e.dst, e.msg_type) + e.payload
 
 
 def decode_envelope(buf: bytes) -> Envelope:
-    if len(buf) < 4:
-        raise TruncatedFrame("frame shorter than its length field")
-    total = int.from_bytes(buf[:4], "big")
-    if total < 3 or len(buf) - 4 != total:
-        raise TruncatedFrame(
-            f"declared {total} bytes, frame carries {len(buf) - 4}"
-        )
-    try:
-        src = Role(buf[4])
-        dst = Role(buf[5])
-    except ValueError:
-        raise UnknownRole(f"role bytes {buf[4]:#x}/{buf[5]:#x}") from None
-    try:
-        mtype = MsgType(buf[6])
-    except ValueError:
-        raise UnknownTag(f"message type byte {buf[6]:#x}") from None
-    return Envelope(src=src, dst=dst, msg_type=mtype, payload=buf[7:])
+    size = len(buf)
+    if size < _HEADER.size:
+        if size < 4:
+            raise TruncatedFrame("frame shorter than its length field")
+        total = int.from_bytes(buf[:4], "big")
+        raise TruncatedFrame(f"declared {total} bytes, frame carries {size - 4}")
+    total, src, dst, tag = _HEADER.unpack_from(buf)
+    if size - 4 != total:
+        raise TruncatedFrame(f"declared {total} bytes, frame carries {size - 4}")
+    src_role = _ROLE_BY_BYTE.get(src)
+    dst_role = _ROLE_BY_BYTE.get(dst)
+    if src_role is None or dst_role is None:
+        raise UnknownRole(f"role bytes {src:#x}/{dst:#x}")
+    mtype = _TYPE_BY_BYTE.get(tag)
+    if mtype is None:
+        raise UnknownTag(f"message type byte {tag:#x}")
+    return Envelope(src_role, dst_role, mtype, buf[_HEADER.size:])
 
 
 PROTOCOLS = (
@@ -304,15 +307,18 @@ def _read_bit(r: Reader) -> int:
 def _vector(encode_item, read_item):
     """Codec for a 4-byte count followed by that many items, as a tuple."""
     return (
-        lambda items: len(items).to_bytes(4, "big")
-        + b"".join(encode_item(x) for x in items),
+        lambda items: b"".join(
+            [len(items).to_bytes(4, "big"), *map(encode_item, items)]
+        ),
         _reading(lambda r: tuple(read_item(r) for _ in range(r.read_u32()))),
     )
 
 
 def _encode_pair(pair) -> bytes:
     """Two response elements, each a group element and then a masked body."""
-    return b"".join(encode_uint(head) + encode_bytes(body) for head, body in pair)
+    (head0, body0), (head1, body1) = pair
+    return b"".join((encode_uint(head0), encode_bytes(body0),
+                     encode_uint(head1), encode_bytes(body1)))
 
 
 def _read_pair(r: Reader) -> tuple:
@@ -324,10 +330,11 @@ def _encode_full_width(value) -> bytes:
     n^2, so the length is blind to the message count."""
     cr, pk_R = value
     width = (pk_R.n_squared.bit_length() + 7) // 8
-    return len(cr.components).to_bytes(4, "big") + b"".join(
-        width.to_bytes(4, "big") + ct.value.to_bytes(width, "big")
-        for ct in cr.components
-    )
+    prefix = width.to_bytes(4, "big")
+    parts = [len(cr.components).to_bytes(4, "big")]
+    for ct in cr.components:
+        parts += (prefix, ct.value.to_bytes(width, "big"))
+    return b"".join(parts)
 
 
 # (encode, read) for one response pair: RESPONSE alone, or RESPONSE_VEC's items
@@ -349,11 +356,11 @@ _CODECS = {
     MsgType.REQ1: _DELEGATION,
     MsgType.REQ2: _DELEGATION,
     MsgType.PARTIAL_Q: (
-        lambda d: encode_uint(d.d0) + encode_uint(d.d1),
+        lambda d: encode_uint(d.d0, d.d1),
         _reading(lambda r: PartialQueryPair(d0=r.read_uint(), d1=r.read_uint())),
     ),
     MsgType.FINAL_Q: (
-        lambda b: encode_uint(b.b0) + encode_uint(b.b1),
+        lambda b: encode_uint(b.b0, b.b1),
         _reading(lambda r: FinalQueryPair(b0=r.read_uint(), b1=r.read_uint())),
     ),
     MsgType.RESPONSE: (_PAIR[0], _reading(_PAIR[1])),
@@ -371,7 +378,7 @@ _CODECS = {
         lambda r: TaggedResponse(pair=_read_pair(r)),
     ),
     MsgType.FILTERED_RESPONSE: (
-        lambda f: b"".join(encode_uint(o.value) for o in (f.o00, f.o01, f.o10, f.o11)),
+        lambda f: encode_uint(*(o.value for o in (f.o00, f.o01, f.o10, f.o11))),
         _reading(lambda r: FilteredResponse(
             *(HomCiphertext(r.read_uint()) for _ in range(4)))),
     ),
@@ -380,13 +387,13 @@ _CODECS = {
         _encode_full_width, lambda buf: CompressedResponse(_CIPHERTEXTS[1](buf))
     ),
     MsgType.PAD_KEYS: (
-        lambda k: encode_bytes(k.k0) + encode_bytes(k.k1),
+        lambda k: encode_bytes(k.k0, k.k1),
         _reading(lambda r: sup.PadKeys(k0=r.read_bytes(), k1=r.read_bytes())),
     ),
     MsgType.SUP_Q1: _BIT,
     MsgType.SUP_Q2: _BIT,
     MsgType.SUP_EPAIR: (
-        lambda e: encode_bytes(e.c0) + encode_bytes(e.c1),
+        lambda e: encode_bytes(e.c0, e.c1),
         _reading(lambda r: sup.EncPair(c0=r.read_bytes(), c1=r.read_bytes())),
     ),
     MsgType.SUP_RESULT: _BYTES,
@@ -404,7 +411,7 @@ def _hop(t: SessionTranscript, src: Role, dst: Role, mtype: MsgType, value, code
     codec replaces the table's entry for the issuer variants' bare blinds.
     """
     encode, decode = codec or _CODECS[mtype]
-    env = Envelope(src=src, dst=dst, msg_type=mtype, payload=encode(value))
+    env = Envelope(src, dst, mtype, encode(value))
     try:
         round_tripped = decode_envelope(encode_envelope(env))
         if round_tripped != env:

@@ -121,6 +121,13 @@ class TestRun:
         assert blobs[0] == blobs[1]
         assert b"protocol dq-ot" in blobs[0]
 
+    def test_unwritable_transcript_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.txt"
+        rc = main(["run", "supersonic", "--m0", "00", "--m1", "ff", "--s", "1",
+                   "--sigma", "8", "--seed", "7", "--transcript", str(path)])
+        assert rc == 2
+        assert "cannot write transcript" in capsys.readouterr().err
+
     def test_tamper_hook_aborts(self, capsys):
         rc = main(["run", "dq-ot", "--m0", "aa", "--m1", "bb", "--s", "1",
                    "--sigma", "8", "--seed", "5", "--inject-tamper", "beta"])

@@ -69,24 +69,36 @@ class TestEnvelopeCodec:
     def test_truncated_frames(self):
         env = Envelope(Role.P1, Role.P2, MsgType.PARTIAL_Q, b"\xaa" * 10)
         wire = encode_envelope(env)
-        for cut in (0, 3, 6, len(wire) - 1):
-            with pytest.raises(TruncatedFrame):
-                decode_envelope(wire[:cut])
-        with pytest.raises(TruncatedFrame):
-            decode_envelope(wire + b"\x00")
+        short = "frame shorter than its length field"
+        for frame, message in (
+            (wire[:0], short),
+            (wire[:3], short),
+            (wire[:6], "declared 13 bytes, frame carries 2"),
+            (wire[:-1], "declared 13 bytes, frame carries 12"),
+            (wire + b"\x00", "declared 13 bytes, frame carries 14"),
+        ):
+            with pytest.raises(TruncatedFrame) as err:
+                decode_envelope(frame)
+            assert str(err.value) == message
 
-    def test_unknown_role(self):
+    # bytes on both sides of each table's range, so an off-by-one shows
+    @pytest.mark.parametrize("byte", [0x00, 0x07, 0xFF])
+    def test_unknown_role(self, byte):
         wire = encode_envelope(Envelope(Role.P1, Role.P2, MsgType.REQ1, b""))
-        for byte_at in (4, 5):
-            bad = wire[:byte_at] + b"\x00" + wire[byte_at + 1:]
-            with pytest.raises(UnknownRole):
+        for byte_at, message in ((4, f"role bytes {byte:#x}/0x4"),
+                                 (5, f"role bytes 0x3/{byte:#x}")):
+            bad = wire[:byte_at] + bytes((byte,)) + wire[byte_at + 1:]
+            with pytest.raises(UnknownRole) as err:
                 decode_envelope(bad)
+            assert str(err.value) == message
 
-    def test_unknown_tag(self):
+    @pytest.mark.parametrize("byte", [0x00, 0x16, 0xEE, 0xFF])
+    def test_unknown_tag(self, byte):
         wire = encode_envelope(Envelope(Role.P1, Role.P2, MsgType.REQ1, b""))
-        bad = wire[:6] + b"\xee" + wire[7:]
-        with pytest.raises(UnknownTag):
+        bad = wire[:6] + bytes((byte,)) + wire[7:]
+        with pytest.raises(UnknownTag) as err:
             decode_envelope(bad)
+        assert str(err.value) == f"message type byte {byte:#x}"
 
 
 class TestGoldenPhases:
@@ -182,6 +194,12 @@ class TestDeterminism:
         t = run_session(_config("supersonic", seed=None))
         assert 0 <= t.seed < 1 << 64
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_recorded_payloads_are_bytes(self, protocol):
+        # the export and outside parsers read payloads as bytes, not views
+        t = run_session(_config(protocol))
+        assert t.events and all(type(e.payload) is bytes for e in t.events)
+
     def test_export_line_format(self):
         t = run_session(_config("np-ot", seed=5))
         lines = export_transcript(t).splitlines()
@@ -234,6 +252,37 @@ class TestErrorPropagation:
         t = run_session(_config("dq-ot"))
         assert t.outputs == {Role.P1.name: "error:DecodeError"}
         assert t.events[-1].msg_type == MsgType.PARTIAL_Q
+
+    # a frame corrupted between the framer and the parser never reaches the
+    # destination's decoder; the destination byte flip turns SENDER (1) into
+    # ISSUER (5) and P1 (3) into 7, which names no role
+    @pytest.mark.parametrize("protocol, role, corrupt, name", [
+        (protocol, role, corrupt, name)
+        for protocol, role, names in (
+            ("supersonic", Role.SENDER,
+             ("DecodeError", "DecodeError", "TruncatedFrame", "TruncatedFrame")),
+            ("dq-ot", Role.P1,
+             ("DecodeError", "UnknownRole", "TruncatedFrame", "TruncatedFrame")),
+        )
+        for corrupt, name in zip(
+            ("flip-last-byte", "flip-destination", "insert-after-header", "drop-last"),
+            names,
+        )
+    ])
+    def test_corrupted_frame_refused(self, monkeypatch, protocol, role, corrupt, name):
+        corruptions = {
+            "flip-last-byte": lambda w: w[:-1] + bytes((w[-1] ^ 0xFF,)),
+            "flip-destination": lambda w: w[:5] + bytes((w[5] ^ 0x04,)) + w[6:],
+            "insert-after-header": lambda w: w[:7] + b"\x00" + w[7:],
+            "drop-last": lambda w: w[:-1],
+        }
+        frame = harness.encode_envelope
+        monkeypatch.setattr(
+            harness, "encode_envelope", lambda e: corruptions[corrupt](frame(e))
+        )
+        t = run_session(_config(protocol))
+        assert t.outputs == {role.name: f"error:{name}"}
+        assert t.events == []
 
     def test_non_bit_share_refused_by_helper(self, monkeypatch):
         _, decode = harness._CODECS[MsgType.ISSUER_REQ2]

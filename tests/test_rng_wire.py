@@ -109,6 +109,29 @@ class TestWire:
         with pytest.raises(TruncatedFrame):
             Reader(buf[:-1]).read_uint()
 
+    # each case runs its reads in order; the last one hits the cut
+    @pytest.mark.parametrize("reads, buf, message", [
+        ("read_byte", b"", "needed 1 bytes at offset 0, have 0"),
+        ("read_u32", b"\x00\x00\x01", "needed 4 bytes at offset 0, have 3"),
+        ("read_bytes", b"", "needed 4 bytes at offset 0, have 0"),
+        ("read_bytes", b"\x00\x00\x00", "needed 4 bytes at offset 0, have 3"),
+        ("read_bytes", b"\x00\x00\x00\x03ab", "needed 3 bytes at offset 4, have 2"),
+        ("read_uint", b"\x00\x00", "needed 4 bytes at offset 0, have 2"),
+        ("read_uint", b"\x00\x00\x00\x02\x01", "needed 2 bytes at offset 4, have 1"),
+        ("read_byte read_bytes", b"\x07\x00\x00",
+         "needed 4 bytes at offset 1, have 2"),
+        ("read_byte read_uint", b"\x07\x00\x00\x00\xff",
+         "needed 255 bytes at offset 5, have 0"),
+    ])
+    def test_truncation_message(self, reads, buf, message):
+        r = Reader(buf)
+        *complete, cut = reads.split()
+        for read in complete:
+            getattr(r, read)()
+        with pytest.raises(TruncatedFrame) as err:
+            getattr(r, cut)()
+        assert str(err.value) == message
+
     def test_trailing_bytes_raise(self):
         with pytest.raises(DecodeError):
             Reader(encode_uint(5) + b"\x00").expect_end()
