@@ -111,17 +111,24 @@ class TestWire:
 
     # each case runs its reads in order; the last one hits the cut
     @pytest.mark.parametrize("reads, buf, message", [
-        ("read_byte", b"", "needed 1 bytes at offset 0, have 0"),
-        ("read_u32", b"\x00\x00\x01", "needed 4 bytes at offset 0, have 3"),
-        ("read_bytes", b"", "needed 4 bytes at offset 0, have 0"),
-        ("read_bytes", b"\x00\x00\x00", "needed 4 bytes at offset 0, have 3"),
-        ("read_bytes", b"\x00\x00\x00\x03ab", "needed 3 bytes at offset 4, have 2"),
-        ("read_uint", b"\x00\x00", "needed 4 bytes at offset 0, have 2"),
-        ("read_uint", b"\x00\x00\x00\x02\x01", "needed 2 bytes at offset 4, have 1"),
-        ("read_byte read_bytes", b"\x07\x00\x00",
-         "needed 4 bytes at offset 1, have 2"),
-        ("read_byte read_uint", b"\x07\x00\x00\x00\xff",
-         "needed 255 bytes at offset 5, have 0"),
+        pytest.param("read_byte", b"", "needed 1 bytes at offset 0, have 0",
+                     id="byte"),
+        pytest.param("read_u32", b"\x00\x00\x01", "needed 4 bytes at offset 0, have 3",
+                     id="u32"),
+        pytest.param("read_bytes", b"", "needed 4 bytes at offset 0, have 0",
+                     id="bytes-no-prefix"),
+        pytest.param("read_bytes", b"\x00\x00\x00", "needed 4 bytes at offset 0, have 3",
+                     id="bytes-short-prefix"),
+        pytest.param("read_bytes", b"\x00\x00\x00\x03ab",
+                     "needed 3 bytes at offset 4, have 2", id="bytes-short-field"),
+        pytest.param("read_uint", b"\x00\x00", "needed 4 bytes at offset 0, have 2",
+                     id="uint-short-prefix"),
+        pytest.param("read_uint", b"\x00\x00\x00\x02\x01",
+                     "needed 2 bytes at offset 4, have 1", id="uint-short-field"),
+        pytest.param("read_byte read_bytes", b"\x07\x00\x00",
+                     "needed 4 bytes at offset 1, have 2", id="bytes-after-a-byte"),
+        pytest.param("read_byte read_uint", b"\x07\x00\x00\x00\xff",
+                     "needed 255 bytes at offset 5, have 0", id="uint-after-a-byte"),
     ])
     def test_truncation_message(self, reads, buf, message):
         r = Reader(buf)
