@@ -1,7 +1,7 @@
 """Record the benchmark in one BENCH_<tag>.json file, and diff two such files.
 
     python3 scripts/bench_record.py --tag NAME [--checkout DIR] [--workloads W ...]
-                                    [--seeds 901 902 903] [--append]
+                                    [--seeds 901 902 903] [--append] [--trace]
     python3 scripts/bench_record.py --diff BENCH_a.json BENCH_b.json
 
 Recording runs BENCHMARK.json's command once per workload and seed, for its
@@ -11,12 +11,17 @@ BENCHMARK.json. The file holds every run's end-to-end metrics, their median
 and quartiles per workload, the interpreter's version, whether gmpy2 was
 importable, and the checkout's git commit (with `dirty` set when src/ or perfbench/ differ from it). --append
 adds runs to an existing record of the same commit, so two checkouts can be
-run in alternation, one seed at a time.
+run in alternation, one seed at a time. --trace also runs the command once
+per workload with --trace 1 (the first seed, the same run length) and keeps
+its per-session call counts, the `*.calls` metrics, under the record's
+`traced` key. Every round of the benchmark gives the program the same seeds,
+so these counts are exact and repeat from run to run.
 
 --diff prints each workload's failed and attempted sessions in each file,
 summed over its runs, then, for each workload and metric in both files, both
 medians, their ratio B/A, A's interquartile range, and the pair wins: the
-seeds present in both where B's run was better than A's.
+seeds present in both where B's run was better than A's. When both files hold
+traced counts, it then lists every count that differs between them.
 """
 
 import argparse
@@ -51,16 +56,22 @@ def environment(checkout: Path) -> dict:
     }
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One fresh benchmark process; its result line, with metrics as plain values."""
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
+                             "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     metrics = {name: m["value"] for name, m in result.pop("metrics").items()}
     return {"workload": workload, "seed": seed, **result, "metrics": metrics}
+
+
+def traced_counts(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    """The per-session call counts of one traced run."""
+    metrics = run_once(checkout, workload, seed, trace=1)["metrics"]
+    return {name: value for name, value in metrics.items() if name.endswith(".calls")}
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -117,6 +128,19 @@ def diff_rows(a: dict, b: dict) -> list[dict]:
     return rows
 
 
+def traced_diff(a: dict, b: dict) -> list[tuple[str, str, float | None, float | None]]:
+    """(workload, count, A's value, B's value) for every traced count that
+    differs, over the workloads both records traced."""
+    ta, tb = a.get("traced", {}), b.get("traced", {})
+    rows = []
+    for workload in (w for w in ta if w in tb):
+        for name in dict.fromkeys([*ta[workload], *tb[workload]]):
+            va, vb = ta[workload].get(name), tb[workload].get(name)
+            if va != vb:
+                rows.append((workload, name, va, vb))
+    return rows
+
+
 def print_diff(path_a: Path, path_b: Path) -> None:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     print(f"A = {path_a} ({a['commit'][:12]}{'+' if a['dirty'] else ''})")
@@ -131,18 +155,28 @@ def print_diff(path_a: Path, path_b: Path) -> None:
     for r in diff_rows(a, b):
         print(f"{r['workload']:<12} {r['metric']:<16} {r['a']:>12.5g} {r['b']:>12.5g} "
               f"{r['ratio']:>7.3f} {r['a_iqr']:>10.4g} {r['wins']:>3}/{r['pairs']:<3}")
+    traced = [w for w in a.get("traced", {}) if w in b.get("traced", {})]
+    if traced:
+        rows = traced_diff(a, b)
+        print(f"traced calls per session ({', '.join(traced)}): {len(rows)} differ")
+        for workload, name, va, vb in rows:
+            print(f"{workload:<12} {name:<32} A {va}  B {vb}")
 
 
 def record(args) -> None:
     checkout = Path(args.checkout).resolve()
     out = HERE / f"BENCH_{args.tag}.json"
     env = environment(checkout)
-    runs = []
+    runs, traced = [], {}
     if args.append and out.exists():
         old = json.loads(out.read_text())
         if {k: old[k] for k in env} != env:
             raise SystemExit(f"{out} was recorded from another checkout or interpreter")
-        runs = old["runs"]
+        runs, traced = old["runs"], old.get("traced", {})
+    if args.trace:
+        for workload in args.workloads:
+            traced[workload] = traced_counts(checkout, workload, args.seeds[0])
+            print(f"{workload} traced: {len(traced[workload])} counts", flush=True)
     for workload in args.workloads:
         for seed in args.seeds:
             runs = [r for r in runs if (r["workload"], r["seed"]) != (workload, seed)]
@@ -150,7 +184,7 @@ def record(args) -> None:
             print(f"{workload} seed {seed}: session_ms "
                   f"{runs[-1]['metrics'].get('session_ms', float('nan')):.4g}", flush=True)
     doc = {"tag": args.tag, **env, "command": SPEC["command"], "seconds": SPEC["run_seconds"],
-           "runs": runs, "summary": summarize(runs)}
+           "runs": runs, "summary": summarize(runs), "traced": traced}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
 
@@ -164,6 +198,7 @@ def main(argv=None) -> int:
                     default=[w["name"] for w in SPEC["workloads"]])
     ap.add_argument("--seeds", nargs="+", type=int, default=list(DEFAULT_SEEDS))
     ap.add_argument("--append", action="store_true")
+    ap.add_argument("--trace", action="store_true")
     args = ap.parse_args(argv)
     if args.diff:
         print_diff(*args.diff)

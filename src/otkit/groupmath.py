@@ -12,27 +12,34 @@ scripts/gen_pinned_groups.py and verified by the test suite); C is still
 freshly sampled per session.
 
 Powers of the generator g (g^r, g^y, C = g^a) are most of a session's
-exponentiations, so without gmpy2 they go through a fixed-base comb table
-(Lim-Lee, CRYPTO '94). For an n-bit P and COMB_ROWS = 10 rows, the exponent
-is cut into 10 rows of c = ceil(n / 10) bits and the table holds the 1024
-products of the row heads g^(2^(i*c)); g^e then costs c squarings and c
-multiplications instead of about n squarings. At 2048 bits that is 205 + 205
-products, the table takes about 0.3 MB and 50 ms to build, and g^e runs
-about 4x faster than pow(). Tables are built on first use and kept for the
-last COMB_GROUPS distinct (g, P); with gmpy2, powers of g use its powmod.
+exponentiations, so without gmpy2 they go through a fixed-base comb, the
+two-dimensional table of Lim-Lee (CRYPTO '94). An exponent of n bits is read
+as h rows of c = ceil(n / h) bits, and each row as v blocks of
+b = ceil(c / v) bits. Block j has a sub-table of the 2^h products of its
+heads g^(2^((i*v + j)*b)), one head per row i, so the comb holds v * 2^h
+entries, and g^e costs b squarings and v * b >= c products instead of about
+n squarings. The one-block case v = 1 is the one-dimensional comb. The g
+table takes the shape with the fewest products per exponent within
+COMB_ENTRIES = 2048 entries: h = 9, v = 4 at every pinned size, 57 + 228
+products at 2048 bits. That table takes 0.63 MB and 48 ms to build, and g^e
+takes 3.5 ms against 21 ms for pow() and 4.7 ms for the 10-row
+one-dimensional comb (1.36x; 1.33x at 1024 bits; Python 3.11, no gmpy2).
+Tables are built on first use and kept for the last COMB_GROUPS distinct
+(g, P); with gmpy2, powers of g use its powmod.
 
 A sender that raises one other base to many exponents in a session (the
 multi-receiver senders raise b0 and b1 to z exponents each) asks
-base_powers(base, params, uses) for a power function. It builds a comb table
-of that base for exponents below q, used for that session only, when the
-table pays. comb_rows picks its row count r <= SHARED_ROWS_MAX from the bit
-length k of q and the number of uses u. With c = ceil(k / r) columns, the
-table costs (r - 1) * c squarings and 2^r products to build and 2c products
-per exponent, against about 1.2 * k products per pow(). The cheapest r wins
-if it beats u pow() calls. One use never builds a table, and neither does a
-q under SHARED_MIN_BITS, where interpreter overhead outweighs the products
-saved (so the toy group never does). Without a table, and always with
-gmpy2, the power function is modexp.
+base_powers(base, params, uses) for a power function. It builds a comb of
+that base for exponents below q, used for that session only, when the comb
+pays. comb_shape picks its (rows, blocks) from the bit length k of q and
+the number of uses u: building costs about k squarings and v * 2^h products,
+and each exponent b + v * b products, against about 1.2 * k products per
+pow(). Of the shapes with h <= SHARED_ROWS_MAX and at most COMB_ENTRIES
+entries, the cheapest wins if it beats u pow() calls. v = 1 is among them,
+so by this count no choice costs more than the one-dimensional comb. One
+use never builds a table, and neither does a q under SHARED_MIN_BITS, where
+interpreter overhead outweighs the products saved (so the toy group never
+does). Without a table, and always with gmpy2, the power function is modexp.
 """
 
 from dataclasses import dataclass
@@ -120,84 +127,132 @@ def gen_group(
     )
 
 
-COMB_ROWS = 10
+COMB_ENTRIES = 2048
 COMB_GROUPS = 8
 SHARED_ROWS_MAX = 8
 SHARED_MIN_BITS = 512
 POW_PRODUCTS_PER_BIT = 1.2
 
-
-def _comb_build(base: int, P: int, rows: int, bits: int) -> tuple[int, int, tuple[int, ...]]:
-    """(rows, cols, table) for exponents below 2^bits, with cols = ceil(bits / rows)
-    and table[j] = prod of base^(2^(i*cols)) over the bits i of j."""
-    cols = -(-bits // rows)
-    table = [1]
-    head = base % P
-    for i in range(rows):
-        table += [t * head % P for t in table]
-        if i < rows - 1:
-            for _ in range(cols):
-                head = head * head % P
-    return rows, cols, tuple(table)
+Comb = tuple[int, int, tuple[tuple[int, ...], ...]]
 
 
-def _comb_eval(comb: tuple[int, int, tuple[int, ...]], e: int, P: int) -> int:
-    """base^e mod P for 0 <= e < 2^(rows*cols), from the base's _comb_build table."""
-    rows, cols, table = comb
-    # Row i of e is the string digits[(rows-1-i)*cols : (rows-i)*cols], so
-    # zipping the rows gives e's columns, high column first, with row i's bit
-    # at place i of the column's index.
-    digits = format(e, f"0{rows * cols}b")
+def _comb_width(bits: int, rows: int, blocks: int) -> int:
+    """Columns per block, b = ceil(ceil(bits / rows) / blocks)."""
+    return -(-(-(-bits // rows)) // blocks)
+
+
+def _comb_cost(bits: int, rows: int, blocks: int) -> tuple[int, int]:
+    """(products to build, products per exponent) of the (rows, blocks) comb
+    for exponents below 2^bits."""
+    width = _comb_width(bits, rows, blocks)
+    return (rows * blocks - 1) * width + (blocks << rows), (blocks + 1) * width
+
+
+def _comb_shapes(bits: int, rows_max: int) -> list[tuple[int, int]]:
+    """Every (rows, blocks) with rows <= rows_max, at least one column per
+    block and at most COMB_ENTRIES table entries."""
+    return [
+        (rows, blocks)
+        for rows in range(1, rows_max + 1)
+        for blocks in range(1, min(-(-bits // rows), COMB_ENTRIES >> rows) + 1)
+    ]
+
+
+def _comb_build(base: int, P: int, bits: int, rows: int, blocks: int) -> Comb:
+    """(rows, width, tables): the (rows, blocks) comb of base for exponents
+    below 2^bits.
+
+    The exponent is read as `rows` rows of blocks * width bits, each cut into
+    `blocks` blocks of width bits. tables[k] serves block j = blocks - 1 - k:
+    tables[k][x] is the product of base^(2^((i * blocks + j) * width)) over
+    the bits i of x.
+    """
+    width = _comb_width(bits, rows, blocks)
+    heads = [base % P]
+    for _ in range(rows * blocks - 1):
+        head = heads[-1]
+        for _ in range(width):
+            head = head * head % P
+        heads.append(head)
+    tables = []
+    for j in reversed(range(blocks)):
+        table = [1]
+        for head in heads[j::blocks]:
+            table += [t * head % P for t in table]
+        tables.append(tuple(table))
+    return rows, width, tuple(tables)
+
+
+def _comb_eval(comb: Comb, e: int, P: int) -> int:
+    """base^e mod P for 0 <= e < 2^(rows * blocks * width), from base's comb."""
+    rows, width, tables = comb
+    span = len(tables) * width
+    # Row i of e is the string digits[(rows-1-i)*span : (rows-i)*span], and the
+    # block of tables[k] is the substring at k*width of each row. Zipping one
+    # block's substrings over the rows gives that block's columns, high column
+    # first, with row i's bit at place i of the column's index.
+    digits = format(e, f"0{rows * span}b")
+    blocks = []
+    for table, start in zip(tables, range(0, span, width)):
+        block = [digits[k : k + width] for k in range(start, rows * span, span)]
+        blocks.append([table[int("".join(column), 2)] for column in zip(*block)])
     acc = 1
-    for column in zip(*[digits[k : k + cols] for k in range(0, rows * cols, cols)]):
-        acc = acc * acc % P * table[int("".join(column), 2)] % P
+    for entries in zip(*blocks):
+        acc = acc * acc % P
+        for entry in entries:
+            acc = acc * entry % P
     return acc
 
 
 @lru_cache(maxsize=COMB_GROUPS)
-def _comb_table(g: int, P: int) -> tuple[int, int, tuple[int, ...]]:
-    """The comb table of g for exponents below P, kept per (g, P)."""
-    return _comb_build(g, P, min(COMB_ROWS, P.bit_length()), P.bit_length())
+def _comb_table(g: int, P: int) -> Comb:
+    """The comb of g for exponents below P, kept per (g, P): of the shapes
+    within COMB_ENTRIES, the one with the fewest products per exponent."""
+    bits = P.bit_length()
+    rows, blocks = min(_comb_shapes(bits, bits), key=lambda s: _comb_cost(bits, *s)[::-1])
+    return _comb_build(g, P, bits, rows, blocks)
 
 
 def _pow_g(g: int, e: int, P: int) -> int:
-    """g^e mod P; for 0 <= e < P without gmpy2, by the comb table of (g, P)."""
+    """g^e mod P; for 0 <= e < P without gmpy2, by the comb of (g, P)."""
     if HAVE_GMPY2 or not 0 <= e < P:
         return powmod(g, e, P)
     return _comb_eval(_comb_table(g, P), e, P)
 
 
 def modexp(base: GroupElement, e: Scalar, params: GroupParams) -> GroupElement:
-    """base^e mod P with the exponent reduced mod q; powers of g use the comb table."""
+    """base^e mod P with the exponent reduced mod q; powers of g use the comb."""
     e %= params.q
     if base == params.g:
         return _pow_g(base, e, params.P)
     return powmod(base, e, params.P)
 
 
-def comb_rows(bits: int, uses: int) -> int:
-    """Rows of the cheapest table for `uses` exponents below 2^bits, or 0 when
-    `uses` pow() calls cost less (see the module docstring)."""
+@lru_cache
+def comb_shape(bits: int, uses: int) -> tuple[int, int] | None:
+    """(rows, blocks) of the cheapest comb for `uses` exponents below 2^bits,
+    or None when `uses` pow() calls cost less (see the module docstring).
+    Kept per (bits, uses): the search weighs about two thousand shapes."""
     if uses < 2 or bits < SHARED_MIN_BITS:
-        return 0
+        return None
 
-    def products(rows: int) -> int:
-        cols = -(-bits // rows)
-        return (rows - 1) * cols + (1 << rows) + uses * 2 * cols
+    def products(shape: tuple[int, int]) -> int:
+        build, each = _comb_cost(bits, *shape)
+        return build + uses * each
 
-    rows = min(range(1, SHARED_ROWS_MAX + 1), key=products)
-    return rows if products(rows) < uses * POW_PRODUCTS_PER_BIT * bits else 0
+    shape = min(_comb_shapes(bits, SHARED_ROWS_MAX), key=products)
+    return shape if products(shape) < uses * POW_PRODUCTS_PER_BIT * bits else None
 
 
 def base_powers(base: GroupElement, params: GroupParams, uses: int) -> Power:
     """e -> base^(e mod q) mod P, for about `uses` exponents: through one comb
-    table of base when comb_rows says it pays, else through modexp."""
+    of base when comb_shape says it pays, else through modexp."""
     bits = params.q.bit_length()
-    rows = 0 if HAVE_GMPY2 else comb_rows(bits, uses)
-    if not rows:
+    shape = None if HAVE_GMPY2 else comb_shape(bits, uses)
+    if shape is None:
         return lambda e: modexp(base, e, params)
     P, q = params.P, params.q
-    comb = _comb_build(base, P, rows, bits)
+    comb = _comb_build(base, P, bits, *shape)
     return lambda e: _comb_eval(comb, e % q, P)
 
 

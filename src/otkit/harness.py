@@ -19,7 +19,6 @@ for the bench command but stay out of the canonical export.
 """
 
 import enum
-import secrets
 import struct
 import time
 from dataclasses import dataclass, field
@@ -78,7 +77,7 @@ from .ot_compiler import (
     comp_retrieve,
 )
 from .paillier import HomCiphertext, kgen
-from .rng import SeededSource
+from .rng import SeededSource, SystemSource
 from .wire import Reader, encode_bytes, encode_uint
 
 
@@ -230,8 +229,10 @@ class SessionConfig:
 
     m0/m1 feed the two-message protocols, db and v the multi-receiver ones.
     s is the choice bit (held by the receiver, or by the issuer in the
-    unknown-query variants). tamper is test plumbing: "beta" multiplies one
-    final query element, "tag" flips a tag byte at the sender.
+    unknown-query variants). A seed makes the run reproducible; with none,
+    every secret comes from the OS and the transcript exports `seed none`.
+    tamper is test plumbing: "beta" multiplies one final query element, "tag"
+    flips a tag byte at the sender.
     """
 
     protocol: str
@@ -252,7 +253,7 @@ class SessionConfig:
 @dataclass
 class SessionTranscript:
     protocol: str
-    seed: int
+    seed: int | None
     events: list[Envelope] = field(default_factory=list)
     outputs: dict[str, bytes | str] = field(default_factory=dict)
     phase_times: list[tuple[str, float]] = field(default_factory=list)
@@ -264,7 +265,7 @@ def export_transcript(t: SessionTranscript) -> str:
     Phase timings are deliberately absent so the export is deterministic
     under a fixed seed.
     """
-    lines = [f"protocol {t.protocol}", f"seed {t.seed}"]
+    lines = [f"protocol {t.protocol}", f"seed {'none' if t.seed is None else t.seed}"]
     for i, e in enumerate(t.events):
         lines.append(
             f"event {i} {e.src.name} {e.dst.name} {e.msg_type.name} "
@@ -503,9 +504,10 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     the role that hit it.
     """
     _validate(config)
-    seed = config.seed if config.seed is not None else secrets.randbits(64)
-    rng = SeededSource(seed)
-    t = SessionTranscript(protocol=config.protocol, seed=seed)
+    # An unseeded run draws every secret from the OS and records no seed, so
+    # nothing in its transcript lets a reader recompute them.
+    rng = SystemSource() if config.seed is None else SeededSource(config.seed)
+    t = SessionTranscript(protocol=config.protocol, seed=config.seed)
     try:
         t.outputs[Role.RECEIVER.name] = _RUNNERS[config.protocol](config, rng, t)
     except _Refusal as refusal:

@@ -83,3 +83,43 @@ def test_diff_prints_failed_and_attempted_per_workload(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "dh-2048      failed/attempted  A 0/20  B 3/20" in out
     assert "pad-small    failed/attempted  A -  B 0/50" in out
+
+
+def test_trace_keeps_call_counts_and_diff_lists_changes(tmp_path, monkeypatch, capsys):
+    calls = {"groupmath.modexp_g.calls": 5.25, "numth.powmod.calls": 2.75}
+    commands = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        commands.append(cmd)
+        traced = cmd[cmd.index("--trace") + 1] == "1"
+        metrics = ({**calls, "groupmath.modexp_g.ms": 30.0} if traced
+                   else {"session_ms": 180.0})
+        line = json.dumps({"correct": True, "attempted": 8, "failed": 0,
+                           "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}})
+        return type("Done", (), {"returncode": 0, "stdout": f"timings\n{line}\n", "stderr": ""})
+
+    monkeypatch.setattr(bench_record, "HERE", tmp_path)
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "environment",
+                        lambda checkout: {"python": "3", "gmpy2": False,
+                                          "commit": "c" * 40, "dirty": False})
+    args = ["--tag", "A", "--workloads", "dh-2048", "--seeds", "951", "952", "--trace"]
+    assert bench_record.main(args) == 0
+    a = json.loads((tmp_path / "BENCH_A.json").read_text())
+    assert a["traced"] == {"dh-2048": calls}
+    assert [c[c.index("--trace") + 1] for c in commands] == ["1", "0", "0"]
+    assert [r["metrics"] for r in a["runs"]] == [{"session_ms": 180.0}] * 2
+
+    # appending without --trace keeps the counts; a changed count shows in --diff
+    assert bench_record.main(args[:-1] + ["--append"]) == 0
+    assert json.loads((tmp_path / "BENCH_A.json").read_text())["traced"] == a["traced"]
+    b = {**a, "traced": {"dh-2048": {**calls, "numth.powmod.calls": 4.75}}}
+    (tmp_path / "BENCH_B.json").write_text(json.dumps(b))
+    assert bench_record.traced_diff(a, a) == []
+    assert bench_record.traced_diff(a, b) == [("dh-2048", "numth.powmod.calls", 2.75, 4.75)]
+    capsys.readouterr()
+    assert bench_record.main(["--diff", str(tmp_path / "BENCH_A.json"),
+                              str(tmp_path / "BENCH_B.json")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == "traced calls per session (dh-2048): 1 differ"
+    assert out[-1].split() == ["dh-2048", "numth.powmod.calls", "A", "2.75", "B", "4.75"]

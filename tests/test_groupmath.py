@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from otkit import groupmath
 from otkit.errors import UsageError
 from otkit.groupmath import (
+    COMB_ENTRIES,
     COMB_GROUPS,
-    COMB_ROWS,
+    PINNED_G,
     PINNED_SAFE_PRIMES,
     SHARED_ROWS_MAX,
     GroupParams,
@@ -19,7 +20,7 @@ from otkit.groupmath import (
     TOY_P,
     TOY_Q,
     base_powers,
-    comb_rows,
+    comb_shape,
     elem_div,
     elem_mul,
     elem_to_bytes,
@@ -31,7 +32,7 @@ from otkit.groupmath import (
     _comb_table,
     _pow_g,
 )
-from otkit.harness import SessionConfig, export_transcript, run_session
+from otkit.harness import PROTOCOLS, SessionConfig, export_transcript, run_session
 from otkit.numth import is_probable_prime
 from otkit.rng import SeededSource
 
@@ -158,18 +159,27 @@ def any_group(request):
     return gen_group(request.param, SeededSource(request.param), retain_dlog=True)
 
 
+def _seams(rows, blocks, width):
+    """Exponents at every row and block boundary of a comb, and one either side."""
+    return [(1 << (t * width)) + d for t in range(1, rows * blocks) for d in (-1, 0, 1)]
+
+
+# bits of P -> (rows, blocks) of the g table (toy, fresh 32-bit q, pinned sizes)
+G_SHAPES = {5: (5, 1), 33: (9, 4), 513: (9, 4), 1025: (9, 4), 2049: (9, 4)}
+
+
 class TestFixedBase:
     """Powers of g take the comb table; they must equal pow() exactly."""
 
     def test_edge_exponents(self, any_group):
         P, q, g = any_group.P, any_group.q, any_group.g
-        rows, cols, _ = _comb_table(g, P)
-        boundaries = [1 << (i * cols) for i in range(1, rows) if i * cols < q.bit_length()]
-        exponents = [0, 1, 2, q - 1, q, q + 1, -1, 2 * q + 5] + [
-            b + d for b in boundaries for d in (-1, 0, 1)
-        ]
+        rows, width, tables = _comb_table(g, P)
+        exponents = [0, 1, 2, q - 1, q, q + 1, -1, 2 * q + 5, P - 1, P, P + 5, 3 * P] + _seams(
+            rows, len(tables), width
+        )
         for e in exponents:
             assert modexp(g, e, any_group) == pow(g, e % q, P), e
+            assert _pow_g(g, e, P) == pow(g, e, P), e
 
     def test_seeded_exponents(self, any_group):
         P, q, g = any_group.P, any_group.q, any_group.g
@@ -182,11 +192,17 @@ class TestFixedBase:
         assert any_group.C == pow(any_group.g, any_group.a, any_group.P)
 
     def test_table_shape(self, any_group):
-        rows, cols, table = _comb_table(any_group.g, any_group.P)
-        assert rows == min(COMB_ROWS, any_group.P.bit_length())
-        assert cols == -(-any_group.P.bit_length() // rows)
-        assert len(table) == 1 << rows
-        assert table[1] == any_group.g and table[2] == pow(any_group.g, 1 << cols, any_group.P)
+        P, g = any_group.P, any_group.g
+        rows, width, tables = _comb_table(g, P)
+        blocks = len(tables)
+        assert (rows, blocks) == G_SHAPES[P.bit_length()]
+        assert blocks << rows <= COMB_ENTRIES
+        assert width == -(-(-(-P.bit_length() // rows)) // blocks)
+        assert all(len(table) == 1 << rows for table in tables)
+        # tables[-1] is block 0: its heads are g^(2^(i * blocks * width))
+        assert tables[-1][1] == g and tables[-1][2] == pow(g, 1 << (blocks * width), P)
+        # tables[0] is the top block, whose lowest head is g^(2^((blocks - 1) * width))
+        assert tables[0][1] == pow(g, 1 << ((blocks - 1) * width), P)
 
     def test_exponents_outside_table_width(self, group512):
         P, g = group512.P, group512.g
@@ -203,15 +219,36 @@ class TestFixedBase:
             assert modexp(params.g, 12345, params) == pow(params.g, 12345, P)
         assert _comb_table.cache_info().currsize == COMB_GROUPS
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_session_matches_one_dimensional_comb(self, protocol, monkeypatch):
+        # the old one-dimensional comb is the one-block case of the same table
+        cfg = SessionConfig(protocol=protocol, sigma_bits=64, lambda_bits=64,
+                            group_bits=512, seed=4200, s=1)
+        if protocol.endswith("-mr"):
+            cfg.db, cfg.v = tuple((bytes([i]) * 8, bytes([0x80 | i]) * 8) for i in range(4)), 2
+        else:
+            cfg.m0, cfg.m1 = b"\x0a" * 8, b"\xf5" * 8
+        two_dimensional = export_transcript(run_session(cfg))
+        build = groupmath._comb_build
+        monkeypatch.setattr(groupmath, "_comb_build",
+                            lambda base, P, bits, rows, blocks: build(base, P, bits, rows, 1))
+        _comb_table.cache_clear()
+        try:
+            assert export_transcript(run_session(cfg)) == two_dimensional
+            if protocol != "supersonic":
+                assert len(_comb_table(PINNED_G, PINNED_SAFE_PRIMES[512])[2]) == 1
+        finally:
+            _comb_table.cache_clear()
+
 
 USES = (1, 2, 4, 32)
 
-# (bits of q, uses) -> rows of the shared-base table; 0 means modexp
-SHARED_ROWS = {
-    (4, 1): 0, (4, 2): 0, (4, 4): 0, (4, 32): 0,
-    (512, 1): 0, (512, 2): 6, (512, 4): 7, (512, 32): 8,
-    (1024, 1): 0, (1024, 2): 7, (1024, 4): 8, (1024, 32): 8,
-    (2048, 1): 0, (2048, 2): 7, (2048, 4): 8, (2048, 32): 8,
+# (bits of q, uses) -> (rows, blocks) of the shared-base table; None means modexp
+SHARED_SHAPES = {
+    (4, 1): None, (4, 2): None, (4, 4): None, (4, 32): None,
+    (512, 1): None, (512, 2): (6, 1), (512, 4): (6, 2), (512, 32): (7, 5),
+    (1024, 1): None, (1024, 2): (6, 2), (1024, 4): (6, 3), (1024, 32): (8, 4),
+    (2048, 1): None, (2048, 2): (6, 2), (2048, 4): (7, 3), (2048, 32): (8, 6),
 }
 
 
@@ -228,17 +265,20 @@ class TestSharedBase:
     def test_powers_match_pow(self, shared_group):
         P, q = shared_group.P, shared_group.q
         base = shared_group.C
-        rnd = random.Random(q.bit_length() + 1)
-        common = [0, 1, 2, q - 1, q, q + 1, -1] + [
+        bits = q.bit_length()
+        rnd = random.Random(bits + 1)
+        common = [0, 1, 2, q - 1, q, q + 1, -1, P - 1, P, P + 5, 3 * P] + [
             rnd.randrange(-q, 3 * q) for _ in range(40)
         ]
         expected = {}  # the pow() oracle, once per exponent
         for uses in USES:
-            rows = comb_rows(q.bit_length(), uses)
-            cols = -(-q.bit_length() // rows) if rows else 0
-            boundaries = [(1 << (i * cols)) + d for i in range(1, rows) for d in (-1, 1)]
+            shape = comb_shape(bits, uses)
+            seams = []
+            if shape:
+                rows, blocks = shape
+                seams = _seams(rows, blocks, -(-(-(-bits // rows)) // blocks))
             power = base_powers(base, shared_group, uses)
-            for e in common + boundaries:
+            for e in common + seams:
                 if e not in expected:
                     expected[e] = pow(base, e % q, P)
                 assert power(e) == expected[e], (uses, e)
@@ -247,21 +287,32 @@ class TestSharedBase:
         built = []
         build = groupmath._comb_build
         monkeypatch.setattr(
-            groupmath, "_comb_build", lambda *args: built.append(args[2]) or build(*args)
+            groupmath, "_comb_build", lambda *args: built.append(args[3:]) or build(*args)
         )
         bits = shared_group.q.bit_length()
         for uses in USES:
             built.clear()
             base_powers(shared_group.C, shared_group, uses)
-            rows = SHARED_ROWS[(bits, uses)]
-            assert comb_rows(bits, uses) == rows
-            assert built == ([rows] if rows else [])
+            shape = SHARED_SHAPES[(bits, uses)]
+            assert comb_shape(bits, uses) == shape
+            assert built == ([shape] if shape else [])
 
     def test_row_cap_and_single_use(self):
         for bits in (4, 64, 511, 512, 1024, 2048, 4096, 8192):
-            assert comb_rows(bits, 1) == 0
+            assert comb_shape(bits, 1) is None
             for uses in (2, 3, 8, 100, 10_000):
-                assert 0 <= comb_rows(bits, uses) <= SHARED_ROWS_MAX == 8
+                shape = comb_shape(bits, uses)
+                if shape is None:
+                    continue
+                rows, blocks = shape
+                assert 1 <= rows <= SHARED_ROWS_MAX == 8 and blocks << rows <= COMB_ENTRIES
+
+                def products(rows, blocks):
+                    build, each = groupmath._comb_cost(bits, rows, blocks)
+                    return build + uses * each
+
+                # one block stays in the search, so no table costs more than a 1-D one
+                assert products(*shape) <= min(products(r, 1) for r in range(1, 9))
 
     @pytest.mark.parametrize("protocol", ["dq-mr", "duq-mr"])
     @pytest.mark.parametrize("z", [1, 4])
@@ -276,7 +327,7 @@ class TestSharedBase:
             return hashlib.sha256(export_transcript(t).encode()).hexdigest()
 
         shared = digest()
-        monkeypatch.setattr(groupmath, "comb_rows", lambda bits, uses: 0)
+        monkeypatch.setattr(groupmath, "comb_shape", lambda bits, uses: None)
         assert digest() == shared
 
 

@@ -190,9 +190,22 @@ class TestDeterminism:
         b = export_transcript(run_session(_config("dq-ot", seed=2)))
         assert a != b
 
-    def test_fresh_seed_when_unset(self):
-        t = run_session(_config("supersonic", seed=None))
-        assert 0 <= t.seed < 1 << 64
+    def test_unseeded_run_records_no_seed(self, monkeypatch):
+        def no_seeded_source(*args):
+            raise AssertionError("an unseeded run built a SeededSource")
+
+        monkeypatch.setattr(harness, "SeededSource", no_seeded_source)
+        t = run_session(_config("dq-ot", seed=None))
+        assert t.seed is None
+        assert export_transcript(t).splitlines()[1] == "seed none"
+        assert t.outputs[Role.RECEIVER.name] == b"\xf5" * 8
+
+    def test_unseeded_runs_send_different_pads(self):
+        def pads():
+            t = run_session(_config("supersonic", seed=None))
+            return next(e.payload for e in t.events if e.msg_type is MsgType.PAD_KEYS)
+
+        assert pads() != pads()
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_recorded_payloads_are_bytes(self, protocol):
