@@ -44,7 +44,7 @@ does). Without a table, and always with gmpy2, the power function is modexp.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import UsageError
 from .numth import HAVE_GMPY2, gen_safe_prime, invmod, powmod
@@ -148,14 +148,15 @@ def _comb_cost(bits: int, rows: int, blocks: int) -> tuple[int, int]:
     return (rows * blocks - 1) * width + (blocks << rows), (blocks + 1) * width
 
 
-def _comb_shapes(bits: int, rows_max: int) -> list[tuple[int, int]]:
+def _comb_shapes(bits: int, rows_max: int) -> Iterator[tuple[int, int]]:
     """Every (rows, blocks) with rows <= rows_max, at least one column per
-    block and at most COMB_ENTRIES table entries."""
-    return [
+    block and at most COMB_ENTRIES table entries, one at a time: there are
+    about two thousand, and a list of them would raise peak memory."""
+    return (
         (rows, blocks)
         for rows in range(1, rows_max + 1)
         for blocks in range(1, min(-(-bits // rows), COMB_ENTRIES >> rows) + 1)
-    ]
+    )
 
 
 def _comb_build(base: int, P: int, bits: int, rows: int, blocks: int) -> Comb:

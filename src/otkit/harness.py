@@ -504,8 +504,6 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     the role that hit it.
     """
     _validate(config)
-    # An unseeded run draws every secret from the OS and records no seed, so
-    # nothing in its transcript lets a reader recompute them.
     rng = SystemSource() if config.seed is None else SeededSource(config.seed)
     t = SessionTranscript(protocol=config.protocol, seed=config.seed)
     try:
