@@ -273,10 +273,7 @@ class TestSharedBase:
         expected = {}  # the pow() oracle, once per exponent
         for uses in USES:
             shape = comb_shape(bits, uses)
-            seams = []
-            if shape:
-                rows, blocks = shape
-                seams = _seams(rows, blocks, -(-(-(-bits // rows)) // blocks))
+            seams = _seams(*shape, groupmath._comb_width(bits, *shape)) if shape else []
             power = base_powers(base, shared_group, uses)
             for e in common + seams:
                 if e not in expected:
