@@ -8,8 +8,9 @@ holds g^x. Useful when staring at a failing identity.
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from otkit.dq_family import (
     DelegationRequest,

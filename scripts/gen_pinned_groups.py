@@ -9,8 +9,9 @@ regenerate a subset.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from otkit.groupmath import PINNED_SAFE_PRIMES
 from otkit.numth import gen_safe_prime

@@ -3,8 +3,8 @@
 The receiver sends a single group element; the sender derives the companion
 element through the public C, masks each message with a hash of a fresh
 DH share, and the receiver can unmask exactly the slot its blind matches.
-Also defines the pluggable four-operation contract that the response
-compiler consumes, plus that contract's instantiation for this OT. The
+Also defines the pluggable suite contract that the response compiler
+consumes, plus that contract's instantiation for this OT. The
 response's wire format lives in the session engine's codec table
 (harness._CODECS), as every payload format does.
 """
@@ -21,7 +21,6 @@ from .groupmath import (
     base_powers,
     elem_div,
     elem_to_bytes,
-    gen_group,
     modexp,
     rand_scalar,
 )
@@ -41,6 +40,9 @@ class NpSecret:
 
 @dataclass(frozen=True)
 class NpResponse:
+    """Two response elements, slot 0 first; also the tagged pair of the
+    delegated-unknown-query OT, whose slots are randomly permuted."""
+
     e0: ResponseElement
     e1: ResponseElement
 
@@ -110,7 +112,7 @@ def np_retrieve(res: NpResponse, secret: NpSecret, pk: GroupParams) -> ByteStrin
 
 @dataclass(frozen=True)
 class ConventionalOtSuite:
-    """Four-operation bundle: init, gen_query, gen_res, retrieve.
+    """Suite operations: gen_query, gen_res, retrieve.
 
     gen_res returns one response element per message; each element is a
     tuple of components whose kinds are declared in component_kinds
@@ -118,7 +120,6 @@ class ConventionalOtSuite:
     lets the compiler embed and recover them.
     """
 
-    init: Callable[[int, RandomSource], Any]
     gen_query: Callable[[Any, int, int, RandomSource], tuple[Any, Any]]
     gen_res: Callable[[list[ByteString], Any, Any, RandomSource], list[tuple]]
     retrieve: Callable[[list[tuple], Any, Any, Any, int], ByteString]
@@ -149,7 +150,6 @@ def _suite_retrieve(res_elements, query, secret, pk, s):
 
 def np_suite() -> ConventionalOtSuite:
     return ConventionalOtSuite(
-        init=lambda lambda_bits, rng: gen_group(lambda_bits, rng),
         gen_query=_suite_gen_query,
         gen_res=_suite_gen_res,
         retrieve=_suite_retrieve,

@@ -74,12 +74,12 @@ def dq_r_request(
     """Split s into shares and pair each with an independent blind."""
     if s not in (0, 1):
         raise UsageError("choice bit must be 0 or 1")
-    shares = ss_share(s, rng)
+    share1, share2 = ss_share(s, rng)
     r1 = rand_scalar(pk, rng)
     r2 = rand_scalar(pk, rng)
     return (
-        DelegationRequest(share=shares.s1, blind=r1),
-        DelegationRequest(share=shares.s2, blind=r2),
+        DelegationRequest(share=share1, blind=r1),
+        DelegationRequest(share=share2, blind=r2),
     )
 
 

@@ -6,16 +6,17 @@ share plus that tag. The sender masks each message together with the tag
 under the wider hash, then randomly permutes the pair, so the receiver
 recognizes the right slot by the tag alone and never learns the choice bit.
 
-The multi-receiver extension pushes all pairs through P1, which compresses
-them against an encrypted one-hot vector (paillier.one_hot, dealt by the
-issuer) with one homomorphic inner product per pair slot and component
-(paillier.select), so the receiver gets four ciphertexts regardless of the
-database size.
+A tagged response has the base OT's shape, an NpResponse whose slots are
+permuted. The multi-receiver extension pushes all pairs through P1, which
+compresses them against the issuer's compress vector, a tuple of ciphertexts
+encrypting one-hot at the receiver's index (paillier.one_hot), with one
+homomorphic inner product per pair slot and component (paillier.select). The
+receiver gets a tuple of four ciphertexts regardless of the database size.
 """
 
 from dataclasses import dataclass
 
-from .base_ot import ResponseElement
+from .base_ot import NpResponse, ResponseElement
 from .dq_family import (
     FinalQueryPair,
     MessageDatabase,
@@ -61,39 +62,15 @@ class IssuerBundle:
     tag: ByteString
 
 
-@dataclass(frozen=True)
-class TaggedResponse:
-    """Randomly ordered pair of (group element, masked message||tag)."""
-
-    pair: tuple[ResponseElement, ResponseElement]
-
-
-@dataclass(frozen=True)
-class CompressVector:
-    """Encrypted one-hot selector held by P1, hot at the receiver's index."""
-
-    entries: tuple[HomCiphertext, ...]
-
-
-@dataclass(frozen=True)
-class FilteredResponse:
-    """Homomorphic inner products: o_ic for pair slot i, component c."""
-
-    o00: HomCiphertext
-    o01: HomCiphertext
-    o10: HomCiphertext
-    o11: HomCiphertext
-
-
 def duq_t_request(s: int, lambda_bits: int, rng: RandomSource) -> IssuerBundle:
     """Issuer's split of s plus a fresh uniform tag of lambda_bits."""
     if s not in (0, 1):
         raise UsageError("choice bit must be 0 or 1")
     if lambda_bits % 8:
         raise UsageError("tag length must be a multiple of 8 bits")
-    shares = ss_share(s, rng)
+    share1, share2 = ss_share(s, rng)
     tag = rng.randbytes(lambda_bits // 8)
-    return IssuerBundle(share1=shares.s1, share2=shares.s2, tag=tag)
+    return IssuerBundle(share1=share1, share2=share2, tag=tag)
 
 
 def duq_r_request(pk: GroupParams, rng: RandomSource) -> tuple[Scalar, Scalar]:
@@ -108,7 +85,7 @@ def duq_s_gen_res(
     query: FinalQueryPair,
     tag: ByteString,
     rng: RandomSource,
-) -> TaggedResponse:
+) -> NpResponse:
     """Mask (m_i || tag) per slot, then randomly permute the pair."""
     return _mask_tagged_pair(m0, m1, pk, query_powers(query, pk), tag, rng)
 
@@ -120,7 +97,7 @@ def _mask_tagged_pair(
     powers: tuple[Power, Power],
     tag: ByteString,
     rng: RandomSource,
-) -> TaggedResponse:
+) -> NpResponse:
     """duq_s_gen_res against power functions from query_powers, which has
     already checked that the pair multiplies to C."""
     if len(m0) != len(m1):
@@ -133,7 +110,7 @@ def _mask_tagged_pair(
         elements.append(
             (modexp(pk.g, y, pk), xor_bytes(pad, (m0, m1)[i] + tag))
         )
-    return TaggedResponse(pair=random_permute_pair(tuple(elements), rng))
+    return NpResponse(*random_permute_pair(elements, rng))
 
 
 def _tag_match(
@@ -161,7 +138,7 @@ def _tag_match(
 
 
 def duq_r_retrieve(
-    res: TaggedResponse,
+    res: NpResponse,
     blind1: Scalar,
     blind2: Scalar,
     share2: int,
@@ -170,7 +147,7 @@ def duq_r_retrieve(
 ) -> ByteString:
     """m_s: unmask both slots with x and keep the one ending in the tag."""
     x = retrieval_exponent(blind1, blind2, share2, pk)
-    return _tag_match(res.pair, x, tag, pk)
+    return _tag_match((res.e0, res.e1), x, tag, pk)
 
 
 def embedding_min_bits(pk: GroupParams, sigma_bits: int, lambda_bits: int) -> int:
@@ -197,11 +174,11 @@ def duqmr_r_setup(
 
 def duqmr_t_setup(
     z: int, v: int, pk_j: PaillierPublicKey, rng: RandomSource
-) -> CompressVector:
+) -> tuple[HomCiphertext, ...]:
     """Fresh encryptions of the one-hot vector with 1 at position v."""
     if not 0 <= v < z:
         raise IndexOutOfRange(f"index {v} outside [0, {z})")
-    return CompressVector(entries=one_hot(pk_j, z, v, rng))
+    return one_hot(pk_j, z, v, rng)
 
 
 def duqmr_s_gen_res_multi(
@@ -210,7 +187,7 @@ def duqmr_s_gen_res_multi(
     query: FinalQueryPair,
     tag: ByteString,
     rng: RandomSource,
-) -> list[TaggedResponse]:
+) -> list[NpResponse]:
     """One independently masked and permuted tagged pair per entry, all
     against one pair of power functions built for z exponents each."""
     powers = query_powers(query, pk, uses=db.z)
@@ -229,23 +206,24 @@ def _embed(component: int | ByteString, pk_j: PaillierPublicKey) -> int:
 
 
 def duqmr_p1_filter(
-    responses: list[TaggedResponse],
-    w: CompressVector,
+    responses: list[NpResponse],
+    w: tuple[HomCiphertext, ...],
     pk_j: PaillierPublicKey,
-) -> FilteredResponse:
-    """Inner product of each pair component with the one-hot vector."""
-    if len(responses) != len(w.entries):
+) -> tuple[HomCiphertext, ...]:
+    """Inner product of each pair component with the one-hot vector: four
+    ciphertexts in (slot, component) order, slot 0's head and body first."""
+    if len(responses) != len(w):
         raise LengthMismatch(
-            f"{len(responses)} responses against {len(w.entries)} selector entries"
+            f"{len(responses)} responses against {len(w)} selector entries"
         )
-    return FilteredResponse(*(
-        select(pk_j, w.entries, [_embed(resp.pair[i][c], pk_j) for resp in responses])
+    return tuple(
+        select(pk_j, w, [_embed((resp.e0, resp.e1)[i][c], pk_j) for resp in responses])
         for i in (0, 1) for c in (0, 1)
-    ))
+    )
 
 
 def duqmr_r_retrieve(
-    filtered: FilteredResponse,
+    filtered: tuple[HomCiphertext, ...],
     sk_j: PaillierSecretKey,
     blind1: Scalar,
     blind2: Scalar,
@@ -257,7 +235,7 @@ def duqmr_r_retrieve(
     """Decrypt the four components, rebuild the pair, and tag-match as usual."""
     mask_bytes = (sigma_bits + 8 * len(tag)) // 8
     candidates = []
-    for head_ct, body_ct in ((filtered.o00, filtered.o01), (filtered.o10, filtered.o11)):
+    for head_ct, body_ct in (filtered[:2], filtered[2:]):
         head = dec(sk_j, head_ct)
         body = dec(sk_j, body_ct)
         if not 1 <= head < pk.P or body >= 1 << (8 * mask_bytes):

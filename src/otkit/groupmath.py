@@ -66,7 +66,6 @@ class GroupParams:
     q: int
     g: int
     C: int
-    lambda_bits: int
     a: int | None = None
 
     def elem_bytes(self) -> int:
@@ -94,27 +93,24 @@ def toy_group(a: int = 8, retain_dlog: bool = False) -> GroupParams:
         q=TOY_Q,
         g=TOY_G,
         C=pow(TOY_G, a, TOY_P),
-        lambda_bits=TOY_Q.bit_length(),
         a=a if retain_dlog else None,
     )
 
 
-def gen_group(
-    lambda_bits: int, rng: RandomSource, retain_dlog: bool = False
-) -> GroupParams:
-    """Group parameters with a q of lambda_bits bits and a fresh C = g^a.
+def gen_group(bits: int, rng: RandomSource, retain_dlog: bool = False) -> GroupParams:
+    """Group parameters with a q of the given bit length and a fresh C = g^a.
 
     Pinned moduli are used when available, else a safe prime is searched
     for. Raises PrimeSearchExhausted when the search budget runs out.
     """
-    if lambda_bits < 4:
-        raise UsageError("lambda_bits must be at least 4")
-    if lambda_bits in PINNED_SAFE_PRIMES:
-        P = PINNED_SAFE_PRIMES[lambda_bits]
+    if bits < 4:
+        raise UsageError("bits must be at least 4")
+    if bits in PINNED_SAFE_PRIMES:
+        P = PINNED_SAFE_PRIMES[bits]
         q = (P - 1) // 2
         g = PINNED_G
     else:
-        P, q = gen_safe_prime(lambda_bits, rng)
+        P, q = gen_safe_prime(bits, rng)
         while True:
             h = 2 + rng.randbelow(P - 3)
             g = powmod(h, 2, P)
@@ -122,9 +118,7 @@ def gen_group(
                 break
     a = 1 + rng.randbelow(q - 1)
     C = _pow_g(g, a, P)
-    return GroupParams(
-        P=P, q=q, g=g, C=C, lambda_bits=lambda_bits, a=a if retain_dlog else None
-    )
+    return GroupParams(P=P, q=q, g=g, C=C, a=a if retain_dlog else None)
 
 
 COMB_ENTRIES = 2048

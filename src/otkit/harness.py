@@ -39,9 +39,6 @@ from .dq_family import (
     dqmr_s_gen_res_multi,
 )
 from .duq_family import (
-    CompressVector,
-    FilteredResponse,
-    TaggedResponse,
     duq_r_request,
     duq_r_retrieve,
     duq_s_gen_res,
@@ -69,13 +66,7 @@ from .groupmath import (
     gen_group,
     toy_group,
 )
-from .ot_compiler import (
-    CompressedResponse,
-    SelectorVector,
-    comp_gen_query,
-    comp_gen_res,
-    comp_retrieve,
-)
+from .ot_compiler import comp_gen_query, comp_gen_res, comp_retrieve
 from .paillier import HomCiphertext, kgen
 from .rng import SeededSource, SystemSource
 from .wire import Reader, encode_bytes, encode_uint
@@ -156,16 +147,6 @@ def decode_envelope(buf: bytes) -> Envelope:
     return Envelope(src_role, dst_role, mtype, buf[_HEADER.size:])
 
 
-PROTOCOLS = (
-    "np-ot",
-    "dq-ot",
-    "duq-ot",
-    "dq-mr",
-    "duq-mr",
-    "comp-np",
-    "supersonic",
-)
-
 # per-protocol message-type sequence, in canonical phase order
 GOLDEN_PHASES: dict[str, tuple[MsgType, ...]] = {
     "np-ot": (MsgType.NP_QUERY, MsgType.RESPONSE),
@@ -221,6 +202,8 @@ GOLDEN_PHASES: dict[str, tuple[MsgType, ...]] = {
         MsgType.SUP_RESULT,
     ),
 }
+
+PROTOCOLS = tuple(GOLDEN_PHASES)
 
 
 @dataclass
@@ -315,33 +298,30 @@ def _vector(encode_item, read_item):
     )
 
 
-def _encode_pair(pair) -> bytes:
+def _encode_pair(res: NpResponse) -> bytes:
     """Two response elements, each a group element and then a masked body."""
-    (head0, body0), (head1, body1) = pair
+    (head0, body0), (head1, body1) = res.e0, res.e1
     return b"".join((encode_uint(head0), encode_bytes(body0),
                      encode_uint(head1), encode_bytes(body1)))
 
 
-def _read_pair(r: Reader) -> tuple:
-    return tuple((r.read_uint(), r.read_bytes()) for _ in range(2))
+def _read_pair(r: Reader) -> NpResponse:
+    return NpResponse(*((r.read_uint(), r.read_bytes()) for _ in range(2)))
 
 
 def _encode_full_width(value) -> bytes:
-    """(response, pk_R) as a count and the ciphertexts, each at the width of
-    n^2, so the length is blind to the message count."""
-    cr, pk_R = value
+    """(components, pk_R) as a count and the ciphertexts, each at the width
+    of n^2, so the length is blind to the message count."""
+    components, pk_R = value
     width = (pk_R.n_squared.bit_length() + 7) // 8
     prefix = width.to_bytes(4, "big")
-    parts = [len(cr.components).to_bytes(4, "big")]
-    for ct in cr.components:
+    parts = [len(components).to_bytes(4, "big")]
+    for ct in components:
         parts += (prefix, ct.value.to_bytes(width, "big"))
     return b"".join(parts)
 
 
-# (encode, read) for one response pair: RESPONSE alone, or RESPONSE_VEC's items
-_PAIR = (
-    lambda res: _encode_pair((res.e0, res.e1)), lambda r: NpResponse(*_read_pair(r))
-)
+_PAIRS = _vector(_encode_pair, _read_pair)
 _UINT = (lambda x: encode_uint(x), _reading(lambda r: r.read_uint()))
 _BIT = (lambda b: bytes((b,)), _reading(_read_bit))
 _BYTES = (lambda b: encode_bytes(b), _reading(lambda r: r.read_bytes()))
@@ -364,8 +344,8 @@ _CODECS = {
         lambda b: encode_uint(b.b0, b.b1),
         _reading(lambda r: FinalQueryPair(b0=r.read_uint(), b1=r.read_uint())),
     ),
-    MsgType.RESPONSE: (_PAIR[0], _reading(_PAIR[1])),
-    MsgType.RESPONSE_VEC: _vector(*_PAIR),
+    MsgType.RESPONSE: (_encode_pair, _reading(_read_pair)),
+    MsgType.RESPONSE_VEC: _PAIRS,
     MsgType.ISSUER_REQ1: _BIT,
     MsgType.ISSUER_REQ2: _BIT,
     MsgType.SP_S: _BYTES,
@@ -374,19 +354,13 @@ _CODECS = {
         _reading(lambda r: (_read_bit(r), r.read_bytes())),
     ),
     MsgType.COMPRESS_VEC: _CIPHERTEXTS,
-    MsgType.TAGGED_RESPONSE_VEC: _vector(
-        lambda res: _encode_pair(res.pair),
-        lambda r: TaggedResponse(pair=_read_pair(r)),
-    ),
+    MsgType.TAGGED_RESPONSE_VEC: _PAIRS,
     MsgType.FILTERED_RESPONSE: (
-        lambda f: encode_uint(*(o.value for o in (f.o00, f.o01, f.o10, f.o11))),
-        _reading(lambda r: FilteredResponse(
-            *(HomCiphertext(r.read_uint()) for _ in range(4)))),
+        lambda f: encode_uint(*(o.value for o in f)),
+        _reading(lambda r: tuple(HomCiphertext(r.read_uint()) for _ in range(4))),
     ),
     MsgType.SELECTOR_VEC: _CIPHERTEXTS,
-    MsgType.COMPRESSED_RESPONSE: (
-        _encode_full_width, lambda buf: CompressedResponse(_CIPHERTEXTS[1](buf))
-    ),
+    MsgType.COMPRESSED_RESPONSE: (_encode_full_width, _CIPHERTEXTS[1]),
     MsgType.PAD_KEYS: (
         lambda k: encode_bytes(k.k0, k.k1),
         _reading(lambda r: sup.PadKeys(k0=r.read_bytes(), k1=r.read_bytes())),
@@ -552,9 +526,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     if issuer and multi:
         with _phase(t, "compress_vector", Role.ISSUER):
             w = duqmr_t_setup(db.z, cfg.v, pk_j, rng)
-            w_rx = CompressVector(
-                entries=_hop(t, Role.ISSUER, Role.P1, MsgType.COMPRESS_VEC, w.entries)
-            )
+            w_rx = _hop(t, Role.ISSUER, Role.P1, MsgType.COMPRESS_VEC, w)
     with _phase(t, "request", Role.RECEIVER):
         # issuer variants send bare blinds: the shares come from the issuer
         req1, req2 = (duq_r_request(params, rng) if issuer
@@ -592,8 +564,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
             vec_rx = _hop(t, Role.SENDER, Role.P1, MsgType.RESPONSE_VEC, vec)
         elif issuer:
             res = duq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, tag_at_s, rng)
-            res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE,
-                          NpResponse(*res.pair))
+            res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
         else:
             res = dq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, rng)
             res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
@@ -611,8 +582,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         if multi:
             return duqmr_r_retrieve(res_rx, sk_j, req1, req2, share2_at_r, tag_at_r,
                                     cfg.sigma_bits, params)
-        return duq_r_retrieve(TaggedResponse(pair=(res_rx.e0, res_rx.e1)),
-                              req1, req2, share2_at_r, tag_at_r, params)
+        return duq_r_retrieve(res_rx, req1, req2, share2_at_r, tag_at_r, params)
 
 
 def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
@@ -626,9 +596,7 @@ def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
             component_bits=max(params.P.bit_length(), cfg.sigma_bits),
         )
         q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)
-        sel_rx = SelectorVector(entries=_hop(
-            t, Role.RECEIVER, Role.SENDER, MsgType.SELECTOR_VEC, selector.entries
-        ))
+        sel_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.SELECTOR_VEC, selector)
     with _phase(t, "gen_res", Role.SENDER):
         compressed = comp_gen_res(
             suite, [cfg.m0, cfg.m1], params, q_rx, sel_rx, pk_R, rng

@@ -1,19 +1,19 @@
 """Constant-size-response wrapper around any conventional OT suite.
 
-The receiver ships an encrypted one-hot selector (paillier.one_hot) along
-with its base query. The sender still computes every base response element,
-but collapses them into a single element's worth of ciphertexts by a
-component-wise homomorphic inner product with the selector (paillier.select),
-so the response size stops depending on the message count. The response
-travels with each ciphertext at the key's full width; that format is the
-COMPRESSED_RESPONSE entry of the codec table in harness.py.
+The receiver ships a selector along with its base query: a tuple of n
+ciphertexts under its key, encrypting one-hot at its choice
+(paillier.one_hot). The sender still computes every base response element,
+but collapses them into a single element's worth of ciphertexts, one per
+component, by a component-wise homomorphic inner product with the selector
+(paillier.select), so the response size stops depending on the message
+count. The compressed response is that tuple of ciphertexts; it travels with
+each at the key's full width, the COMPRESSED_RESPONSE entry of the codec
+table in harness.py.
 
 Embedding: every component travels through the plaintext space as the
 big-endian integer of a 2-byte length header followed by the component bytes,
 which keeps decoding unambiguous after decryption.
 """
-
-from dataclasses import dataclass
 
 from .base_ot import ConventionalOtSuite
 from .errors import (
@@ -33,20 +33,6 @@ from .paillier import (
 )
 from .primitives import ByteString
 from .rng import RandomSource
-
-
-@dataclass(frozen=True)
-class SelectorVector:
-    """n encryptions under the receiver's key, decrypting to one-hot at s."""
-
-    entries: tuple[HomCiphertext, ...]
-
-
-@dataclass(frozen=True)
-class CompressedResponse:
-    """w ciphertexts, one per base response component; w is constant in n."""
-
-    components: tuple[HomCiphertext, ...]
 
 
 HEADER_BYTES = 2
@@ -109,7 +95,7 @@ def comp_gen_query(
         if pk_R.bits() <= needed:
             raise KeyTooSmall(f"need a modulus over {needed} bits")
     base_query, base_secret = suite.gen_query(pk_base, n, s, rng)
-    return base_query, base_secret, SelectorVector(entries=one_hot(pk_R, n, s, rng))
+    return base_query, base_secret, one_hot(pk_R, n, s, rng)
 
 
 def comp_gen_res(
@@ -117,25 +103,26 @@ def comp_gen_res(
     msgs: list[ByteString],
     pk_base,
     base_query,
-    selector: SelectorVector,
+    selector: tuple[HomCiphertext, ...],
     pk_R: PaillierPublicKey,
     rng: RandomSource,
-) -> CompressedResponse:
-    """Component-wise inner product of the base response with the selector."""
-    if len(msgs) != len(selector.entries):
+) -> tuple[HomCiphertext, ...]:
+    """Component-wise inner product of the base response with the selector:
+    one ciphertext per base response component, however many messages."""
+    if len(msgs) != len(selector):
         raise LengthMismatch(
-            f"{len(msgs)} messages against {len(selector.entries)} selector entries"
+            f"{len(msgs)} messages against {len(selector)} selector entries"
         )
     elements = suite.gen_res(msgs, pk_base, base_query, rng)
-    return CompressedResponse(components=tuple(
-        select(pk_R, selector.entries, [embed_component(e[c], pk_R) for e in elements])
+    return tuple(
+        select(pk_R, selector, [embed_component(e[c], pk_R) for e in elements])
         for c in range(len(suite.component_kinds))
-    ))
+    )
 
 
 def comp_retrieve(
     suite: ConventionalOtSuite,
-    compressed: CompressedResponse,
+    compressed: tuple[HomCiphertext, ...],
     sk_R: PaillierSecretKey,
     base_query,
     base_secret,
@@ -145,6 +132,6 @@ def comp_retrieve(
     """Decrypt and decode the surviving element, then finish with the suite."""
     element = tuple(
         unembed_component(dec(sk_R, ct), kind)
-        for ct, kind in zip(compressed.components, suite.component_kinds)
+        for ct, kind in zip(compressed, suite.component_kinds)
     )
     return suite.retrieve([element], base_query, base_secret, pk_base, s)

@@ -7,7 +7,6 @@ whole-byte strings of a fixed session length sigma; bit lengths are always
 """
 
 import hashlib
-from dataclasses import dataclass
 
 from .errors import InputTooShort, LengthMismatch, UsageError
 from .rng import RandomSource
@@ -15,20 +14,12 @@ from .rng import RandomSource
 ByteString = bytes
 
 
-@dataclass(frozen=True)
-class BitShares:
-    """XOR shares of one bit: s1 ^ s2 reconstructs the secret."""
-
-    s1: int
-    s2: int
-
-
-def ss_share(s: int, rng: RandomSource) -> BitShares:
-    """Split a bit into two XOR shares, the first uniform."""
+def ss_share(s: int, rng: RandomSource) -> tuple[int, int]:
+    """Split a bit into XOR shares (s1, s2), s1 uniform and s1 ^ s2 = s."""
     if s not in (0, 1):
         raise UsageError("shared bit must be 0 or 1")
     s1 = rng.randbit()
-    return BitShares(s1=s1, s2=s ^ s1)
+    return s1, s ^ s1
 
 
 def controlled_swap(b: int, pair):

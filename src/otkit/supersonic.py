@@ -41,8 +41,7 @@ def sup_gen_query(s: int, rng: RandomSource) -> tuple[int, int]:
     """XOR shares of the choice bit, one per remote party."""
     if s not in (0, 1):
         raise UsageError("choice bit must be 0 or 1")
-    shares = ss_share(s, rng)
-    return shares.s1, shares.s2
+    return ss_share(s, rng)
 
 
 def sup_gen_res(

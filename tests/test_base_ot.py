@@ -13,7 +13,7 @@ from otkit.base_ot import (
     unmask_element,
 )
 from otkit.errors import IndexOutOfRange, LengthMismatch
-from otkit.groupmath import GroupParams, elem_div, modexp
+from otkit.groupmath import elem_div, modexp
 from otkit.rng import SeededSource
 
 
@@ -110,10 +110,6 @@ class TestEndToEnd:
 class TestSuiteContract:
     def test_component_kinds(self):
         assert np_suite().component_kinds == ("elem", "mask")
-
-    def test_init_builds_group(self, rng):
-        pk = np_suite().init(32, rng)
-        assert isinstance(pk, GroupParams)
 
     def test_two_message_path_matches_plain_ot(self, toy):
         suite = np_suite()

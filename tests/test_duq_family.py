@@ -4,8 +4,8 @@ import pytest
 
 from otkit.dq_family import DelegationRequest, dq_p1_gen_query, dq_p2_gen_query
 from otkit.dq_family import FinalQueryPair, MessageDatabase
+from otkit.base_ot import NpResponse
 from otkit.duq_family import (
-    TaggedResponse,
     duq_r_request,
     duq_r_retrieve,
     duq_s_gen_res,
@@ -92,7 +92,7 @@ class TestTaggedTransfer:
             res = duq_s_gen_res(b"\x01" * 4, b"\x02" * 4, group512, final, tag, rng)
             try:
                 one_slot = duq_r_retrieve(
-                    TaggedResponse(pair=(res.pair[0], (1, b""))),
+                    NpResponse(res.e0, (1, b"")),
                     blind1,
                     blind2,
                     0,
@@ -119,7 +119,7 @@ class TestTaggedTransfer:
             duq_r_retrieve(res, blind1, blind2, 0, flipped, group512)
 
     def test_short_bodies_cannot_match(self, group512):
-        res = TaggedResponse(pair=((1, b""), (1, b"\x00")))
+        res = NpResponse((1, b""), (1, b"\x00"))
         with pytest.raises(NoTagMatch):
             duq_r_retrieve(res, 3, 4, 0, b"\xaa" * 16, group512)
 
@@ -132,7 +132,7 @@ class TestTaggedTransfer:
             (1, xor_bytes(pad, m + tag)) for m in (b"\x01\x02\x03\x04", b"\x05\x06\x07\x08")
         )
         with pytest.raises(AmbiguousTag):
-            duq_r_retrieve(TaggedResponse(pair=forged), 3, 4, 0, tag, group512)
+            duq_r_retrieve(NpResponse(*forged), 3, 4, 0, tag, group512)
 
 
 class TestEmbeddingBounds:
@@ -154,7 +154,7 @@ class TestCompression:
     def test_selector_is_one_hot(self, paillier512, rng):
         pk_j, sk_j = paillier512
         w = duqmr_t_setup(5, 2, pk_j, rng)
-        assert [dec(sk_j, ct) for ct in w.entries] == [0, 0, 1, 0, 0]
+        assert [dec(sk_j, ct) for ct in w] == [0, 0, 1, 0, 0]
 
     @pytest.mark.parametrize("v", [-1, 5])
     def test_selector_index_checked(self, paillier512, rng, v):

@@ -212,7 +212,7 @@ class TestFixedBase:
     def test_cache_bounded(self, group512):
         P, q = group512.P, group512.q
         groups = [
-            GroupParams(P=P, q=q, g=k * k, C=k * k, lambda_bits=512)
+            GroupParams(P=P, q=q, g=k * k, C=k * k)
             for k in range(2, COMB_GROUPS + 6)
         ]
         for params in groups + groups[:2]:

@@ -316,6 +316,22 @@ def samples():
     return out
 
 
+@pytest.fixture(scope="module")
+def comp_np_key():
+    """The Paillier public key of the comp-np run that samples() records."""
+    keys, original = [], harness.kgen
+
+    def kgen(*args):
+        keys.append(original(*args))
+        return keys[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "kgen", kgen)
+        run_session(_config("comp-np"))
+    (pk_R, _), = keys
+    return pk_R
+
+
 SHARE_TYPES = (MsgType.REQ1, MsgType.REQ2, MsgType.ISSUER_REQ1, MsgType.ISSUER_REQ2,
                MsgType.SP_R, MsgType.SUP_Q1, MsgType.SUP_Q2)
 
@@ -344,14 +360,14 @@ class TestCodecTable:
         }
         assert importers == {"harness"}
 
-    # COMPRESSED_RESPONSE's encoder also takes the key, for the ciphertext width
-    @pytest.mark.parametrize(
-        "mtype", [m for m in MsgType if m is not MsgType.COMPRESSED_RESPONSE],
-        ids=lambda m: m.name,
-    )
-    def test_encode_inverts_decode(self, samples, mtype):
+    @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda m: m.name)
+    def test_encode_inverts_decode(self, samples, comp_np_key, mtype):
         encode, decode = harness._CODECS[mtype]
-        assert encode(decode(samples[mtype])) == samples[mtype]
+        value = decode(samples[mtype])
+        if mtype is MsgType.COMPRESSED_RESPONSE:
+            # its encoder also takes the key, for the ciphertext width
+            value = (value, comp_np_key)
+        assert encode(value) == samples[mtype]
 
     @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda m: m.name)
     def test_trailing_byte_rejected(self, samples, mtype):

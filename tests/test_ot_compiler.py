@@ -170,7 +170,7 @@ class TestConstantSize:
         compressed = comp_gen_res(
             suite, [bytes([i]) for i in range(8)], toy, q, selector, pk_R, rng
         )
-        assert len(compressed.components) == len(suite.component_kinds)
+        assert len(compressed) == len(suite.component_kinds)
 
     def test_encode_round_trip(self, toy, paillier512, rng):
         suite = np_suite()
