@@ -2,9 +2,9 @@
 
 import pytest
 
+from otkit.base_ot import NpResponse
 from otkit.dq_family import DelegationRequest, dq_p1_gen_query, dq_p2_gen_query
 from otkit.dq_family import FinalQueryPair, MessageDatabase
-from otkit.base_ot import NpResponse
 from otkit.duq_family import (
     duq_r_request,
     duq_r_retrieve,
