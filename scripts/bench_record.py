@@ -9,19 +9,23 @@ run_seconds, each in a fresh process in the checkout (this one unless
 --checkout names another), and writes BENCH_<tag>.json beside
 BENCHMARK.json. The file holds every run's end-to-end metrics, their median
 and quartiles per workload, the interpreter's version, whether gmpy2 was
-importable, and the checkout's git commit (with `dirty` set when src/ or perfbench/ differ from it). --append
-adds runs to an existing record of the same commit, so two checkouts can be
-run in alternation, one seed at a time. --trace also runs the command once
-per workload with --trace 1 (the first seed, the same run length) and keeps
-its per-session call counts, the `*.calls` metrics, under the record's
-`traced` key. Every round of the benchmark gives the program the same seeds,
-so these counts are exact and repeat from run to run.
+importable, the checkout's git commit (with `dirty` set when src/ or
+perfbench/ differ from it), and the line and byte counts of its
+src/otkit/*.py: the pad workloads' `setup_s` follows the size of the source
+that each benchmark process byte-compiles. --append adds runs to an existing
+record of the same commit, so two checkouts can be run in alternation, one
+seed at a time. --trace also runs the command once per workload with
+--trace 1 (the first seed, the same run length) and keeps its per-session
+call counts, the `*.calls` metrics, under the record's `traced` key. Every
+round of the benchmark gives the program the same seeds, so these counts are
+exact and repeat from run to run.
 
---diff prints each workload's failed and attempted sessions in each file,
-summed over its runs, then, for each workload and metric in both files, both
-medians, their ratio B/A, A's interquartile range, and the pair wins: the
-seeds present in both where B's run was better than A's. When both files hold
-traced counts, it then lists every count that differs between them.
+--diff prints each file's commit and source size, then each workload's failed
+and attempted sessions in each file, summed over its runs, then, for each
+workload and metric in both files, both medians, their ratio B/A, A's
+interquartile range, and the pair wins: the seeds present in both where B's
+run was better than A's. When both files hold traced counts, it then lists
+every count that differs between them.
 """
 
 import argparse
@@ -42,17 +46,27 @@ def _git(checkout: Path, *args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
+def source_size(checkout: Path) -> tuple[int, int]:
+    """Lines and bytes of the checkout's src/otkit/*.py."""
+    blobs = [p.read_bytes() for p in sorted((checkout / "src" / "otkit").glob("*.py"))]
+    return sum(b.count(b"\n") for b in blobs), sum(map(len, blobs))
+
+
 def environment(checkout: Path) -> dict:
-    """Interpreter, gmpy2 flag and git commit that a record's runs share."""
+    """Interpreter, gmpy2 flag, git commit and source size that a record's
+    runs share."""
     probe = ("import importlib.util, platform; print(platform.python_version(), "
              "importlib.util.find_spec('gmpy2') is not None)")
     out = subprocess.run([SPEC["command"][0], "-c", probe], capture_output=True,
                          text=True, check=True).stdout.split()
+    lines, size = source_size(checkout)
     return {
         "python": out[0],
         "gmpy2": out[1] == "True",
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
+        "src_lines": lines,
+        "src_bytes": size,
     }
 
 
@@ -143,8 +157,11 @@ def traced_diff(a: dict, b: dict) -> list[tuple[str, str, float | None, float | 
 
 def print_diff(path_a: Path, path_b: Path) -> None:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    print(f"A = {path_a} ({a['commit'][:12]}{'+' if a['dirty'] else ''})")
-    print(f"B = {path_b} ({b['commit'][:12]}{'+' if b['dirty'] else ''})")
+    for name, path, rec in (("A", path_a, a), ("B", path_b, b)):
+        # records made before the source size was kept show "?"
+        print(f"{name} = {path} ({rec['commit'][:12]}{'+' if rec['dirty'] else ''}; "
+              f"src/otkit {rec.get('src_lines', '?')} lines, "
+              f"{rec.get('src_bytes', '?')} bytes)")
     fa, fb = failures(a), failures(b)
     for workload in {**fa, **fb}:
         shown = ["/".join(map(str, f[workload])) if workload in f else "-"
@@ -170,7 +187,7 @@ def record(args) -> None:
     runs, traced = [], {}
     if args.append and out.exists():
         old = json.loads(out.read_text())
-        if {k: old[k] for k in env} != env:
+        if {k: old.get(k) for k in env} != env:
             raise SystemExit(f"{out} was recorded from another checkout or interpreter")
         runs, traced = old["runs"], old.get("traced", {})
     if args.trace:

@@ -14,6 +14,7 @@ from .errors import (
     AmbiguousTag,
     ConsistencyAbort,
     DecodeError,
+    ElementOutOfRange,
     EmbeddingOverflow,
     IndexOutOfRange,
     InputTooShort,
@@ -48,6 +49,7 @@ __all__ = [
     "AmbiguousTag",
     "ConsistencyAbort",
     "DecodeError",
+    "ElementOutOfRange",
     "EmbeddingOverflow",
     "Envelope",
     "GroupParams",

@@ -12,7 +12,7 @@ response's wire format lives in the session engine's codec table
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .errors import IndexOutOfRange, LengthMismatch
+from .errors import ElementOutOfRange, IndexOutOfRange, LengthMismatch
 from .groupmath import (
     GroupElement,
     GroupParams,
@@ -66,6 +66,8 @@ def np_gen_res(
     rng: RandomSource,
 ) -> NpResponse:
     """Mask both messages against the query pair (b0, C / b0)."""
+    if not 0 < query < pk.P:
+        raise ElementOutOfRange("query element outside [1, P) has no inverse")
     powers = base_powers(query, pk, 1), base_powers(elem_div(pk.C, query, pk), pk, 1)
     return _mask_pair(m0, m1, pk, powers, rng)
 

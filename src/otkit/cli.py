@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from . import laws
 from .errors import UsageError
 from .groupmath import TOY_Q, gen_group, toy_group
-from .harness import PROTOCOLS, Role, SessionConfig, export_transcript, run_session
+from .harness import (PROTOCOLS, TAMPERS, Role, SessionConfig, export_transcript,
+                      run_session)
 from .paillier import kgen
 from .rng import SeededSource
 
@@ -35,7 +36,8 @@ def _parse_hex(text: str, width: int, name: str) -> bytes:
 def _load_db(path: str, width: int) -> tuple[tuple[bytes, bytes], ...]:
     """One record per line, two whitespace-separated hex fields; line = v."""
     try:
-        text = open(path, encoding="ascii").read()
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read database file: {err}") from None
     pairs = []
@@ -58,26 +60,33 @@ def _load_db(path: str, width: int) -> tuple[tuple[bytes, bytes], ...]:
     return tuple(pairs)
 
 
-def _build_config(args) -> SessionConfig:
-    width = args.sigma // 8 if args.sigma % 8 == 0 and args.sigma > 0 else None
-    if width is None:
+def _session_fields(args) -> dict:
+    """The SessionConfig fields that run and bench take from _add_common's flags."""
+    if args.sigma <= 0 or args.sigma % 8:
         raise UsageError("sigma must be a positive multiple of 8")
-    db = _load_db(args.db, width) if args.db else None
-    return SessionConfig(
-        protocol=args.protocol,
+    return dict(
         sigma_bits=args.sigma,
         lambda_bits=args.lambda_bits,
         group_bits=args.group_bits,
         paillier_bits=args.paillier_bits,
         # group protocols default to the toy group when no size is named
         toy=args.toy or args.group_bits is None,
+    )
+
+
+def _build_config(args) -> SessionConfig:
+    fields = _session_fields(args)  # checks sigma, which sizes the hex fields
+    width = args.sigma // 8
+    return SessionConfig(
+        protocol=args.protocol,
         seed=args.seed,
         s=args.s,
         m0=_parse_hex(args.m0, width, "m0") if args.m0 is not None else None,
         m1=_parse_hex(args.m1, width, "m1") if args.m1 is not None else None,
-        db=db,
+        db=_load_db(args.db, width) if args.db else None,
         v=args.v,
         tamper=args.inject_tamper,
+        **fields,
     )
 
 
@@ -161,27 +170,16 @@ class BenchReport:
     machine: str
 
 
-def _bench_config(protocol: str, args, seed: int) -> dict:
+def _bench_config(protocol: str, args, seed: int) -> SessionConfig:
+    cfg = SessionConfig(protocol=protocol, seed=seed, s=1, **_session_fields(args))
     rng = SeededSource(seed ^ 0xB0)
     width = args.sigma // 8
-    base = dict(
-        protocol=protocol,
-        sigma_bits=args.sigma,
-        lambda_bits=args.lambda_bits,
-        group_bits=args.group_bits,
-        paillier_bits=args.paillier_bits,
-        toy=args.toy or args.group_bits is None,
-        seed=seed,
-        s=1,
-    )
-    if protocol in ("dq-mr", "duq-mr"):
-        base["db"] = tuple(
-            (rng.randbytes(width), rng.randbytes(width)) for _ in range(4)
-        )
-        base["v"] = 1
+    if protocol.endswith("-mr"):
+        cfg.db = tuple((rng.randbytes(width), rng.randbytes(width)) for _ in range(4))
+        cfg.v = 1
     else:
-        base["m0"], base["m1"] = rng.randbytes(width), rng.randbytes(width)
-    return base
+        cfg.m0, cfg.m1 = rng.randbytes(width), rng.randbytes(width)
+    return cfg
 
 
 def bench_protocol(protocol: str, iterations: int, args) -> BenchReport:
@@ -193,23 +191,18 @@ def bench_protocol(protocol: str, iterations: int, args) -> BenchReport:
         raise UsageError(f"seed must lie in [0, 2^64 - {iterations}] for "
                          f"{iterations} iterations")
     phase_sums: dict[str, float] = {}
-    phase_order: list[str] = []
     started = time.perf_counter()
     for i in range(iterations):
-        cfg = SessionConfig(**_bench_config(protocol, args, seed0 + i))
-        transcript = run_session(cfg)
+        transcript = run_session(_bench_config(protocol, args, seed0 + i))
         for label, seconds in transcript.phase_times:
-            if label not in phase_sums:
-                phase_sums[label] = 0.0
-                phase_order.append(label)
-            phase_sums[label] += seconds
+            phase_sums[label] = phase_sums.get(label, 0.0) + seconds
     total = time.perf_counter() - started
     return BenchReport(
         protocol=protocol,
         iterations=iterations,
         total_seconds=total,
         mean_seconds=total / iterations,
-        phases=tuple((label, phase_sums[label] / iterations) for label in phase_order),
+        phases=tuple((label, s / iterations) for label, s in phase_sums.items()),
         machine=f"{platform.platform()} / Python {platform.python_version()}",
     )
 
@@ -291,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--db", default=None, help="database file for MR runs")
     run_p.add_argument("--v", type=int, default=None, help="record index for MR runs")
     run_p.add_argument("--transcript", default=None, help="write transcript here")
-    run_p.add_argument("--inject-tamper", choices=("beta", "tag"), default=None,
+    run_p.add_argument("--inject-tamper", choices=tuple(TAMPERS), default=None,
                        help="test hook: corrupt one value in flight")
 
     verify_p = sub.add_parser("verify", help="run the protocol law checks")
     verify_p.add_argument("--toy", action="store_true",
                           help="toy group only, smaller counts")
-    verify_p.add_argument("--inject-tamper", choices=("beta", "tag"), default=None,
+    verify_p.add_argument("--inject-tamper", choices=tuple(TAMPERS), default=None,
                           help="also check that tampering trips the abort")
 
     bench_p = sub.add_parser("bench", help="time a protocol")

@@ -43,6 +43,10 @@ class MalformedCiphertext(ProtocolError):
     """Ciphertext not invertible mod n, cannot be decrypted."""
 
 
+class ElementOutOfRange(ProtocolError):
+    """Group element from a peer outside [1, P)."""
+
+
 class ConsistencyAbort(ProtocolError):
     """Query pair failed the b0 * b1 = C well-formedness relation."""
 

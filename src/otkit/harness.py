@@ -205,6 +205,12 @@ GOLDEN_PHASES: dict[str, tuple[MsgType, ...]] = {
 
 PROTOCOLS = tuple(GOLDEN_PHASES)
 
+# in-flight test hooks: name -> (message type altered, refusing role, refusal)
+TAMPERS: dict[str, tuple[MsgType, Role, str]] = {
+    "beta": (MsgType.FINAL_Q, Role.SENDER, "ConsistencyAbort"),  # b0 times g
+    "tag": (MsgType.SP_S, Role.RECEIVER, "NoTagMatch"),  # first tag bit flipped
+}
+
 
 @dataclass
 class SessionConfig:
@@ -214,8 +220,7 @@ class SessionConfig:
     s is the choice bit (held by the receiver, or by the issuer in the
     unknown-query variants). A seed makes the run reproducible; with none,
     every secret comes from the OS and the transcript exports `seed none`.
-    tamper is test plumbing: "beta" multiplies one final query element, "tag"
-    flips a tag byte at the sender.
+    tamper is test plumbing: the name of an in-flight hook in TAMPERS.
     """
 
     protocol: str
@@ -418,10 +423,9 @@ class _phase:
 def _validate(cfg: SessionConfig) -> None:
     if cfg.protocol not in PROTOCOLS:
         raise UsageError(f"unknown protocol {cfg.protocol!r}")
-    if cfg.sigma_bits <= 0 or cfg.sigma_bits % 8:
-        raise UsageError("sigma_bits must be a positive multiple of 8")
-    if cfg.lambda_bits <= 0 or cfg.lambda_bits % 8:
-        raise UsageError("lambda_bits must be a positive multiple of 8")
+    for name, bits in (("sigma_bits", cfg.sigma_bits), ("lambda_bits", cfg.lambda_bits)):
+        if bits <= 0 or bits % 8:
+            raise UsageError(f"{name} must be a positive multiple of 8")
     if cfg.s not in (0, 1):
         raise UsageError("choice bit s must be 0 or 1")
     if cfg.seed is not None and not 0 <= cfg.seed < 1 << 64:
@@ -443,7 +447,7 @@ def _validate(cfg: SessionConfig) -> None:
         if len(cfg.m0) != sigma or len(cfg.m1) != sigma:
             raise UsageError("messages must be exactly sigma bits")
     # a tamper alters one message type, so it applies where that type is sent
-    target = {"beta": MsgType.FINAL_Q, "tag": MsgType.SP_S}.get(cfg.tamper)
+    target = TAMPERS[cfg.tamper][0] if cfg.tamper in TAMPERS else None
     if cfg.tamper is not None and target not in GOLDEN_PHASES[cfg.protocol]:
         raise UsageError(f"tamper {cfg.tamper!r} not applicable to {cfg.protocol}")
     # only pinned moduli: a fresh safe prime of arbitrary size may take forever
@@ -556,26 +560,21 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
             final = FinalQueryPair(b0=elem_mul(final.b0, params.g, params), b1=final.b1)
         b_rx = _hop(t, Role.P1, Role.SENDER, MsgType.FINAL_Q, final)
     with _phase(t, "gen_res", Role.SENDER):
-        if multi and issuer:
-            vec = duqmr_s_gen_res_multi(db, params, b_rx, tag_at_s, rng)
-            vec_rx = _hop(t, Role.SENDER, Role.P1, MsgType.TAGGED_RESPONSE_VEC, vec)
-        elif multi:
-            vec = dqmr_s_gen_res_multi(db, params, b_rx, rng)
-            vec_rx = _hop(t, Role.SENDER, Role.P1, MsgType.RESPONSE_VEC, vec)
-        elif issuer:
-            res = duq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, tag_at_s, rng)
-            res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
+        if multi:
+            vec = (duqmr_s_gen_res_multi(db, params, b_rx, tag_at_s, rng) if issuer
+                   else dqmr_s_gen_res_multi(db, params, b_rx, rng))
+            vec_type = MsgType.TAGGED_RESPONSE_VEC if issuer else MsgType.RESPONSE_VEC
+            vec_rx = _hop(t, Role.SENDER, Role.P1, vec_type, vec)
         else:
-            res = dq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, rng)
+            res = (duq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, tag_at_s, rng) if issuer
+                   else dq_s_gen_res(cfg.m0, cfg.m1, params, b_rx, rng))
             res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
     if multi:
         with _phase(t, "filter", Role.P1):
-            if issuer:
-                res_rx = _hop(t, Role.P1, Role.RECEIVER, MsgType.FILTERED_RESPONSE,
-                              duqmr_p1_filter(vec_rx, w_rx, pk_j))
-            else:
-                res_rx = _hop(t, Role.P1, Role.RECEIVER, MsgType.RESPONSE,
-                              dqmr_p1_filter(vec_rx, cfg.v))
+            res = (duqmr_p1_filter(vec_rx, w_rx, pk_j) if issuer
+                   else dqmr_p1_filter(vec_rx, cfg.v))
+            res_type = MsgType.FILTERED_RESPONSE if issuer else MsgType.RESPONSE
+            res_rx = _hop(t, Role.P1, Role.RECEIVER, res_type, res)
     with _phase(t, "retrieve", Role.RECEIVER):
         if not issuer:
             return dq_r_retrieve(res_rx, req1, req2, cfg.s, params)

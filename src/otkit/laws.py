@@ -39,6 +39,7 @@ from .harness import (
     _CODECS,
     GOLDEN_PHASES,
     PROTOCOLS,
+    TAMPERS,
     Envelope,
     MsgType,
     Role,
@@ -326,13 +327,11 @@ def envelope_roundtrip(rounds: int, seed: int) -> int:
 
 
 def tamper_trips(kind: str, seed: int) -> str:
-    """A session with the tamper hook ("beta" or "tag") ends in the refusal
-    it is meant to trip, at the role meant to refuse."""
-    protocol, role, error = {
-        "beta": ("dq-ot", "SENDER", "ConsistencyAbort"),
-        "tag": ("duq-ot", "RECEIVER", "NoTagMatch"),
-    }[kind]
+    """A session of the first protocol that sends the message type the hook
+    kind alters ends in the refusal, at the role, that TAMPERS[kind] names."""
+    mtype, role, error = TAMPERS[kind]
+    protocol = next(p for p, phases in GOLDEN_PHASES.items() if mtype in phases)
     t = run_session(_session_config(protocol, seed, tamper=kind))
-    if t.outputs.get(role) != f"error:{error}":
-        raise LawViolation(f"tamper {kind} did not trigger {error} at the {role}")
+    if t.outputs.get(role.name) != f"error:{error}":
+        raise LawViolation(f"tamper {kind} did not trigger {error} at the {role.name}")
     return f"{error} triggered"

@@ -123,3 +123,27 @@ def test_trace_keeps_call_counts_and_diff_lists_changes(tmp_path, monkeypatch, c
     out = capsys.readouterr().out.splitlines()
     assert out[-2] == "traced calls per session (dh-2048): 1 differ"
     assert out[-1].split() == ["dh-2048", "numth.powmod.calls", "A", "2.75", "B", "4.75"]
+
+
+def test_source_size_counts_lines_and_bytes_of_the_package(tmp_path):
+    pkg = tmp_path / "src" / "otkit"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not source\n")
+    assert bench_record.source_size(tmp_path) == (3, 18)
+
+
+def test_diff_prints_each_record_source_size(tmp_path, capsys):
+    a = _record("w", {1: {"session_ms": 1.0}})
+    b = {**_record("w", {1: {"session_ms": 1.0}}, commit="b" * 40),
+         "src_lines": 2970, "src_bytes": 123456}
+    paths = []
+    for name, rec in (("A", a), ("B", b)):
+        path = tmp_path / f"BENCH_{name}.json"
+        path.write_text(json.dumps(rec))
+        paths.append(str(path))
+    assert bench_record.main(["--diff", *paths]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"A = {paths[0]} ({'a' * 12}; src/otkit ? lines, ? bytes)"
+    assert out[1] == f"B = {paths[1]} ({'b' * 12}; src/otkit 2970 lines, 123456 bytes)"

@@ -2,12 +2,14 @@
 
 import argparse
 import ast
+import gc
 import os
 import shutil
 import subprocess
 import sys
 import time
 import venv
+import warnings
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,15 @@ class TestDatabaseFile:
                    "--sigma", "8", "--seed", "1"])
         assert rc == 2
         assert "cannot read database file" in capsys.readouterr().err
+
+    def test_file_is_closed(self, capsys, db_file):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "dq-mr", "--db", db_file, "--v", "0", "--s", "0",
+                       "--sigma", "32", "--seed", "1"])
+            gc.collect()
+        assert rc == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_index_outside_database(self, capsys, db_file):
         rc = main(["run", "dq-mr", "--db", db_file, "--v", "4", "--s", "0",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import harness
+from otkit import harness, laws
 from otkit.errors import (
     DecodeError,
     MalformedCiphertext,
@@ -16,9 +16,11 @@ from otkit.errors import (
     UnknownTag,
     UsageError,
 )
+from otkit.groupmath import TOY_P
 from otkit.harness import (
     GOLDEN_PHASES,
     PROTOCOLS,
+    TAMPERS,
     Envelope,
     MsgType,
     Role,
@@ -240,6 +242,21 @@ class TestErrorPropagation:
         cfg = _config("duq-ot", tamper="tag", toy=False, group_bits=512)
         t = run_session(cfg)
         assert t.outputs[Role.RECEIVER.name] == "error:NoTagMatch"
+
+    @pytest.mark.parametrize("kind", list(TAMPERS))
+    def test_tamper_trips_its_refusal(self, kind):
+        assert laws.tamper_trips(kind, 55) == f"{TAMPERS[kind][2]} triggered"
+
+    # 0 and P have no inverse mod P, so C / query cannot be formed
+    @pytest.mark.parametrize("protocol", ["np-ot", "comp-np"])
+    @pytest.mark.parametrize("query", [0, TOY_P])
+    def test_out_of_range_query_refused_by_sender(self, monkeypatch, protocol, query):
+        encode, decode = harness._CODECS[MsgType.NP_QUERY]
+        monkeypatch.setitem(
+            harness._CODECS, MsgType.NP_QUERY, (lambda q: encode(query), decode)
+        )
+        t = run_session(_config(protocol))
+        assert t.outputs == {Role.SENDER.name: "error:ElementOutOfRange"}
 
     def test_tamper_applicability_checked(self):
         with pytest.raises(UsageError):
