@@ -27,6 +27,7 @@ from .errors import (
     PlaintextOutOfRange,
     PrimeSearchExhausted,
     ProtocolError,
+    ShapeMismatch,
     TruncatedFrame,
     UnknownRole,
     UnknownTag,
@@ -69,6 +70,7 @@ __all__ = [
     "SeededSource",
     "SessionConfig",
     "SessionTranscript",
+    "ShapeMismatch",
     "SystemSource",
     "TruncatedFrame",
     "UnknownRole",

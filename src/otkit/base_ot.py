@@ -3,14 +3,21 @@
 The receiver sends a single group element; the sender derives the companion
 element through the public C, masks each message with a hash of a fresh
 DH share, and the receiver can unmask exactly the slot its blind matches.
+
+`_mask`, `_mask_pair` and `unmask_element` are the one mask of every
+group-based transfer, (g^y, oracle(b^y) xor m). They take the oracle as an
+argument: hash_H for a plain message, hash_G for a tagged one (duq_family).
+Callers pass the module global at call time, so a tracer that rebinds it
+sees every call.
+
 Also defines the pluggable suite contract that the response compiler
-consumes, plus that contract's instantiation for this OT. The
-response's wire format lives in the session engine's codec table
-(harness._CODECS), as every payload format does.
+consumes, plus that contract's instantiation for this OT. The response's
+wire format lives in the session engine's codec table (harness._CODECS), as
+every payload format does.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import ElementOutOfRange, IndexOutOfRange, LengthMismatch
 from .groupmath import (
@@ -28,6 +35,7 @@ from .primitives import ByteString, hash_H, xor_bytes
 from .rng import RandomSource
 
 ResponseElement = tuple[GroupElement, ByteString]
+Oracle = Callable[[ByteString, int], ByteString]
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,7 @@ class NpSecret:
     s: int
 
 
-@dataclass(frozen=True)
-class NpResponse:
+class NpResponse(NamedTuple):
     """Two response elements, slot 0 first; also the tagged pair of the
     delegated-unknown-query OT, whose slots are randomly permuted."""
 
@@ -69,15 +76,15 @@ def np_gen_res(
     if not 0 < query < pk.P:
         raise ElementOutOfRange("query element outside [1, P) has no inverse")
     powers = base_powers(query, pk, 1), base_powers(elem_div(pk.C, query, pk), pk, 1)
-    return _mask_pair(m0, m1, pk, powers, rng)
+    return _mask_pair(m0, m1, pk, powers, rng, hash_H)
 
 
 def _mask(
-    m: ByteString, power: Power, pk: GroupParams, rng: RandomSource
+    m: ByteString, power: Power, pk: GroupParams, rng: RandomSource, oracle: Oracle
 ) -> ResponseElement:
-    """(g^y, m xor H(power(y))) for a fresh y."""
+    """(g^y, m xor oracle(power(y))) for a fresh y."""
     y = rand_scalar(pk, rng)
-    pad = hash_H(elem_to_bytes(power(y), pk), 8 * len(m))
+    pad = oracle(elem_to_bytes(power(y), pk), 8 * len(m))
     return modexp(pk.g, y, pk), xor_bytes(pad, m)
 
 
@@ -87,29 +94,29 @@ def _mask_pair(
     pk: GroupParams,
     powers: tuple[Power, Power],
     rng: RandomSource,
+    oracle: Oracle,
 ) -> NpResponse:
     """Mask m_i against powers[i], slot 0 first. The caller vouches that the
     powers belong to a pair multiplying to C."""
     if len(m0) != len(m1):
         raise LengthMismatch("messages must share the session length")
     return NpResponse(
-        e0=_mask(m0, powers[0], pk, rng), e1=_mask(m1, powers[1], pk, rng)
+        _mask(m0, powers[0], pk, rng, oracle), _mask(m1, powers[1], pk, rng, oracle)
     )
 
 
 def unmask_element(
-    element: ResponseElement, exponent: Scalar, pk: GroupParams
+    element: ResponseElement, exponent: Scalar, pk: GroupParams, oracle: Oracle
 ) -> ByteString:
-    """Strip the hash pad of one response element with a known exponent."""
+    """Strip the oracle's pad of one response element with a known exponent."""
     head, body = element
-    pad = hash_H(elem_to_bytes(modexp(head, exponent, pk), pk), 8 * len(body))
+    pad = oracle(elem_to_bytes(modexp(head, exponent, pk), pk), 8 * len(body))
     return xor_bytes(pad, body)
 
 
 def np_retrieve(res: NpResponse, secret: NpSecret, pk: GroupParams) -> ByteString:
     """m_s from the response slot matching the stored choice bit."""
-    element = res.e0 if secret.s == 0 else res.e1
-    return unmask_element(element, secret.r, pk)
+    return unmask_element(res[secret.s], secret.r, pk, hash_H)
 
 
 @dataclass(frozen=True)
@@ -138,16 +145,15 @@ def _suite_gen_query(pk, n, s, rng):
 
 def _suite_gen_res(msgs, pk, query, rng):
     if len(msgs) == 2:
-        res = np_gen_res(msgs[0], msgs[1], pk, query, rng)
-        return [res.e0, res.e1]
+        return list(np_gen_res(msgs[0], msgs[1], pk, query, rng))
     power = base_powers(query, pk, len(msgs))
-    return [_mask(m, power, pk, rng) for m in msgs]
+    return [_mask(m, power, pk, rng, hash_H) for m in msgs]
 
 
 def _suite_retrieve(res_elements, query, secret, pk, s):
     # a compiled session hands back the single surviving element
     element = res_elements[0] if len(res_elements) == 1 else res_elements[s]
-    return unmask_element(element, secret.r, pk)
+    return unmask_element(element, secret.r, pk, hash_H)
 
 
 def np_suite() -> ConventionalOtSuite:

@@ -11,9 +11,10 @@ database entry and P1 forwards exactly the pair at the receiver's index v.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .base_ot import NpResponse, _mask_pair, unmask_element
-from .errors import ConsistencyAbort, IndexOutOfRange, UsageError
+from .errors import ConsistencyAbort, IndexOutOfRange, ShapeMismatch, UsageError
 from .groupmath import (
     GroupElement,
     GroupParams,
@@ -25,7 +26,7 @@ from .groupmath import (
     modexp,
     rand_scalar,
 )
-from .primitives import ByteString, ss_share
+from .primitives import ByteString, controlled_swap, hash_H, ss_share
 from .rng import RandomSource
 
 
@@ -37,14 +38,12 @@ class DelegationRequest:
     blind: Scalar
 
 
-@dataclass(frozen=True)
-class PartialQueryPair:
+class PartialQueryPair(NamedTuple):
     d0: GroupElement
     d1: GroupElement
 
 
-@dataclass(frozen=True)
-class FinalQueryPair:
+class FinalQueryPair(NamedTuple):
     b0: GroupElement
     b1: GroupElement
 
@@ -72,8 +71,6 @@ def dq_r_request(
     s: int, pk: GroupParams, rng: RandomSource
 ) -> tuple[DelegationRequest, DelegationRequest]:
     """Split s into shares and pair each with an independent blind."""
-    if s not in (0, 1):
-        raise UsageError("choice bit must be 0 or 1")
     share1, share2 = ss_share(s, rng)
     r1 = rand_scalar(pk, rng)
     r2 = rand_scalar(pk, rng)
@@ -86,10 +83,8 @@ def dq_r_request(
 def dq_p2_gen_query(req2: DelegationRequest, pk: GroupParams) -> PartialQueryPair:
     """Pair with g^r2 in slot share and C/g^r2 in the other slot."""
     gr2 = modexp(pk.g, req2.blind, pk)
-    d = [0, 0]
-    d[req2.share] = gr2
-    d[1 - req2.share] = elem_div(pk.C, gr2, pk)
-    return PartialQueryPair(d0=d[0], d1=d[1])
+    d = gr2, elem_div(pk.C, gr2, pk)
+    return PartialQueryPair(*controlled_swap(req2.share, d))
 
 
 def dq_p1_gen_query(
@@ -97,10 +92,8 @@ def dq_p1_gen_query(
 ) -> FinalQueryPair:
     """Finish the pair: slot share takes d0 * g^r1, the other d1 / g^r1."""
     gr1 = modexp(pk.g, req1.blind, pk)
-    b = [0, 0]
-    b[req1.share] = elem_mul(partial.d0, gr1, pk)
-    b[1 - req1.share] = elem_div(partial.d1, gr1, pk)
-    return FinalQueryPair(b0=b[0], b1=b[1])
+    b = elem_mul(partial.d0, gr1, pk), elem_div(partial.d1, gr1, pk)
+    return FinalQueryPair(*controlled_swap(req1.share, b))
 
 
 def check_consistency(query: FinalQueryPair, pk: GroupParams) -> None:
@@ -125,7 +118,7 @@ def dq_s_gen_res(
     rng: RandomSource,
 ) -> NpResponse:
     """Answer a well-formed pair exactly like the base OT sender."""
-    return _mask_pair(m0, m1, pk, query_powers(query, pk), rng)
+    return _mask_pair(m0, m1, pk, query_powers(query, pk), rng, hash_H)
 
 
 def retrieval_exponent(
@@ -145,8 +138,7 @@ def dq_r_retrieve(
 ) -> ByteString:
     """m_s, unmasked with the combined exponent."""
     x = retrieval_exponent(req1.blind, req2.blind, req2.share, pk)
-    element = res.e0 if s == 0 else res.e1
-    return unmask_element(element, x, pk)
+    return unmask_element(res[s], x, pk, hash_H)
 
 
 def dqmr_s_gen_res_multi(
@@ -158,11 +150,13 @@ def dqmr_s_gen_res_multi(
     """One independent response pair per database entry, all against one
     pair of power functions built for z exponents each."""
     powers = query_powers(query, pk, uses=db.z)
-    return [_mask_pair(m0, m1, pk, powers, rng) for m0, m1 in db.pairs]
+    return [_mask_pair(m0, m1, pk, powers, rng, hash_H) for m0, m1 in db.pairs]
 
 
 def dqmr_p1_filter(responses: list[NpResponse], v: int) -> NpResponse:
     """Forward exactly the pair at index v; the rest never leave P1."""
-    if not 0 <= v < len(responses):
-        raise IndexOutOfRange(f"index {v} outside [0, {len(responses)})")
+    if v < 0:
+        raise IndexOutOfRange(f"index {v} is negative")
+    if v >= len(responses):
+        raise ShapeMismatch(f"index {v} outside the {len(responses)} responses")
     return responses[v]

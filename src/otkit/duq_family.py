@@ -2,12 +2,13 @@
 
 A third-party issuer holds the choice bit. It hands the helpers the bit
 shares, hands the sender a random tag, and hands the receiver only its second
-share plus that tag. The sender masks each message together with the tag
-under the wider hash, then randomly permutes the pair, so the receiver
-recognizes the right slot by the tag alone and never learns the choice bit.
+share plus that tag. A tagged pair is the base OT's plain mask of m_i || tag
+under the wider oracle hash_G (base_ot._mask_pair), then randomly permuted:
+an NpResponse whose slots are permuted. The receiver unmasks both slots under
+hash_G (base_ot.unmask_element) and recognizes the right one by the tag
+alone, so it never learns the choice bit.
 
-A tagged response has the base OT's shape, an NpResponse whose slots are
-permuted. The multi-receiver extension pushes all pairs through P1, which
+The multi-receiver extension pushes all pairs through P1, which
 compresses them against the issuer's compress vector, a tuple of ciphertexts
 encrypting one-hot at the receiver's index (paillier.one_hot), with one
 homomorphic inner product per pair slot and component (paillier.select). The
@@ -16,7 +17,7 @@ receiver gets a tuple of four ciphertexts regardless of the database size.
 
 from dataclasses import dataclass
 
-from .base_ot import NpResponse, ResponseElement
+from .base_ot import NpResponse, ResponseElement, _mask_pair, unmask_element
 from .dq_family import (
     FinalQueryPair,
     MessageDatabase,
@@ -28,11 +29,11 @@ from .errors import (
     EmbeddingOverflow,
     IndexOutOfRange,
     KeyTooSmall,
-    LengthMismatch,
     NoTagMatch,
+    ShapeMismatch,
     UsageError,
 )
-from .groupmath import GroupParams, Power, Scalar, elem_to_bytes, modexp, rand_scalar
+from .groupmath import GroupParams, Power, Scalar, rand_scalar
 from .paillier import (
     HomCiphertext,
     PaillierPublicKey,
@@ -42,14 +43,7 @@ from .paillier import (
     one_hot,
     select,
 )
-from .primitives import (
-    ByteString,
-    hash_G,
-    parse,
-    random_permute_pair,
-    ss_share,
-    xor_bytes,
-)
+from .primitives import ByteString, hash_G, parse, random_permute_pair, ss_share
 from .rng import RandomSource
 
 
@@ -64,8 +58,6 @@ class IssuerBundle:
 
 def duq_t_request(s: int, lambda_bits: int, rng: RandomSource) -> IssuerBundle:
     """Issuer's split of s plus a fresh uniform tag of lambda_bits."""
-    if s not in (0, 1):
-        raise UsageError("choice bit must be 0 or 1")
     if lambda_bits % 8:
         raise UsageError("tag length must be a multiple of 8 bits")
     share1, share2 = ss_share(s, rng)
@@ -100,17 +92,8 @@ def _mask_tagged_pair(
 ) -> NpResponse:
     """duq_s_gen_res against power functions from query_powers, which has
     already checked that the pair multiplies to C."""
-    if len(m0) != len(m1):
-        raise LengthMismatch("messages must share the session length")
-    sigma_bits, lambda_bits = 8 * len(m0), 8 * len(tag)
-    elements = []
-    for i in (0, 1):
-        y = rand_scalar(pk, rng)
-        pad = hash_G(elem_to_bytes(powers[i](y), pk), sigma_bits, lambda_bits)
-        elements.append(
-            (modexp(pk.g, y, pk), xor_bytes(pad, (m0, m1)[i] + tag))
-        )
-    return NpResponse(*random_permute_pair(elements, rng))
+    pair = _mask_pair(m0 + tag, m1 + tag, pk, powers, rng, hash_G)
+    return NpResponse(*random_permute_pair(pair, rng))
 
 
 def _tag_match(
@@ -120,14 +103,11 @@ def _tag_match(
     pk: GroupParams,
 ) -> ByteString:
     """Unmask every candidate and return the payload whose trailer is the tag."""
-    lam = len(tag)
     hits = []
-    for head, body in candidates:
-        sigma_bits = 8 * (len(body) - lam)
-        if sigma_bits < 0:
+    for element in candidates:
+        if len(element[1]) < len(tag):
             continue
-        pad = hash_G(elem_to_bytes(modexp(head, x, pk), pk), sigma_bits, 8 * lam)
-        message, trailer = parse(8 * lam, xor_bytes(pad, body))
+        message, trailer = parse(8 * len(tag), unmask_element(element, x, pk, hash_G))
         if trailer == tag:
             hits.append(message)
     if not hits:
@@ -147,7 +127,7 @@ def duq_r_retrieve(
 ) -> ByteString:
     """m_s: unmask both slots with x and keep the one ending in the tag."""
     x = retrieval_exponent(blind1, blind2, share2, pk)
-    return _tag_match((res.e0, res.e1), x, tag, pk)
+    return _tag_match(res, x, tag, pk)
 
 
 def embedding_min_bits(pk: GroupParams, sigma_bits: int, lambda_bits: int) -> int:
@@ -213,11 +193,11 @@ def duqmr_p1_filter(
     """Inner product of each pair component with the one-hot vector: four
     ciphertexts in (slot, component) order, slot 0's head and body first."""
     if len(responses) != len(w):
-        raise LengthMismatch(
+        raise ShapeMismatch(
             f"{len(responses)} responses against {len(w)} selector entries"
         )
     return tuple(
-        select(pk_j, w, [_embed((resp.e0, resp.e1)[i][c], pk_j) for resp in responses])
+        select(pk_j, w, [_embed(resp[i][c], pk_j) for resp in responses])
         for i in (0, 1) for c in (0, 1)
     )
 

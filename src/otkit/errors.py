@@ -1,9 +1,11 @@
 """Error taxonomy shared by every module.
 
 ProtocolError covers failures that a party detects mid-protocol (aborts,
-tag mismatches, malformed peer data). CodecError covers wire and embedding
-failures. UsageError is reserved for caller mistakes (bad flags, out-of-range
-inputs) and maps to exit code 2 on the command line.
+tag mismatches, malformed peer data); a length or count from a peer that
+does not fit the party's own inputs raises ShapeMismatch. DecodeError covers
+wire failures. UsageError is reserved for caller mistakes (bad flags,
+out-of-range inputs, its own messages of unequal length) and maps to exit
+code 2 on the command line.
 """
 
 
@@ -45,6 +47,10 @@ class MalformedCiphertext(ProtocolError):
 
 class ElementOutOfRange(ProtocolError):
     """Group element from a peer outside [1, P)."""
+
+
+class ShapeMismatch(ProtocolError):
+    """A length or count from a peer does not match the party's own."""
 
 
 class ConsistencyAbort(ProtocolError):

@@ -305,13 +305,19 @@ def _vector(encode_item, read_item):
 
 def _encode_pair(res: NpResponse) -> bytes:
     """Two response elements, each a group element and then a masked body."""
-    (head0, body0), (head1, body1) = res.e0, res.e1
+    (head0, body0), (head1, body1) = res
     return b"".join((encode_uint(head0), encode_bytes(body0),
                      encode_uint(head1), encode_bytes(body1)))
 
 
 def _read_pair(r: Reader) -> NpResponse:
     return NpResponse(*((r.read_uint(), r.read_bytes()) for _ in range(2)))
+
+
+def _uint_pair(cls):
+    """Codec for a NamedTuple of two group elements, slot 0 first."""
+    return (lambda p: encode_uint(*p),
+            _reading(lambda r: cls(r.read_uint(), r.read_uint())))
 
 
 def _encode_full_width(value) -> bytes:
@@ -341,14 +347,8 @@ _DELEGATION = (
 _CODECS = {
     MsgType.REQ1: _DELEGATION,
     MsgType.REQ2: _DELEGATION,
-    MsgType.PARTIAL_Q: (
-        lambda d: encode_uint(d.d0, d.d1),
-        _reading(lambda r: PartialQueryPair(d0=r.read_uint(), d1=r.read_uint())),
-    ),
-    MsgType.FINAL_Q: (
-        lambda b: encode_uint(b.b0, b.b1),
-        _reading(lambda r: FinalQueryPair(b0=r.read_uint(), b1=r.read_uint())),
-    ),
+    MsgType.PARTIAL_Q: _uint_pair(PartialQueryPair),
+    MsgType.FINAL_Q: _uint_pair(FinalQueryPair),
     MsgType.RESPONSE: (_encode_pair, _reading(_read_pair)),
     MsgType.RESPONSE_VEC: _PAIRS,
     MsgType.ISSUER_REQ1: _BIT,
@@ -373,8 +373,8 @@ _CODECS = {
     MsgType.SUP_Q1: _BIT,
     MsgType.SUP_Q2: _BIT,
     MsgType.SUP_EPAIR: (
-        lambda e: encode_bytes(e.c0, e.c1),
-        _reading(lambda r: sup.EncPair(c0=r.read_bytes(), c1=r.read_bytes())),
+        lambda e: encode_bytes(*e),
+        _reading(lambda r: sup.EncPair(r.read_bytes(), r.read_bytes())),
     ),
     MsgType.SUP_RESULT: _BYTES,
     MsgType.NP_QUERY: _UINT,

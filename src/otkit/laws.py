@@ -92,14 +92,14 @@ def closed_forms(groups, seed: int) -> int:
                 _, _, partial, final = _query(params, s1, r1, s2, r2)
                 d = (r2, a - r2) if s2 == 0 else (a - r2, r2)
                 b = (d[0] + r1, d[1] - r1) if s1 == 0 else (d[1] - r1, d[0] + r1)
-                if (partial.d0, partial.d1) != pow_g(d):
+                if partial != pow_g(d):
                     raise LawViolation(f"delta off its closed form, cell ({s1},{s2})")
-                if (final.b0, final.b1) != pow_g(b):
+                if final != pow_g(b):
                     raise LawViolation(f"beta off its closed form, cell ({s1},{s2})")
                 if elem_mul(final.b0, final.b1, params) != params.C:
                     raise LawViolation(f"b0 * b1 != C in cell ({s1},{s2})")
                 x = retrieval_exponent(r1, r2, s2, params)
-                if modexp(params.g, x, params) != (final.b0, final.b1)[s1 ^ s2]:
+                if modexp(params.g, x, params) != final[s1 ^ s2]:
                     raise LawViolation(f"g^x misses beta_s in cell ({s1},{s2})")
     return 4 * sum(n for _, n in groups)
 

@@ -21,7 +21,7 @@ from .errors import (
     EmbeddingOverflow,
     IndexOutOfRange,
     KeyTooSmall,
-    LengthMismatch,
+    ShapeMismatch,
 )
 from .paillier import (
     HomCiphertext,
@@ -110,7 +110,7 @@ def comp_gen_res(
     """Component-wise inner product of the base response with the selector:
     one ciphertext per base response component, however many messages."""
     if len(msgs) != len(selector):
-        raise LengthMismatch(
+        raise ShapeMismatch(
             f"{len(msgs)} messages against {len(selector)} selector entries"
         )
     elements = suite.gen_res(msgs, pk_base, base_query, rng)

@@ -42,11 +42,11 @@ def hash_H(data: ByteString, sigma_bits: int) -> ByteString:
     return hashlib.shake_256(b"H" + data).digest(sigma_bits // 8)
 
 
-def hash_G(data: ByteString, sigma_bits: int, lambda_bits: int) -> ByteString:
-    """Random oracle onto sigma_bits + lambda_bits, domain tag "G"."""
-    if sigma_bits % 8 or lambda_bits % 8:
-        raise UsageError("digest lengths must be multiples of 8")
-    return hashlib.shake_256(b"G" + data).digest((sigma_bits + lambda_bits) // 8)
+def hash_G(data: ByteString, bits: int) -> ByteString:
+    """Random oracle onto bits, domain tag "G", for tagged messages."""
+    if bits % 8:
+        raise UsageError("bits must be a multiple of 8")
+    return hashlib.shake_256(b"G" + data).digest(bits // 8)
 
 
 def parse(lambda_bits: int, y: ByteString) -> tuple[ByteString, ByteString]:

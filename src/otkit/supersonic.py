@@ -8,8 +8,9 @@ encryption of m_s. The helper forwards only that first element.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import LengthMismatch, UsageError
+from .errors import LengthMismatch, ShapeMismatch, UsageError
 from .primitives import ByteString, controlled_swap, ss_share, xor_bytes
 from .rng import RandomSource
 
@@ -23,8 +24,7 @@ class PadKeys:
     spent: bool = field(default=False, compare=False)
 
 
-@dataclass(frozen=True)
-class EncPair:
+class EncPair(NamedTuple):
     c0: ByteString
     c1: ByteString
 
@@ -39,8 +39,6 @@ def sup_setup(sigma_bits: int, rng: RandomSource) -> PadKeys:
 
 def sup_gen_query(s: int, rng: RandomSource) -> tuple[int, int]:
     """XOR shares of the choice bit, one per remote party."""
-    if s not in (0, 1):
-        raise UsageError("choice bit must be 0 or 1")
     return ss_share(s, rng)
 
 
@@ -48,16 +46,17 @@ def sup_gen_res(
     m0: ByteString, m1: ByteString, keys: PadKeys, q1: int
 ) -> EncPair:
     """Pad each message slot-wise, then swap under the sender's share."""
-    if len(m0) != len(m1) or len(m0) != len(keys.k0) or len(keys.k0) != len(keys.k1):
-        raise LengthMismatch("messages and pads must share the session length")
+    if len(m0) != len(m1):
+        raise LengthMismatch("messages must share the session length")
+    if len(keys.k0) != len(m0) or len(keys.k1) != len(m0):
+        raise ShapeMismatch("pads and messages differ in length")
     e = (xor_bytes(m0, keys.k0), xor_bytes(m1, keys.k1))
-    c0, c1 = controlled_swap(q1, e)
-    return EncPair(c0=c0, c1=c1)
+    return EncPair(*controlled_swap(q1, e))
 
 
 def sup_obl_filter(e_prime: EncPair, q2: int) -> ByteString:
     """Swap under the helper's share and forward only the first element."""
-    head, _ = controlled_swap(q2, (e_prime.c0, e_prime.c1))
+    head, _ = controlled_swap(q2, e_prime)
     return head
 
 
@@ -69,6 +68,6 @@ def sup_retrieve(c: ByteString, keys: PadKeys, s: int) -> ByteString:
         raise UsageError("pad keys are single-use and were already spent")
     k = keys.k0 if s == 0 else keys.k1
     if len(c) != len(k):
-        raise LengthMismatch("response and pad lengths differ")
+        raise ShapeMismatch("response and pad lengths differ")
     keys.spent = True
     return xor_bytes(c, k)

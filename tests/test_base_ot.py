@@ -14,6 +14,7 @@ from otkit.base_ot import (
 )
 from otkit.errors import IndexOutOfRange, LengthMismatch
 from otkit.groupmath import elem_div, modexp
+from otkit.primitives import hash_H
 from otkit.rng import SeededSource
 
 
@@ -87,7 +88,7 @@ class TestEndToEnd:
         query, secret = np_gen_query(group512, 0, rng)
         res = np_gen_res(m0, m1, group512, query, rng)
         # the receiver's blind unmasks e0 only; e1 under r is just noise
-        assert unmask_element(res.e1, secret.r, group512) != m1
+        assert unmask_element(res.e1, secret.r, group512, hash_H) != m1
 
     def test_length_mismatch(self, toy, rng):
         query, _ = np_gen_query(toy, 0, rng)

@@ -18,7 +18,7 @@ from otkit.dq_family import (
     dqmr_s_gen_res_multi,
     retrieval_exponent,
 )
-from otkit.errors import ConsistencyAbort, IndexOutOfRange, UsageError
+from otkit.errors import ConsistencyAbort, IndexOutOfRange, ShapeMismatch, UsageError
 from otkit.groupmath import elem_mul, modexp, toy_group
 from otkit.rng import SeededSource
 
@@ -190,12 +190,14 @@ class TestMultiReceiver:
         responses = dqmr_s_gen_res_multi(db, toy, final, rng)
         assert dqmr_p1_filter(responses, 1) is responses[1]
 
+    # a negative v is the caller's own mistake; v past the responses means
+    # the sender sent too few
     @pytest.mark.parametrize("v", [-1, 3, 100])
     def test_filter_index_checked(self, toy, rng, v):
         db = self._db(3)
         _, _, _, final = _cell_queries(toy, 0, 0, 4, 9)
         responses = dqmr_s_gen_res_multi(db, toy, final, rng)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange if v < 0 else ShapeMismatch):
             dqmr_p1_filter(responses, v)
 
     def test_tampered_query_aborts(self, toy, rng):

@@ -24,6 +24,7 @@ from otkit.errors import (
     KeyTooSmall,
     LengthMismatch,
     NoTagMatch,
+    ShapeMismatch,
     UsageError,
 )
 from otkit.groupmath import elem_mul, elem_to_bytes
@@ -127,7 +128,7 @@ class TestTaggedTransfer:
         # heads of 1 make the pad independent of the exponent, so a forged
         # pair can carry the tag in both slots; retrieval must refuse to guess
         tag = b"\x77" * 8
-        pad = hash_G(elem_to_bytes(1, group512), 32, 64)
+        pad = hash_G(elem_to_bytes(1, group512), 96)
         forged = tuple(
             (1, xor_bytes(pad, m + tag)) for m in (b"\x01\x02\x03\x04", b"\x05\x06\x07\x08")
         )
@@ -166,7 +167,7 @@ class TestCompression:
         final = _assemble(group512, 0, 0, 5, 6)
         responses = duqmr_s_gen_res_multi(db, group512, final, b"\xaa" * 2, rng)
         w = duqmr_t_setup(2, 1, paillier640[0], rng)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch):
             duqmr_p1_filter(responses, w, paillier640[0])
 
     def test_oversized_component_rejected(self, group512, rng):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import harness, laws
+from otkit import cli, harness, laws
 from otkit.errors import (
     DecodeError,
     MalformedCiphertext,
@@ -17,6 +17,8 @@ from otkit.errors import (
     UsageError,
 )
 from otkit.groupmath import TOY_P
+from otkit.primitives import hash_G, hash_H
+from otkit.supersonic import PadKeys
 from otkit.harness import (
     GOLDEN_PHASES,
     PROTOCOLS,
@@ -132,6 +134,28 @@ class TestGoldenPhases:
             "init", "request", "partial_query", "final_query", "gen_res", "retrieve",
         ]
         assert all(dt >= 0 for _, dt in t.phase_times)
+
+
+class TestOracleCalls:
+    # the sender pads each slot of each pair once; the receiver unpads its
+    # slot, or both slots where the tag picks the slot (duq)
+    # z only sizes the multi-receiver database: 2z + 1 and 2z + 2 calls
+    @pytest.mark.parametrize("protocol, z, h_calls, g_calls", [
+        ("np-ot", 4, 3, 0),
+        ("dq-ot", 4, 3, 0),
+        ("comp-np", 4, 3, 0),
+        ("dq-mr", 1, 3, 0),
+        ("dq-mr", 4, 9, 0),
+        ("duq-ot", 4, 0, 4),
+        ("duq-mr", 1, 0, 4),
+        ("duq-mr", 4, 0, 10),
+        ("supersonic", 4, 0, 0),
+    ])
+    def test_oracle_calls_per_session(self, count_calls, protocol, z, h_calls, g_calls):
+        counts = count_calls(hash_H, hash_G)
+        t = run_session(_config(protocol, seed=5, z=z))
+        assert isinstance(t.outputs[Role.RECEIVER.name], bytes)
+        assert (counts["hash_H"], counts["hash_G"]) == (h_calls, g_calls)
 
 
 class TestViewSeparation:
@@ -258,6 +282,39 @@ class TestErrorPropagation:
         t = run_session(_config(protocol))
         assert t.outputs == {Role.SENDER.name: "error:ElementOutOfRange"}
 
+    # one peer message whose length or count does not fit the receiving
+    # role's own inputs: (protocol, message type, alteration, refusing role)
+    @pytest.mark.parametrize("protocol, mtype, alter, role", [
+        ("supersonic", MsgType.SUP_RESULT, lambda c: c + b"\x00", Role.RECEIVER),
+        ("supersonic", MsgType.PAD_KEYS,
+         lambda k: PadKeys(k.k0 + b"\x00", k.k1), Role.SENDER),
+        ("supersonic", MsgType.PAD_KEYS,
+         lambda k: PadKeys(k.k0 + b"\x00", k.k1 + b"\x00"), Role.SENDER),
+        ("dq-mr", MsgType.RESPONSE_VEC, lambda vec: vec[:1], Role.P1),
+        ("duq-mr", MsgType.TAGGED_RESPONSE_VEC, lambda vec: vec[:1], Role.P1),
+        ("comp-np", MsgType.SELECTOR_VEC, lambda sel: sel[:1], Role.SENDER),
+    ], ids=["result-longer", "k0-longer", "pads-longer", "one-pair", "one-tagged-pair",
+            "one-selector-entry"])
+    def test_wrong_shape_refused(
+        self, monkeypatch, capsys, tmp_path, protocol, mtype, alter, role
+    ):
+        encode, decode = harness._CODECS[mtype]
+        monkeypatch.setitem(
+            harness._CODECS, mtype, (lambda value: encode(alter(value)), decode)
+        )
+        cfg = _config(protocol, seed=5)
+        t = run_session(cfg)
+        assert t.outputs == {role.name: "error:ShapeMismatch"}
+        argv = ["run", protocol, "--seed", "5", "--s", "1", "--sigma", "64"]
+        if cfg.db:
+            db = tmp_path / "db.txt"
+            db.write_text("".join(f"{m0.hex()} {m1.hex()}\n" for m0, m1 in cfg.db))
+            argv += ["--db", str(db), "--v", str(cfg.v)]
+        else:
+            argv += ["--m0", cfg.m0.hex(), "--m1", cfg.m1.hex()]
+        assert cli.main(argv) == 3
+        assert f"protocol error: ShapeMismatch ({role.name})" in capsys.readouterr().err
+
     def test_tamper_applicability_checked(self):
         with pytest.raises(UsageError):
             run_session(_config("np-ot", tamper="beta"))
@@ -376,6 +433,23 @@ class TestCodecTable:
             if any(map(imports_wire, ast.walk(ast.parse(path.read_text()))))
         }
         assert importers == {"harness"}
+
+    def test_only_the_base_ot_calls_the_oracles(self):
+        # every pad comes from base_ot's mask, which takes the oracle as an
+        # argument: the other modules pass hash_H or hash_G along
+        def calls_oracle(node) -> bool:
+            if not isinstance(node, ast.Call):
+                return False
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            return name in ("hash_H", "hash_G")
+
+        callers = {
+            path.stem
+            for path in Path(harness.__file__).parent.glob("*.py")
+            if any(map(calls_oracle, ast.walk(ast.parse(path.read_text()))))
+        }
+        assert callers <= {"base_ot"}
 
     @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda m: m.name)
     def test_encode_inverts_decode(self, samples, comp_np_key, mtype):

@@ -11,7 +11,7 @@ from otkit.errors import (
     EmbeddingOverflow,
     IndexOutOfRange,
     KeyTooSmall,
-    LengthMismatch,
+    ShapeMismatch,
 )
 from otkit.harness import _CODECS, MsgType, SessionConfig, run_session
 from otkit.ot_compiler import (
@@ -145,7 +145,7 @@ class TestCompiledSession:
     def test_selector_arity_checked(self, toy, paillier512, rng):
         suite = np_suite()
         q, _, selector = comp_gen_query(suite, toy, 3, 1, paillier512[0], rng)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch):
             comp_gen_res(
                 suite, [b"\x01", b"\x02"], toy, q, selector, paillier512[0], rng
             )

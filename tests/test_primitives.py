@@ -68,21 +68,21 @@ class TestHashes:
         assert hash_H(b"abc", 64).hex() == "dbda5465a702a0c2"
 
     def test_g_golden_vectors(self):
-        assert hash_G(b"", 64, 64).hex() == "a01dc253b94528539c20cf5dfefcab12"
+        assert hash_G(b"", 128).hex() == "a01dc253b94528539c20cf5dfefcab12"
         assert (
-            hash_G(b"abc", 128, 128).hex()
+            hash_G(b"abc", 256).hex()
             == "21840d22388e2be3b6b060cd88a7b89335f303ade987341f1593ce2bc8a577f6"
         )
 
     def test_domains_differ(self):
         # same data, same width, different oracle
-        assert hash_H(b"abc", 128) != hash_G(b"abc", 64, 64)
+        assert hash_H(b"abc", 128) != hash_G(b"abc", 128)
 
     @given(data=st.binary(max_size=64))
     @settings(max_examples=100)
     def test_widths(self, data):
         assert len(hash_H(data, 128)) == 16
-        assert len(hash_G(data, 128, 64)) == 24
+        assert len(hash_G(data, 192)) == 24
 
 
 class TestParse:

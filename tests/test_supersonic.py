@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otkit.supersonic
-from otkit.errors import LengthMismatch, UsageError
+from otkit.errors import LengthMismatch, ShapeMismatch, UsageError
 from otkit.rng import SeededSource
 from otkit.supersonic import (
     EncPair,
@@ -74,9 +74,11 @@ class TestGuards:
         keys = sup_setup(16, rng)
         with pytest.raises(LengthMismatch):
             sup_gen_res(b"\x01", b"\x02\x03", keys, 0)
-        with pytest.raises(LengthMismatch):
+        # pads that do not fit the messages, or a result that does not fit
+        # its pad, came from a peer
+        with pytest.raises(ShapeMismatch):
             sup_gen_res(b"\x01", b"\x02", keys, 0)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch):
             sup_retrieve(b"\x00", keys, 0)
 
     def test_pads_are_single_use(self, rng):
