@@ -24,8 +24,10 @@ exact and repeat from run to run.
 and attempted sessions in each file, summed over its runs, then, for each
 workload and metric in both files, both medians, their ratio B/A, A's
 interquartile range, and the pair wins: the seeds present in both where B's
-run was better than A's. When both files hold traced counts, it then lists
-every count that differs between them.
+run was better than A's. A row ends in "OVER BOUND" when its metric is
+end-to-end and B's median is worse than A's by more than the metric's
+`bound` in BENCHMARK.json, a fraction of A's median. When both files hold
+traced counts, it then lists every count that differs between them.
 """
 
 import argparse
@@ -38,6 +40,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SPEC = json.loads((HERE / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 DEFAULT_SEEDS = (901, 902, 903)
 
 
@@ -129,6 +132,7 @@ def diff_rows(a: dict, b: dict) -> list[dict]:
                 if ra["workload"] == rb["workload"] == workload and ra["seed"] == rb["seed"]
             ]
             sign = 1 if BETTER.get(name, "lower") == "lower" else -1
+            worse = sign * (sb["median"] - sa["median"])
             rows.append({
                 "workload": workload,
                 "metric": name,
@@ -138,6 +142,7 @@ def diff_rows(a: dict, b: dict) -> list[dict]:
                 "a_iqr": sa["q3"] - sa["q1"],
                 "wins": sum(sign * (vb - va) < 0 for va, vb in pairs),
                 "pairs": len(pairs),
+                "over": name in BOUND and worse > BOUND[name] * abs(sa["median"]),
             })
     return rows
 
@@ -171,7 +176,8 @@ def print_diff(path_a: Path, path_b: Path) -> None:
           f"{'B/A':>7} {'A IQR':>10} {'B wins':>7}")
     for r in diff_rows(a, b):
         print(f"{r['workload']:<12} {r['metric']:<16} {r['a']:>12.5g} {r['b']:>12.5g} "
-              f"{r['ratio']:>7.3f} {r['a_iqr']:>10.4g} {r['wins']:>3}/{r['pairs']:<3}")
+              f"{r['ratio']:>7.3f} {r['a_iqr']:>10.4g} {r['wins']:>3}/{r['pairs']:<3}"
+              f"{'  OVER BOUND' if r['over'] else ''}")
     traced = [w for w in a.get("traced", {}) if w in b.get("traced", {})]
     if traced:
         rows = traced_diff(a, b)

@@ -8,7 +8,8 @@ DH share, and the receiver can unmask exactly the slot its blind matches.
 group-based transfer, (g^y, oracle(b^y) xor m). They take the oracle as an
 argument: hash_H for a plain message, hash_G for a tagged one (duq_family).
 Callers pass the module global at call time, so a tracer that rebinds it
-sees every call.
+sees every call. unmask_message opens a plain message for np-ot and the
+dq family, and refuses a body that is not the receiver's own sigma bits.
 
 Also defines the pluggable suite contract that the response compiler
 consumes, plus that contract's instantiation for this OT. The response's
@@ -19,7 +20,7 @@ every payload format does.
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .errors import ElementOutOfRange, IndexOutOfRange, LengthMismatch
+from .errors import ElementOutOfRange, IndexOutOfRange, LengthMismatch, ShapeMismatch
 from .groupmath import (
     GroupElement,
     GroupParams,
@@ -114,9 +115,20 @@ def unmask_element(
     return xor_bytes(pad, body)
 
 
-def np_retrieve(res: NpResponse, secret: NpSecret, pk: GroupParams) -> ByteString:
+def unmask_message(
+    element: ResponseElement, exponent: Scalar, pk: GroupParams, sigma_bits: int
+) -> ByteString:
+    """unmask_element under hash_H, refusing a body that is not sigma_bits long."""
+    if 8 * len(element[1]) != sigma_bits:
+        raise ShapeMismatch(f"{len(element[1])}-byte body, expected {sigma_bits // 8}")
+    return unmask_element(element, exponent, pk, hash_H)
+
+
+def np_retrieve(
+    res: NpResponse, secret: NpSecret, pk: GroupParams, sigma_bits: int
+) -> ByteString:
     """m_s from the response slot matching the stored choice bit."""
-    return unmask_element(res[secret.s], secret.r, pk, hash_H)
+    return unmask_message(res[secret.s], secret.r, pk, sigma_bits)
 
 
 @dataclass(frozen=True)
@@ -126,12 +138,13 @@ class ConventionalOtSuite:
     gen_res returns one response element per message; each element is a
     tuple of components whose kinds are declared in component_kinds
     ("elem" for a group element, "mask" for a byte string), which is what
-    lets the compiler embed and recover them.
+    lets the compiler embed and recover them. retrieve(element, secret, pk)
+    opens the one element it is given: the one at the receiver's choice.
     """
 
     gen_query: Callable[[Any, int, int, RandomSource], tuple[Any, Any]]
     gen_res: Callable[[list[ByteString], Any, Any, RandomSource], list[tuple]]
-    retrieve: Callable[[list[tuple], Any, Any, Any, int], ByteString]
+    retrieve: Callable[[tuple, Any, Any], ByteString]
     component_kinds: tuple[str, ...]
 
 
@@ -150,9 +163,7 @@ def _suite_gen_res(msgs, pk, query, rng):
     return [_mask(m, power, pk, rng, hash_H) for m in msgs]
 
 
-def _suite_retrieve(res_elements, query, secret, pk, s):
-    # a compiled session hands back the single surviving element
-    element = res_elements[0] if len(res_elements) == 1 else res_elements[s]
+def _suite_retrieve(element, secret, pk):
     return unmask_element(element, secret.r, pk, hash_H)
 
 

@@ -13,7 +13,7 @@ database entry and P1 forwards exactly the pair at the receiver's index v.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .base_ot import NpResponse, _mask_pair, unmask_element
+from .base_ot import NpResponse, _mask_pair, unmask_message
 from .errors import ConsistencyAbort, IndexOutOfRange, ShapeMismatch, UsageError
 from .groupmath import (
     GroupElement,
@@ -135,10 +135,11 @@ def dq_r_retrieve(
     req2: DelegationRequest,
     s: int,
     pk: GroupParams,
+    sigma_bits: int,
 ) -> ByteString:
     """m_s, unmasked with the combined exponent."""
     x = retrieval_exponent(req1.blind, req2.blind, req2.share, pk)
-    return unmask_element(res[s], x, pk, hash_H)
+    return unmask_message(res[s], x, pk, sigma_bits)
 
 
 def dqmr_s_gen_res_multi(

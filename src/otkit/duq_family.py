@@ -10,9 +10,10 @@ alone, so it never learns the choice bit.
 
 The multi-receiver extension pushes all pairs through P1, which
 compresses them against the issuer's compress vector, a tuple of ciphertexts
-encrypting one-hot at the receiver's index (paillier.one_hot), with one
-homomorphic inner product per pair slot and component (paillier.select). The
-receiver gets a tuple of four ciphertexts regardless of the database size.
+encrypting one-hot at the receiver's index (paillier.one_hot). One
+paillier.select call takes the inner product of that vector with the
+responses, one row per response and one column per pair slot and component,
+so the receiver gets four ciphertexts regardless of the database size.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,6 @@ from .dq_family import (
 )
 from .errors import (
     AmbiguousTag,
-    EmbeddingOverflow,
-    IndexOutOfRange,
     KeyTooSmall,
     NoTagMatch,
     ShapeMismatch,
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .groupmath import GroupParams, Power, Scalar, rand_scalar
 from .paillier import (
-    HomCiphertext,
+    Ciphertext,
     PaillierPublicKey,
     PaillierSecretKey,
     dec,
@@ -154,10 +153,8 @@ def duqmr_r_setup(
 
 def duqmr_t_setup(
     z: int, v: int, pk_j: PaillierPublicKey, rng: RandomSource
-) -> tuple[HomCiphertext, ...]:
+) -> tuple[Ciphertext, ...]:
     """Fresh encryptions of the one-hot vector with 1 at position v."""
-    if not 0 <= v < z:
-        raise IndexOutOfRange(f"index {v} outside [0, {z})")
     return one_hot(pk_j, z, v, rng)
 
 
@@ -175,35 +172,32 @@ def duqmr_s_gen_res_multi(
 
 
 def _embed(component: int | ByteString, pk_j: PaillierPublicKey) -> int:
+    """A component as a plaintext; duqmr_r_setup sized the key for every
+    honest one, so one that does not fit came from the sender."""
     value = (
         component
         if isinstance(component, int)
         else int.from_bytes(component, "big")
     )
     if value >= pk_j.n:
-        raise EmbeddingOverflow("component does not fit below the modulus")
+        raise ShapeMismatch("component does not fit below the modulus")
     return value
 
 
 def duqmr_p1_filter(
     responses: list[NpResponse],
-    w: tuple[HomCiphertext, ...],
+    w: tuple[Ciphertext, ...],
     pk_j: PaillierPublicKey,
-) -> tuple[HomCiphertext, ...]:
+) -> tuple[Ciphertext, ...]:
     """Inner product of each pair component with the one-hot vector: four
     ciphertexts in (slot, component) order, slot 0's head and body first."""
-    if len(responses) != len(w):
-        raise ShapeMismatch(
-            f"{len(responses)} responses against {len(w)} selector entries"
-        )
-    return tuple(
-        select(pk_j, w, [_embed(resp[i][c], pk_j) for resp in responses])
-        for i in (0, 1) for c in (0, 1)
-    )
+    rows = [[_embed(part, pk_j) for element in resp for part in element]
+            for resp in responses]
+    return select(pk_j, w, rows)
 
 
 def duqmr_r_retrieve(
-    filtered: tuple[HomCiphertext, ...],
+    filtered: tuple[Ciphertext, ...],
     sk_j: PaillierSecretKey,
     blind1: Scalar,
     blind2: Scalar,

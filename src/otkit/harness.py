@@ -67,7 +67,7 @@ from .groupmath import (
     toy_group,
 )
 from .ot_compiler import comp_gen_query, comp_gen_res, comp_retrieve
-from .paillier import HomCiphertext, kgen
+from .paillier import kgen
 from .rng import SeededSource, SystemSource
 from .wire import Reader, encode_bytes, encode_uint
 
@@ -328,7 +328,7 @@ def _encode_full_width(value) -> bytes:
     prefix = width.to_bytes(4, "big")
     parts = [len(components).to_bytes(4, "big")]
     for ct in components:
-        parts += (prefix, ct.value.to_bytes(width, "big"))
+        parts += (prefix, ct.to_bytes(width, "big"))
     return b"".join(parts)
 
 
@@ -336,9 +336,7 @@ _PAIRS = _vector(_encode_pair, _read_pair)
 _UINT = (lambda x: encode_uint(x), _reading(lambda r: r.read_uint()))
 _BIT = (lambda b: bytes((b,)), _reading(_read_bit))
 _BYTES = (lambda b: encode_bytes(b), _reading(lambda r: r.read_bytes()))
-_CIPHERTEXTS = _vector(
-    lambda c: encode_uint(c.value), lambda r: HomCiphertext(r.read_uint())
-)
+_CIPHERTEXTS = _vector(lambda c: encode_uint(c), lambda r: r.read_uint())
 _DELEGATION = (
     lambda req: bytes((req.share,)) + encode_uint(req.blind),
     _reading(lambda r: DelegationRequest(share=_read_bit(r), blind=r.read_uint())),
@@ -361,8 +359,8 @@ _CODECS = {
     MsgType.COMPRESS_VEC: _CIPHERTEXTS,
     MsgType.TAGGED_RESPONSE_VEC: _PAIRS,
     MsgType.FILTERED_RESPONSE: (
-        lambda f: encode_uint(*(o.value for o in f)),
-        _reading(lambda r: tuple(HomCiphertext(r.read_uint()) for _ in range(4))),
+        lambda f: encode_uint(*f),
+        _reading(lambda r: tuple(r.read_uint() for _ in range(4))),
     ),
     MsgType.SELECTOR_VEC: _CIPHERTEXTS,
     MsgType.COMPRESSED_RESPONSE: (_encode_full_width, _CIPHERTEXTS[1]),
@@ -505,7 +503,7 @@ def _run_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         res = np_gen_res(cfg.m0, cfg.m1, params, q_rx, rng)
         res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
     with _phase(t, "retrieve", Role.RECEIVER):
-        return np_retrieve(res_rx, secret, params)
+        return np_retrieve(res_rx, secret, params, cfg.sigma_bits)
 
 
 def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
@@ -577,7 +575,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
             res_rx = _hop(t, Role.P1, Role.RECEIVER, res_type, res)
     with _phase(t, "retrieve", Role.RECEIVER):
         if not issuer:
-            return dq_r_retrieve(res_rx, req1, req2, cfg.s, params)
+            return dq_r_retrieve(res_rx, req1, req2, cfg.s, params, cfg.sigma_bits)
         if multi:
             return duqmr_r_retrieve(res_rx, sk_j, req1, req2, share2_at_r, tag_at_r,
                                     cfg.sigma_bits, params)
@@ -603,7 +601,7 @@ def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         cr_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.COMPRESSED_RESPONSE,
                      (compressed, pk_R))
     with _phase(t, "retrieve", Role.RECEIVER):
-        return comp_retrieve(suite, cr_rx, sk_R, query, secret, params, cfg.s)
+        return comp_retrieve(suite, cr_rx, sk_R, secret, params)
 
 
 def _run_supersonic(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:

@@ -116,7 +116,7 @@ def delegated_cells(groups, seed: int) -> int:
         )
         res = dq_s_gen_res(m0, m1, params, final, rng)
         s = s1 ^ s2
-        if dq_r_retrieve(res, req1, req2, s, params) != (m0, m1)[s]:
+        if dq_r_retrieve(res, req1, req2, s, params, 128) != (m0, m1)[s]:
             raise LawViolation(f"cell ({s1},{s2}) returned the wrong message")
     return len(runs)
 
@@ -186,7 +186,7 @@ def multi_receiver(small, big, key, z: int, per_choice: int, seed: int) -> int:
         *_, final = _query(big, bundle.share1, r1, bundle.share2, r2)
         responses = duqmr_s_gen_res_multi(db, big, final, bundle.tag, rng)
         filtered = duqmr_p1_filter(responses, duqmr_t_setup(z, v, pk_j, rng), pk_j)
-        got = dq_r_retrieve(picked, req1, req2, s, small), duqmr_r_retrieve(
+        got = dq_r_retrieve(picked, req1, req2, s, small, 64), duqmr_r_retrieve(
             filtered, sk_j, r1, r2, bundle.share2, bundle.tag, 64, big
         )
         if got != (db.pairs[v][s],) * 2:
@@ -219,10 +219,10 @@ def compiler_equivalence(params, key, trials: int, seed: int) -> tuple[int, int]
         plain_rng, comp_rng = SeededSource(seed + 1 + k), SeededSource(seed + 1 + k)
         q_p, sec_p = suite.gen_query(params, 2, s, plain_rng)
         res = suite.gen_res(msgs, params, q_p, plain_rng)
-        plain = suite.retrieve(res, q_p, sec_p, params, s)
+        plain = suite.retrieve(res[s], sec_p, params)
         q_c, sec_c, selector = comp_gen_query(suite, params, 2, s, pk, comp_rng)
         compressed = comp_gen_res(suite, msgs, params, q_c, selector, pk, comp_rng)
-        compiled = comp_retrieve(suite, compressed, sk, q_c, sec_c, params, s)
+        compiled = comp_retrieve(suite, compressed, sk, sec_c, params)
         if (q_c, sec_c) != (q_p, sec_p):
             raise LawViolation(f"compiled query diverged in run {k}")
         if not compiled == plain == msgs[s]:
@@ -254,9 +254,10 @@ def homomorphic_laws(key, triples: int, seed: int) -> int:
         if dec(sk, hscale(pk, c1, k)) != (m1 * k) % pk.n:
             raise LawViolation(f"Dec(k * c1) != k * m1 for triple {i}")
     for z in (1, 4, 16):
-        values = [rng.randbelow(1 << 64) for _ in range(z)]
+        rows = [[rng.randbelow(1 << 64)] for _ in range(z)]
         for v in range(z):
-            if dec(sk, select(pk, one_hot(pk, z, v, rng), values)) != values[v]:
+            (picked,) = select(pk, one_hot(pk, z, v, rng), rows)
+            if dec(sk, picked) != rows[v][0]:
                 raise LawViolation(f"selector {v} of {z} picked the wrong value")
     return triples
 

@@ -4,11 +4,11 @@ The receiver ships a selector along with its base query: a tuple of n
 ciphertexts under its key, encrypting one-hot at its choice
 (paillier.one_hot). The sender still computes every base response element,
 but collapses them into a single element's worth of ciphertexts, one per
-component, by a component-wise homomorphic inner product with the selector
-(paillier.select), so the response size stops depending on the message
-count. The compressed response is that tuple of ciphertexts; it travels with
-each at the key's full width, the COMPRESSED_RESPONSE entry of the codec
-table in harness.py.
+component, by one paillier.select call with a row per element, so the
+response size stops depending on the message count. The compressed response
+is that tuple of ciphertexts; it travels with each at the key's full width,
+the COMPRESSED_RESPONSE entry of the codec table in harness.py. The receiver
+decrypts the one surviving element and hands it to the suite's retrieve.
 
 Embedding: every component travels through the plaintext space as the
 big-endian integer of a 2-byte length header followed by the component bytes,
@@ -16,15 +16,9 @@ which keeps decoding unambiguous after decryption.
 """
 
 from .base_ot import ConventionalOtSuite
-from .errors import (
-    DecodeError,
-    EmbeddingOverflow,
-    IndexOutOfRange,
-    KeyTooSmall,
-    ShapeMismatch,
-)
+from .errors import DecodeError, EmbeddingOverflow, KeyTooSmall
 from .paillier import (
-    HomCiphertext,
+    Ciphertext,
     PaillierPublicKey,
     PaillierSecretKey,
     dec,
@@ -88,8 +82,6 @@ def comp_gen_query(
     component_bits, when known at query time, is the widest component the
     base suite will produce; the key must clear it plus header and slack.
     """
-    if not 0 <= s < n:
-        raise IndexOutOfRange(f"choice {s} outside [0, {n})")
     if component_bits is not None:
         needed = component_bits + 8 * HEADER_BYTES + 8
         if pk_R.bits() <= needed:
@@ -103,35 +95,27 @@ def comp_gen_res(
     msgs: list[ByteString],
     pk_base,
     base_query,
-    selector: tuple[HomCiphertext, ...],
+    selector: tuple[Ciphertext, ...],
     pk_R: PaillierPublicKey,
     rng: RandomSource,
-) -> tuple[HomCiphertext, ...]:
+) -> tuple[Ciphertext, ...]:
     """Component-wise inner product of the base response with the selector:
     one ciphertext per base response component, however many messages."""
-    if len(msgs) != len(selector):
-        raise ShapeMismatch(
-            f"{len(msgs)} messages against {len(selector)} selector entries"
-        )
     elements = suite.gen_res(msgs, pk_base, base_query, rng)
-    return tuple(
-        select(pk_R, selector, [embed_component(e[c], pk_R) for e in elements])
-        for c in range(len(suite.component_kinds))
-    )
+    rows = [[embed_component(part, pk_R) for part in e] for e in elements]
+    return select(pk_R, selector, rows)
 
 
 def comp_retrieve(
     suite: ConventionalOtSuite,
-    compressed: tuple[HomCiphertext, ...],
+    compressed: tuple[Ciphertext, ...],
     sk_R: PaillierSecretKey,
-    base_query,
     base_secret,
     pk_base,
-    s: int,
 ) -> ByteString:
     """Decrypt and decode the surviving element, then finish with the suite."""
     element = tuple(
         unembed_component(dec(sk_R, ct), kind)
         for ct, kind in zip(compressed, suite.component_kinds)
     )
-    return suite.retrieve([element], base_query, base_secret, pk_base, s)
+    return suite.retrieve(element, base_secret, pk_base)

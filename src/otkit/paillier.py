@@ -1,10 +1,12 @@
 """Additive homomorphic encryption (Paillier, generator fixed at n + 1).
 
 Used for oblivious filtering and response compression: ciphertexts support
-addition of plaintexts and multiplication by a known scalar. Both constructions
-that use it pick one of z values the same way, so that step lives here once:
-one_hot encrypts a selector that is 1 at one index and 0 elsewhere, and select
-takes its homomorphic inner product with z plaintext values. The secret key
+addition of plaintexts and multiplication by a known scalar; a ciphertext is
+a plain int. Both constructions that use it (duq_family's filter and
+ot_compiler) pick one of z values the same way, so that step lives here
+once: one_hot encrypts a selector that is 1 at one index and 0 elsewhere,
+and select, the protocols' one caller of hscale and hadd, takes its inner
+product with z rows of plaintexts, one ciphertext per column. The secret key
 keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
 joins the halves by CRT (Paillier, EUROCRYPT '99, section 7): two
 exponentiations with half-size moduli and exponents, about 3x faster than
@@ -16,8 +18,11 @@ h_p = L_p((n+1)^(p-1) mod p^2)^-1 = (-q)^-1 mod p, h_q likewise.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import MalformedCiphertext, PlaintextOutOfRange
+from .errors import (
+    IndexOutOfRange, MalformedCiphertext, PlaintextOutOfRange, ShapeMismatch
+)
 from .numth import gen_prime, invmod, powmod
 from .rng import RandomSource
 
@@ -43,11 +48,8 @@ class PaillierSecretKey:
     h_q: int
 
 
-@dataclass(frozen=True)
-class HomCiphertext:
-    """Ciphertext value in [1, n^2); honest values are invertible mod n."""
-
-    value: int
+# a ciphertext in [1, n^2); honest values are invertible mod n
+Ciphertext = int
 
 
 def kgen(bits: int, rng: RandomSource) -> tuple[PaillierPublicKey, PaillierSecretKey]:
@@ -71,7 +73,7 @@ def kgen(bits: int, rng: RandomSource) -> tuple[PaillierPublicKey, PaillierSecre
     )
 
 
-def enc(pk: PaillierPublicKey, m: int, rng: RandomSource) -> HomCiphertext:
+def enc(pk: PaillierPublicKey, m: int, rng: RandomSource) -> Ciphertext:
     """Randomized encryption of m in [0, n)."""
     if not 0 <= m < pk.n:
         raise PlaintextOutOfRange(f"plaintext must be in [0, {pk.n})")
@@ -80,48 +82,52 @@ def enc(pk: PaillierPublicKey, m: int, rng: RandomSource) -> HomCiphertext:
         if math.gcd(rho, pk.n) == 1:
             break
     # (n+1)^m = 1 + n*m mod n^2, so the generator power needs no exponentiation
-    c = (1 + pk.n * m) % pk.n_squared * powmod(rho, pk.n, pk.n_squared) % pk.n_squared
-    return HomCiphertext(value=c)
+    return (1 + pk.n * m) % pk.n_squared * powmod(rho, pk.n, pk.n_squared) % pk.n_squared
 
 
-def dec(sk: PaillierSecretKey, c: HomCiphertext) -> int:
+def dec(sk: PaillierSecretKey, c: Ciphertext) -> int:
     """m mod p = L_p(c^(p-1) mod p^2) * h_p, m mod q likewise, joined by CRT."""
-    if math.gcd(c.value, sk.pk.n) != 1:
+    if math.gcd(c, sk.pk.n) != 1:
         raise MalformedCiphertext("ciphertext shares a factor with n")
     p, q = sk.p, sk.q
-    m_p = (powmod(c.value, p - 1, p * p) - 1) // p * sk.h_p % p
-    m_q = (powmod(c.value, q - 1, q * q) - 1) // q * sk.h_q % q
+    m_p = (powmod(c, p - 1, p * p) - 1) // p * sk.h_p % p
+    m_q = (powmod(c, q - 1, q * q) - 1) // q * sk.h_q % q
     # q^-1 = -h_p (mod p), so m = m_q + q * ((m_p - m_q) * q^-1 mod p)
     return m_q + q * ((m_q - m_p) * sk.h_p % p)
 
 
-def hadd(pk: PaillierPublicKey, c1: HomCiphertext, c2: HomCiphertext) -> HomCiphertext:
+def hadd(pk: PaillierPublicKey, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     """Ciphertext of m1 + m2 mod n."""
-    return HomCiphertext(value=c1.value * c2.value % pk.n_squared)
+    return c1 * c2 % pk.n_squared
 
 
-def hscale(pk: PaillierPublicKey, c: HomCiphertext, k: int) -> HomCiphertext:
+def hscale(pk: PaillierPublicKey, c: Ciphertext, k: int) -> Ciphertext:
     """Ciphertext of m * k mod n."""
-    return HomCiphertext(value=powmod(c.value, k, pk.n_squared))
+    return powmod(c, k, pk.n_squared)
 
 
 def one_hot(
     pk: PaillierPublicKey, size: int, hot: int, rng: RandomSource
-) -> tuple[HomCiphertext, ...]:
+) -> tuple[Ciphertext, ...]:
     """Fresh encryptions of 1 at index hot and 0 elsewhere, drawn in index order."""
+    if not 0 <= hot < size:
+        raise IndexOutOfRange(f"index {hot} outside [0, {size})")
     return tuple(enc(pk, 1 if i == hot else 0, rng) for i in range(size))
 
 
 def select(
-    pk: PaillierPublicKey, selector: tuple[HomCiphertext, ...], values: list[int]
-) -> HomCiphertext:
-    """Ciphertext of sum_i m_i * values[i] for the selector's plaintexts m_i:
-    values[hot] under a one-hot selector. Needs at least one value.
+    pk: PaillierPublicKey, selector: tuple[Ciphertext, ...], rows: list[list[int]]
+) -> tuple[Ciphertext, ...]:
+    """One ciphertext per column j of sum_i m_i * rows[i][j], for the
+    selector's plaintexts m_i: row hot under a one-hot selector. A peer
+    supplies one side, so a row count off the selector's is a ShapeMismatch.
 
     hscale and hadd are looked up as module globals, so a tracer that rebinds
     them counts every call."""
-    acc = None
-    for c, k in zip(selector, values):
-        term = hscale(pk, c, k)
-        acc = term if acc is None else hadd(pk, acc, term)
-    return acc
+    if not rows or len(rows) != len(selector):
+        raise ShapeMismatch(f"{len(rows)} rows against {len(selector)} selector entries")
+    return tuple(
+        reduce(lambda acc, term: hadd(pk, acc, term),
+               (hscale(pk, c, k) for c, k in zip(selector, column)))
+        for column in zip(*rows)
+    )

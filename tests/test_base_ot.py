@@ -74,14 +74,14 @@ class TestEndToEnd:
         m0, m1 = rng.randbytes(width), rng.randbytes(width)
         query, secret = np_gen_query(toy, s, rng)
         res = np_gen_res(m0, m1, toy, query, rng)
-        assert np_retrieve(res, secret, toy) == (m0, m1)[s]
+        assert np_retrieve(res, secret, toy, 8 * width) == (m0, m1)[s]
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_round_trip_512(self, group512, rng, s):
         m0, m1 = rng.randbytes(16), rng.randbytes(16)
         query, secret = np_gen_query(group512, s, rng)
         res = np_gen_res(m0, m1, group512, query, rng)
-        assert np_retrieve(res, secret, group512) == (m0, m1)[s]
+        assert np_retrieve(res, secret, group512, 128) == (m0, m1)[s]
 
     def test_other_slot_stays_masked(self, group512, rng):
         m0, m1 = b"\x00" * 16, b"\xff" * 16
@@ -105,7 +105,7 @@ class TestEndToEnd:
         m0, m1 = rng.randbytes(8), rng.randbytes(8)
         query, secret = np_gen_query(pk, s, rng)
         res = np_gen_res(m0, m1, pk, query, rng)
-        assert np_retrieve(res, secret, pk) == (m0, m1)[s]
+        assert np_retrieve(res, secret, pk, 64) == (m0, m1)[s]
 
 
 class TestSuiteContract:
@@ -122,7 +122,7 @@ class TestSuiteContract:
             res = suite.gen_res(msgs, toy, q_s, SeededSource(8))
             plain = np_gen_res(msgs[0], msgs[1], toy, q_p, SeededSource(8))
             assert res == [plain.e0, plain.e1]
-            assert suite.retrieve(res, q_s, sec_s, toy, s) == msgs[s]
+            assert suite.retrieve(res[s], sec_s, toy) == msgs[s]
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_degenerate_many_message_path(self, toy, rng, n):
@@ -132,7 +132,7 @@ class TestSuiteContract:
             query, secret = suite.gen_query(toy, n, s, rng)
             res = suite.gen_res(msgs, toy, query, rng)
             assert len(res) == n
-            assert suite.retrieve(res, query, secret, toy, s) == msgs[s]
+            assert suite.retrieve(res[s], secret, toy) == msgs[s]
 
     def test_many_message_path_masks_each_message_once(self, toy, rng, count_calls):
         # one fresh y per message: g^y and query^y, and no companion element
@@ -143,12 +143,13 @@ class TestSuiteContract:
         assert counts == {"g": 4, "other": 4}
 
     def test_single_element_retrieval(self, toy, rng):
-        # a compiled session hands back one surviving element, index lost
+        # retrieve opens the one element it is given, as a compiled session
+        # hands back only the surviving element
         suite = np_suite()
         msgs = [bytes([i]) * 4 for i in range(4)]
         query, secret = suite.gen_query(toy, 4, 3, rng)
         res = suite.gen_res(msgs, toy, query, rng)
-        assert suite.retrieve([res[3]], query, secret, toy, 3) == msgs[3]
+        assert suite.retrieve(res[3], secret, toy) == msgs[3]
 
     def test_choice_out_of_range(self, toy, rng):
         suite = np_suite()

@@ -85,6 +85,27 @@ def test_diff_prints_failed_and_attempted_per_workload(tmp_path, capsys):
     assert "pad-small    failed/attempted  A -  B 0/50" in out
 
 
+def test_diff_marks_end_to_end_rows_over_their_bound(tmp_path, capsys):
+    # B's session_ms (lower is better) is just past its bound, and its
+    # sessions_per_s (higher is better) half its bound worse
+    over, within = (bench_record.BOUND[m] for m in ("session_ms", "sessions_per_s"))
+    a = _record("w", {1: {"session_ms": 100.0, "sessions_per_s": 10.0}})
+    b = _record("w", {1: {"session_ms": 100.0 * (1 + over) + 1,
+                          "sessions_per_s": 10.0 * (1 - within / 2)}})
+    rows = {r["metric"]: r["over"] for r in bench_record.diff_rows(a, b)}
+    assert rows == {"session_ms": True, "sessions_per_s": False}
+    paths = []
+    for name, rec in (("A", a), ("B", b)):
+        path = tmp_path / f"BENCH_{name}.json"
+        path.write_text(json.dumps(rec))
+        paths.append(str(path))
+    assert bench_record.main(["--diff", *paths]) == 0
+    out = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("w ")}
+    assert out["session_ms"].endswith("OVER BOUND")
+    assert not out["sessions_per_s"].endswith("OVER BOUND")
+
+
 def test_trace_keeps_call_counts_and_diff_lists_changes(tmp_path, monkeypatch, capsys):
     calls = {"groupmath.modexp_g.calls": 5.25, "numth.powmod.calls": 2.75}
     commands = []

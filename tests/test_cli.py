@@ -26,7 +26,7 @@ BROKEN_VERIFY = """
 from otkit import laws
 from otkit.cli import main
 real = laws.dq_r_retrieve
-laws.dq_r_retrieve = lambda res, req1, req2, s, pk: real(res, req1, req2, 1 - s, pk)
+laws.dq_r_retrieve = lambda res, req1, req2, s, pk, sigma: real(res, req1, req2, 1 - s, pk, sigma)
 raise SystemExit(main(["verify", "--toy"]))
 """
 
@@ -220,7 +220,7 @@ class TestVerify:
 
     def test_broken_law_fails(self, capsys, monkeypatch):
         real = laws.dq_r_retrieve
-        other_slot = lambda res, req1, req2, s, pk: real(res, req1, req2, 1 - s, pk)
+        other_slot = lambda res, req1, req2, s, pk, sigma: real(res, req1, req2, 1 - s, pk, sigma)
         monkeypatch.setattr(laws, "dq_r_retrieve", other_slot)
         assert main(["verify", "--toy"]) == 4
         out = capsys.readouterr().out

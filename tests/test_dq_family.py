@@ -123,7 +123,7 @@ class TestEndToEnd:
         req1, req2, _, final = _cell_queries(toy, s1, s2, 4, 9)
         res = dq_s_gen_res(m0, m1, toy, final, rng)
         s = s1 ^ s2
-        assert dq_r_retrieve(res, req1, req2, s, toy) == (m0, m1)[s]
+        assert dq_r_retrieve(res, req1, req2, s, toy, 64) == (m0, m1)[s]
 
     @given(s=st.integers(0, 1), seed=st.integers(0, 2**32))
     @settings(max_examples=150)
@@ -134,7 +134,7 @@ class TestEndToEnd:
         req1, req2 = dq_r_request(s, pk, rng)
         final = dq_p1_gen_query(req1, dq_p2_gen_query(req2, pk), pk)
         res = dq_s_gen_res(m0, m1, pk, final, rng)
-        assert dq_r_retrieve(res, req1, req2, s, pk) == (m0, m1)[s]
+        assert dq_r_retrieve(res, req1, req2, s, pk, 64) == (m0, m1)[s]
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_round_trip_512(self, group512, rng, s):
@@ -142,7 +142,7 @@ class TestEndToEnd:
         req1, req2 = dq_r_request(s, group512, rng)
         final = dq_p1_gen_query(req1, dq_p2_gen_query(req2, group512), group512)
         res = dq_s_gen_res(m0, m1, group512, final, rng)
-        assert dq_r_retrieve(res, req1, req2, s, group512) == (m0, m1)[s]
+        assert dq_r_retrieve(res, req1, req2, s, group512, 128) == (m0, m1)[s]
 
 
 class TestMessageDatabase:
@@ -182,7 +182,7 @@ class TestMultiReceiver:
         s = s1 ^ s2
         for v in range(db.z):
             picked = dqmr_p1_filter(responses, v)
-            assert dq_r_retrieve(picked, req1, req2, s, toy) == db.pairs[v][s]
+            assert dq_r_retrieve(picked, req1, req2, s, toy, 64) == db.pairs[v][s]
 
     def test_filter_forwards_exact_pair(self, toy, rng):
         db = self._db(3)

@@ -19,7 +19,6 @@ from otkit.duq_family import (
 )
 from otkit.errors import (
     AmbiguousTag,
-    EmbeddingOverflow,
     IndexOutOfRange,
     KeyTooSmall,
     LengthMismatch,
@@ -171,13 +170,14 @@ class TestCompression:
             duqmr_p1_filter(responses, w, paillier640[0])
 
     def test_oversized_component_rejected(self, group512, rng):
-        # a 16-bit homomorphic modulus cannot hold 513-bit group elements
+        # a 16-bit homomorphic modulus cannot hold 513-bit group elements;
+        # duqmr_r_setup sizes the key, so at P1 only a peer can cause this
         tiny_pk, _ = kgen(16, SeededSource(5))
         db = MessageDatabase(pairs=((b"\x01", b"\x02"),))
         final = _assemble(group512, 0, 0, 5, 6)
         responses = duqmr_s_gen_res_multi(db, group512, final, b"\xbb" * 2, rng)
         w = duqmr_t_setup(1, 0, tiny_pk, rng)
-        with pytest.raises(EmbeddingOverflow):
+        with pytest.raises(ShapeMismatch):
             duqmr_p1_filter(responses, w, tiny_pk)
 
     @pytest.mark.parametrize("s1", [0, 1])

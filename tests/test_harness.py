@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otkit import cli, harness, laws
+from otkit.base_ot import NpResponse
 from otkit.errors import (
     DecodeError,
     MalformedCiphertext,
@@ -36,6 +37,11 @@ from otkit.harness import (
 from otkit.wire import Reader
 
 DB4 = tuple((bytes([i]) * 8, bytes([16 + i]) * 8) for i in range(4))
+
+
+def _longer_bodies(res):
+    """A response pair whose two masked bodies are one byte longer each."""
+    return NpResponse(*((head, body + b"\x00") for head, body in res))
 
 
 def _config(protocol, seed=11, s=1, z=4, **kw):
@@ -293,8 +299,14 @@ class TestErrorPropagation:
         ("dq-mr", MsgType.RESPONSE_VEC, lambda vec: vec[:1], Role.P1),
         ("duq-mr", MsgType.TAGGED_RESPONSE_VEC, lambda vec: vec[:1], Role.P1),
         ("comp-np", MsgType.SELECTOR_VEC, lambda sel: sel[:1], Role.SENDER),
+        ("np-ot", MsgType.RESPONSE, _longer_bodies, Role.RECEIVER),
+        ("dq-ot", MsgType.RESPONSE, _longer_bodies, Role.RECEIVER),
+        ("dq-mr", MsgType.RESPONSE, _longer_bodies, Role.RECEIVER),
+        ("duq-mr", MsgType.TAGGED_RESPONSE_VEC,
+         lambda vec: [vec[0]._replace(e0=(1 << 4096, vec[0].e0[1])), *vec[1:]], Role.P1),
     ], ids=["result-longer", "k0-longer", "pads-longer", "one-pair", "one-tagged-pair",
-            "one-selector-entry"])
+            "one-selector-entry", "np-bodies-longer", "dq-bodies-longer",
+            "dq-mr-bodies-longer", "head-over-modulus"])
     def test_wrong_shape_refused(
         self, monkeypatch, capsys, tmp_path, protocol, mtype, alter, role
     ):
@@ -450,6 +462,23 @@ class TestCodecTable:
             if any(map(calls_oracle, ast.walk(ast.parse(path.read_text()))))
         }
         assert callers <= {"base_ot"}
+
+    def test_only_paillier_and_the_laws_scale_or_add_ciphertexts(self):
+        # every product of a selector entry and a plaintext is made inside
+        # paillier.select; laws checks hscale and hadd directly
+        def calls_hom(node) -> bool:
+            if not isinstance(node, ast.Call):
+                return False
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            return name in ("hscale", "hadd")
+
+        callers = {
+            path.stem
+            for path in Path(harness.__file__).parent.glob("*.py")
+            if any(map(calls_hom, ast.walk(ast.parse(path.read_text()))))
+        }
+        assert callers == {"paillier", "laws"}
 
     @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda m: m.name)
     def test_encode_inverts_decode(self, samples, comp_np_key, mtype):

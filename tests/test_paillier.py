@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit.errors import MalformedCiphertext, PlaintextOutOfRange
+from otkit.errors import (
+    IndexOutOfRange,
+    MalformedCiphertext,
+    PlaintextOutOfRange,
+    ShapeMismatch,
+)
 from otkit.paillier import (
-    HomCiphertext,
     dec,
     enc,
     hadd,
@@ -55,9 +59,9 @@ class TestRoundTrip:
     def test_noninvertible_ciphertext_rejected(self, paillier512):
         pk, sk = paillier512
         with pytest.raises(MalformedCiphertext):
-            dec(sk, HomCiphertext(value=0))
+            dec(sk, 0)
         with pytest.raises(MalformedCiphertext):
-            dec(sk, HomCiphertext(value=pk.n))
+            dec(sk, pk.n)
 
 
 class TestHomomorphism:
@@ -88,11 +92,11 @@ class TestHomomorphism:
 
     def test_selector_inner_product(self, paillier512, rng):
         pk, sk = paillier512
-        values = [rng.randbelow(1 << 64) for _ in range(8)]
+        rows = [[rng.randbelow(1 << 64)] for _ in range(8)]
         for v in (0, 3, 7):
             selector = one_hot(pk, 8, v, rng)
             assert [dec(sk, ct) for ct in selector] == [int(i == v) for i in range(8)]
-            assert dec(sk, select(pk, selector, values)) == values[v]
+            assert [dec(sk, ct) for ct in select(pk, selector, rows)] == rows[v]
 
     def test_one_hot_encrypts_in_index_order(self, paillier512):
         pk, _ = paillier512
@@ -102,9 +106,24 @@ class TestHomomorphism:
 
     def test_select_is_the_weighted_sum(self, paillier512, rng):
         pk, sk = paillier512
-        weights, values = [3, 0, 5], [7, 11, 13]
+        weights, rows = [3, 0, 5], [[7, 2], [11, 17], [13, 19]]
         selector = tuple(enc(pk, w, rng) for w in weights)
-        assert dec(sk, select(pk, selector, values)) == 3 * 7 + 5 * 13
+        assert [dec(sk, ct) for ct in select(pk, selector, rows)] == [
+            3 * 7 + 5 * 13,
+            3 * 2 + 5 * 19,
+        ]
+
+    @pytest.mark.parametrize("hot", [-1, 4])
+    def test_one_hot_refuses_an_index_outside_the_size(self, paillier512, rng, hot):
+        with pytest.raises(IndexOutOfRange):
+            one_hot(paillier512[0], 4, hot, rng)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_select_refuses_a_row_count_off_the_selector(self, paillier512, rng, count):
+        pk, _ = paillier512
+        selector = one_hot(pk, 4, 1, rng)
+        with pytest.raises(ShapeMismatch):
+            select(pk, selector, [[5, 6]] * count)
 
 
 class TestRandomization:
@@ -113,7 +132,7 @@ class TestRandomization:
         # repeat would mean the blinding factor repeated
         pk, _ = paillier512
         rng = SeededSource(90210)
-        seen = {enc(pk, 5, rng).value for _ in range(10_000)}
+        seen = {enc(pk, 5, rng) for _ in range(10_000)}
         assert len(seen) == 10_000
 
 
@@ -134,7 +153,7 @@ class TestCrt:
         lam = math.lcm(sk.p - 1, sk.q - 1)
         mu = pow((pow(n + 1, lam, n_sq) - 1) // n, -1, n)
         expected = (pow(c, lam, n_sq) - 1) // n * mu % n
-        assert dec(sk, HomCiphertext(value=c)) == expected
+        assert dec(sk, c) == expected
 
     def test_constants_match_their_exponentiation_formulas(self, crt_key):
         pk, sk = crt_key
