@@ -40,6 +40,14 @@ so by this count no choice costs more than the one-dimensional comb. One
 use never builds a table, and neither does a q under SHARED_MIN_BITS, where
 interpreter overhead outweighs the products saved (so the toy group never
 does). Without a table, and always with gmpy2, the power function is modexp.
+
+The same comb serves the Paillier modulus n^2: paillier.select raises each
+selector ciphertext to one exponent per column, all known in advance, so
+comb_powers(base, modulus, exponents) builds one comb of the base for the
+longest of them, from the same search, when that pays by their own lengths:
+the build and one evaluation each must cost fewer products than
+POW_PRODUCTS_PER_BIT times the sum of their bit lengths, since pow() on a
+short exponent is cheap while a comb evaluation costs the same for any.
 """
 
 from dataclasses import dataclass
@@ -224,19 +232,41 @@ def modexp(base: GroupElement, e: Scalar, params: GroupParams) -> GroupElement:
 
 
 @lru_cache
-def comb_shape(bits: int, uses: int) -> tuple[int, int] | None:
-    """(rows, blocks) of the cheapest comb for `uses` exponents below 2^bits,
-    or None when `uses` pow() calls cost less (see the module docstring).
-    Kept per (bits, uses): the search weighs about two thousand shapes."""
-    if uses < 2 or bits < SHARED_MIN_BITS:
-        return None
+def _cheapest_comb(bits: int, uses: int) -> tuple[tuple[int, int], int]:
+    """The (rows, blocks) comb that builds and makes `uses` exponents below
+    2^bits in the fewest products, and that count. Kept per (bits, uses):
+    the search weighs about two thousand shapes."""
 
     def products(shape: tuple[int, int]) -> int:
         build, each = _comb_cost(bits, *shape)
         return build + uses * each
 
     shape = min(_comb_shapes(bits, SHARED_ROWS_MAX), key=products)
-    return shape if products(shape) < uses * POW_PRODUCTS_PER_BIT * bits else None
+    return shape, products(shape)
+
+
+def comb_shape(bits: int, uses: int) -> tuple[int, int] | None:
+    """(rows, blocks) of the cheapest comb for `uses` exponents below 2^bits,
+    or None when `uses` pow() calls cost less (see the module docstring)."""
+    if uses < 2 or bits < SHARED_MIN_BITS:
+        return None
+    shape, products = _cheapest_comb(bits, uses)
+    return shape if products < uses * POW_PRODUCTS_PER_BIT * bits else None
+
+
+def comb_powers(base: int, modulus: int, exponents: list[int]) -> Callable[[int], int] | None:
+    """e -> base^e mod modulus for these exponents, through one comb of base
+    when it pays by their own lengths, else None (always with gmpy2)."""
+    if HAVE_GMPY2 or len(exponents) < 2 or min(exponents) < 0:
+        return None
+    bits = max(exponents).bit_length()
+    if bits < SHARED_MIN_BITS:
+        return None
+    shape, products = _cheapest_comb(bits, len(exponents))
+    if products >= POW_PRODUCTS_PER_BIT * sum(e.bit_length() for e in exponents):
+        return None
+    comb = _comb_build(base, modulus, bits, *shape)
+    return lambda e: _comb_eval(comb, e, modulus)
 
 
 def base_powers(base: GroupElement, params: GroupParams, uses: int) -> Power:

@@ -601,7 +601,7 @@ def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         cr_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.COMPRESSED_RESPONSE,
                      (compressed, pk_R))
     with _phase(t, "retrieve", Role.RECEIVER):
-        return comp_retrieve(suite, cr_rx, sk_R, secret, params)
+        return comp_retrieve(suite, cr_rx, sk_R, secret, params, cfg.sigma_bits)
 
 
 def _run_supersonic(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:

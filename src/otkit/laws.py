@@ -222,7 +222,7 @@ def compiler_equivalence(params, key, trials: int, seed: int) -> tuple[int, int]
         plain = suite.retrieve(res[s], sec_p, params)
         q_c, sec_c, selector = comp_gen_query(suite, params, 2, s, pk, comp_rng)
         compressed = comp_gen_res(suite, msgs, params, q_c, selector, pk, comp_rng)
-        compiled = comp_retrieve(suite, compressed, sk, sec_c, params)
+        compiled = comp_retrieve(suite, compressed, sk, sec_c, params, 128)
         if (q_c, sec_c) != (q_p, sec_p):
             raise LawViolation(f"compiled query diverged in run {k}")
         if not compiled == plain == msgs[s]:

@@ -8,7 +8,8 @@ component, by one paillier.select call with a row per element, so the
 response size stops depending on the message count. The compressed response
 is that tuple of ciphertexts; it travels with each at the key's full width,
 the COMPRESSED_RESPONSE entry of the codec table in harness.py. The receiver
-decrypts the one surviving element and hands it to the suite's retrieve.
+decrypts the one surviving element, refuses a mask component that is not
+sigma bits long, and hands the element to the suite's retrieve.
 
 Embedding: every component travels through the plaintext space as the
 big-endian integer of a 2-byte length header followed by the component bytes,
@@ -16,7 +17,7 @@ which keeps decoding unambiguous after decryption.
 """
 
 from .base_ot import ConventionalOtSuite
-from .errors import DecodeError, EmbeddingOverflow, KeyTooSmall
+from .errors import DecodeError, EmbeddingOverflow, KeyTooSmall, ShapeMismatch
 from .paillier import (
     Ciphertext,
     PaillierPublicKey,
@@ -112,10 +113,15 @@ def comp_retrieve(
     sk_R: PaillierSecretKey,
     base_secret,
     pk_base,
+    sigma_bits: int,
 ) -> ByteString:
-    """Decrypt and decode the surviving element, then finish with the suite."""
+    """Decrypt and decode the surviving element, then finish with the suite.
+    A mask component that is not sigma_bits long is a ShapeMismatch."""
     element = tuple(
         unembed_component(dec(sk_R, ct), kind)
         for ct, kind in zip(compressed, suite.component_kinds)
     )
+    for part, kind in zip(element, suite.component_kinds):
+        if kind == "mask" and 8 * len(part) != sigma_bits:
+            raise ShapeMismatch(f"{len(part)}-byte body, expected {sigma_bits // 8}")
     return suite.retrieve(element, base_secret, pk_base)

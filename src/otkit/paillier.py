@@ -6,7 +6,14 @@ a plain int. Both constructions that use it (duq_family's filter and
 ot_compiler) pick one of z values the same way, so that step lives here
 once: one_hot encrypts a selector that is 1 at one index and 0 elsewhere,
 and select, the protocols' one caller of hscale and hadd, takes its inner
-product with z rows of plaintexts, one ciphertext per column. The secret key
+product with z rows of plaintexts, one ciphertext per column. select
+refuses a selector entry outside [1, n^2) or sharing a factor with n. It
+raises entry i to the exponents of row i through one Lim-Lee comb of it mod
+n^2 (groupmath.comb_powers) when the build and one evaluation per exponent
+cost fewer products than pow() on the sum of their bit lengths: duq-mr's
+rows of two ~1024-bit heads and two 256-bit bodies at a 1152-bit key take
+the comb (1.5x faster than a pow() per scaling; Python 3.11, no gmpy2), and
+comp-np's rows of a 1032-bit and a 133-bit exponent keep pow(). The secret key
 keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
 joins the halves by CRT (Paillier, EUROCRYPT '99, section 7): two
 exponentiations with half-size moduli and exponents, about 3x faster than
@@ -18,11 +25,12 @@ h_p = L_p((n+1)^(p-1) mod p^2)^-1 = (-q)^-1 mod p, h_q likewise.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from typing import Callable
 
 from .errors import (
     IndexOutOfRange, MalformedCiphertext, PlaintextOutOfRange, ShapeMismatch
 )
+from .groupmath import comb_powers
 from .numth import gen_prime, invmod, powmod
 from .rng import RandomSource
 
@@ -101,9 +109,12 @@ def hadd(pk: PaillierPublicKey, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     return c1 * c2 % pk.n_squared
 
 
-def hscale(pk: PaillierPublicKey, c: Ciphertext, k: int) -> Ciphertext:
-    """Ciphertext of m * k mod n."""
-    return powmod(c, k, pk.n_squared)
+def hscale(
+    pk: PaillierPublicKey, c: Ciphertext, k: int, power: Callable[[int], int] | None = None
+) -> Ciphertext:
+    """Ciphertext of m * k mod n: c^k mod n^2, by power (e -> c^e mod n^2)
+    when given, else by powmod."""
+    return power(k) if power else powmod(c, k, pk.n_squared)
 
 
 def one_hot(
@@ -120,14 +131,24 @@ def select(
 ) -> tuple[Ciphertext, ...]:
     """One ciphertext per column j of sum_i m_i * rows[i][j], for the
     selector's plaintexts m_i: row hot under a one-hot selector. A peer
-    supplies one side, so a row count off the selector's is a ShapeMismatch.
+    supplies one side, so a row count off the selector's is a ShapeMismatch,
+    and an entry outside [1, n^2) or sharing a factor with n is a
+    MalformedCiphertext, refused before any scaling.
 
-    hscale and hadd are looked up as module globals, so a tracer that rebinds
-    them counts every call."""
+    Row i is scaled by entry i through one comb of it when comb_powers says
+    that pays, and folded into the column products in row order, so one comb
+    is alive at a time. hscale and hadd are looked up as module globals, so a
+    tracer that rebinds them counts every call."""
     if not rows or len(rows) != len(selector):
         raise ShapeMismatch(f"{len(rows)} rows against {len(selector)} selector entries")
-    return tuple(
-        reduce(lambda acc, term: hadd(pk, acc, term),
-               (hscale(pk, c, k) for c, k in zip(selector, column)))
-        for column in zip(*rows)
-    )
+    n, n_squared = pk.n, pk.n_squared
+    if not all(0 < c < n_squared and math.gcd(c, n) == 1 for c in selector):
+        raise MalformedCiphertext("selector entry outside [1, n^2) or not invertible mod n")
+    columns = None
+    for c, row in zip(selector, rows):
+        power = comb_powers(c, n_squared, row)
+        terms = [hscale(pk, c, k, power) for k in row]
+        columns = terms if columns is None else [
+            hadd(pk, acc, term) for acc, term in zip(columns, terms)
+        ]
+    return tuple(columns)

@@ -18,7 +18,10 @@ from otkit.errors import (
     UsageError,
 )
 from otkit.groupmath import TOY_P
+from otkit.ot_compiler import embed_component
+from otkit.paillier import enc
 from otkit.primitives import hash_G, hash_H
+from otkit.rng import SeededSource
 from otkit.supersonic import PadKeys
 from otkit.harness import (
     GOLDEN_PHASES,
@@ -42,6 +45,14 @@ DB4 = tuple((bytes([i]) * 8, bytes([16 + i]) * 8) for i in range(4))
 def _longer_bodies(res):
     """A response pair whose two masked bodies are one byte longer each."""
     return NpResponse(*((head, body + b"\x00") for head, body in res))
+
+
+def _longer_compressed_body(value):
+    """A compressed response whose body decrypts to a 9-byte embedding,
+    re-encrypted under the receiver's public key."""
+    compressed, pk_R = value
+    body = enc(pk_R, embed_component(b"\x5a" * 9, pk_R), SeededSource(1))
+    return (compressed[0], body), pk_R
 
 
 def _config(protocol, seed=11, s=1, z=4, **kw):
@@ -304,19 +315,39 @@ class TestErrorPropagation:
         ("dq-mr", MsgType.RESPONSE, _longer_bodies, Role.RECEIVER),
         ("duq-mr", MsgType.TAGGED_RESPONSE_VEC,
          lambda vec: [vec[0]._replace(e0=(1 << 4096, vec[0].e0[1])), *vec[1:]], Role.P1),
+        ("comp-np", MsgType.COMPRESSED_RESPONSE, _longer_compressed_body, Role.RECEIVER),
     ], ids=["result-longer", "k0-longer", "pads-longer", "one-pair", "one-tagged-pair",
             "one-selector-entry", "np-bodies-longer", "dq-bodies-longer",
-            "dq-mr-bodies-longer", "head-over-modulus"])
+            "dq-mr-bodies-longer", "head-over-modulus", "comp-np-body-longer"])
     def test_wrong_shape_refused(
         self, monkeypatch, capsys, tmp_path, protocol, mtype, alter, role
     ):
+        self._assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype, alter,
+                             role, "ShapeMismatch")
+
+    # a selector entry outside [1, n^2), at the role that scales by it
+    @pytest.mark.parametrize("protocol, mtype, role", [
+        ("duq-mr", MsgType.COMPRESS_VEC, Role.P1),
+        ("comp-np", MsgType.SELECTOR_VEC, Role.SENDER),
+    ], ids=["compress-vec", "selector-vec"])
+    @pytest.mark.parametrize("entry", [0, 1 << 4096], ids=["zero", "over-modulus"])
+    def test_bad_selector_entry_refused(
+        self, monkeypatch, capsys, tmp_path, protocol, mtype, role, entry
+    ):
+        self._assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype,
+                             lambda vec: (*vec[:-1], entry), role, "MalformedCiphertext")
+
+    @staticmethod
+    def _assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype, alter, role, error):
+        """A session whose mtype payload is altered ends in error at role
+        alone, and `otkit run` exits 3 naming both."""
         encode, decode = harness._CODECS[mtype]
         monkeypatch.setitem(
             harness._CODECS, mtype, (lambda value: encode(alter(value)), decode)
         )
         cfg = _config(protocol, seed=5)
         t = run_session(cfg)
-        assert t.outputs == {role.name: "error:ShapeMismatch"}
+        assert t.outputs == {role.name: f"error:{error}"}
         argv = ["run", protocol, "--seed", "5", "--s", "1", "--sigma", "64"]
         if cfg.db:
             db = tmp_path / "db.txt"
@@ -325,7 +356,7 @@ class TestErrorPropagation:
         else:
             argv += ["--m0", cfg.m0.hex(), "--m1", cfg.m1.hex()]
         assert cli.main(argv) == 3
-        assert f"protocol error: ShapeMismatch ({role.name})" in capsys.readouterr().err
+        assert f"protocol error: {error} ({role.name})" in capsys.readouterr().err
 
     def test_tamper_applicability_checked(self):
         with pytest.raises(UsageError):

@@ -82,7 +82,7 @@ class TestCompiledSession:
         msgs = [bytes([40 + i]) * sigma for i in range(n)]
         q, secret, selector = comp_gen_query(suite, pk_base, n, s, pk_R, rng)
         compressed = comp_gen_res(suite, msgs, pk_base, q, selector, pk_R, rng)
-        got = comp_retrieve(suite, compressed, sk_R, secret, pk_base)
+        got = comp_retrieve(suite, compressed, sk_R, secret, pk_base, 8 * sigma)
         return msgs, compressed, got
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -111,7 +111,7 @@ class TestCompiledSession:
                 suite, msgs, toy, q_c, selector, pk_R, SeededSource(10)
             )
             plain = np_gen_res(msgs[0], msgs[1], toy, q_p, SeededSource(10))
-            got_c = comp_retrieve(suite, compressed, sk_R, sec_c, toy)
+            got_c = comp_retrieve(suite, compressed, sk_R, sec_c, toy, 48)
             assert got_c == np_retrieve(plain, sec_p, toy, 48) == msgs[s]
 
     def test_choice_out_of_range(self, toy, paillier512, rng):

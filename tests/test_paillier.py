@@ -1,11 +1,14 @@
 """Additive homomorphic encryption round trips and algebra."""
 
 import math
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otkit import groupmath, paillier
 from otkit.errors import (
     IndexOutOfRange,
     MalformedCiphertext,
@@ -125,6 +128,19 @@ class TestHomomorphism:
         with pytest.raises(ShapeMismatch):
             select(pk, selector, [[5, 6]] * count)
 
+    @pytest.mark.parametrize("entry", [
+        lambda sk: 0, lambda sk: sk.pk.n_squared, lambda sk: 1 << 4096,
+        lambda sk: sk.pk.n, lambda sk: sk.p * 7,
+    ], ids=["zero", "n-squared", "over-modulus", "n", "multiple-of-p"])
+    def test_select_refuses_a_bad_entry_before_scaling(
+        self, paillier512, rng, monkeypatch, entry
+    ):
+        pk, sk = paillier512
+        selector = (*one_hot(pk, 2, 1, rng), entry(sk))
+        monkeypatch.setattr(paillier, "hscale", lambda *args: pytest.fail("scaled"))
+        with pytest.raises(MalformedCiphertext):
+            select(pk, selector, [[5, 6]] * 3)
+
 
 class TestRandomization:
     def test_ciphertext_distinctness(self, paillier512):
@@ -167,3 +183,92 @@ class TestCrt:
         pk, sk = crt_key
         for m in (0, 1, 2, pk.n - 2, pk.n - 1, sk.p, sk.q):
             assert dec(sk, enc(pk, m, rng)) == m
+
+
+@lru_cache
+def _key(bits):
+    return kgen(bits, SeededSource(bits))
+
+
+@pytest.fixture(scope="module", params=[16, 64, 512, 640, 1024, 1152])
+def select_key(request):
+    return _key(request.param)
+
+
+def _reference(pk, selector, rows):
+    """select by pow() and products alone."""
+    n_sq = pk.n_squared
+    return tuple(
+        math.prod(pow(c, k, n_sq) for c, k in zip(selector, column)) % n_sq
+        for column in zip(*rows)
+    )
+
+
+class TestSelectComb:
+    """select scales a selector entry through one comb of it mod n^2 when
+    that pays; its ciphertexts must equal pow() and products exactly."""
+
+    def test_edges_and_mixed_rows(self, select_key, rng):
+        pk, _ = select_key
+        n = pk.n
+        r = random.Random(n.bit_length())
+        short = n.bit_length() // 4 + 1
+        selector = tuple(enc(pk, r.randrange(n), rng) for _ in range(4))
+        rows = [
+            [0, 1, n - 1, n - 1],
+            [n - 1, r.getrandbits(short), r.randrange(n), r.getrandbits(short)],
+            [r.randrange(n), 0, r.randrange(n), 1],
+            [r.getrandbits(short), r.getrandbits(short), n - 1, 0],
+        ]
+        assert select(pk, selector, rows) == _reference(pk, selector, rows)
+
+    def test_comb_seams(self, select_key, rng, monkeypatch):
+        # each row holds one seam exponent beside n - 1 twice and 1, so its
+        # comb is the one for 4 exponents of n - 1's length
+        pk, _ = select_key
+        n, n_sq = pk.n, pk.n_squared
+        bits = (n - 1).bit_length()
+        built = []
+        build = groupmath._comb_build
+        monkeypatch.setattr(
+            groupmath, "_comb_build", lambda *args: built.append(args[3:]) or build(*args)
+        )
+        seams = []
+        shape = None
+        if bits >= groupmath.SHARED_MIN_BITS:
+            shape = groupmath._cheapest_comb(bits, 4)[0]
+            width = groupmath._comb_width(bits, *shape)
+            seams = [
+                e for t in range(1, shape[0] * shape[1]) for d in (-1, 0, 1)
+                if (e := (1 << (t * width)) + d) < 1 << bits
+            ]
+        c = enc(pk, n // 3, rng)
+        top = pow(c, n - 1, n_sq)
+        for e in seams:
+            assert select(pk, (c,), [[e, n - 1, n - 1, 1]]) == (pow(c, e, n_sq), top, top, c)
+        assert built == [shape] * len(seams)
+
+
+class TestSelectPowers:
+    """Which scalings of one select at 1152 bits call powmod: none of a
+    duq-mr-shaped selection (two ~1024-bit heads and two 256-bit bodies per
+    row), all four of a comp-np-shaped one (1032- and 133-bit exponents,
+    two uses per entry), whose comb would cost more than pow() on those
+    lengths; and every one with gmpy2."""
+
+    @pytest.mark.parametrize("gmpy2", [False, True])
+    def test_powmod_calls(self, monkeypatch, gmpy2):
+        pk, _ = _key(1152)
+        rng, r = SeededSource(3), random.Random(3)
+        duq_sel, comp_sel = one_hot(pk, 4, 1, rng), one_hot(pk, 2, 0, rng)
+        head, body = lambda: r.getrandbits(1024), lambda: r.getrandbits(256)
+        duq_rows = [[head(), body(), head(), body()] for _ in duq_sel]
+        comp_rows = [[r.getrandbits(1032), r.getrandbits(133)] for _ in comp_sel]
+        calls = []
+        monkeypatch.setattr(groupmath, "HAVE_GMPY2", gmpy2)
+        monkeypatch.setattr(paillier, "powmod", lambda *args: calls.append(args) or pow(*args))
+        assert select(pk, duq_sel, duq_rows) == _reference(pk, duq_sel, duq_rows)
+        assert len(calls) == (16 if gmpy2 else 0)
+        calls.clear()
+        assert select(pk, comp_sel, comp_rows) == _reference(pk, comp_sel, comp_rows)
+        assert len(calls) == 4
