@@ -27,27 +27,22 @@ one-dimensional comb (1.36x; 1.33x at 1024 bits; Python 3.11, no gmpy2).
 Tables are built on first use and kept for the last COMB_GROUPS distinct
 (g, P); with gmpy2, powers of g use its powmod.
 
-A sender that raises one other base to many exponents in a session (the
-multi-receiver senders raise b0 and b1 to z exponents each) asks
-base_powers(base, params, uses) for a power function. It builds a comb of
-that base for exponents below q, used for that session only, when the comb
-pays. comb_shape picks its (rows, blocks) from the bit length k of q and
-the number of uses u: building costs about k squarings and v * 2^h products,
-and each exponent b + v * b products, against about 1.2 * k products per
-pow(). Of the shapes with h <= SHARED_ROWS_MAX and at most COMB_ENTRIES
-entries, the cheapest wins if it beats u pow() calls. v = 1 is among them,
-so by this count no choice costs more than the one-dimensional comb. One
-use never builds a table, and neither does a q under SHARED_MIN_BITS, where
-interpreter overhead outweighs the products saved (so the toy group never
-does). Without a table, and always with gmpy2, the power function is modexp.
-
-The same comb serves the Paillier modulus n^2: paillier.select raises each
-selector ciphertext to one exponent per column, all known in advance, so
-comb_powers(base, modulus, exponents) builds one comb of the base for the
-longest of them, from the same search, when that pays by their own lengths:
-the build and one evaluation each must cost fewer products than
-POW_PRODUCTS_PER_BIT times the sum of their bit lengths, since pow() on a
-short exponent is cheap while a comb evaluation costs the same for any.
+One other base raised to many exponents in a session gets a comb of its own,
+for that session only, when it pays: the multi-receiver senders raise b0 and
+b1 to z exponents below q each (base_powers), and paillier.select raises
+each selector ciphertext to one exponent per column mod n^2.
+comb_powers(base, modulus, exponents) decides both and builds the comb for
+the longest exponent, in the shape within COMB_ENTRIES entries that builds
+and makes them all in the fewest products: building costs about k squarings
+and v * 2^h products for k-bit exponents, and each exponent b + v * b
+products. It pays when that count is below POW_PRODUCTS_PER_BIT times the
+sum of the exponents' bit lengths, the products of one pow() per exponent;
+pow() on a short exponent is cheap while a comb evaluation costs the same
+for any. v = 1 is among the shapes, so by this count no choice costs more
+than the one-dimensional comb. One exponent never builds a table, and
+neither do exponents under SHARED_MIN_BITS bits, where interpreter overhead
+outweighs the products saved (so the toy group never does). Without a table,
+and always with gmpy2, the power is pow() (modexp for a group base).
 """
 
 from dataclasses import dataclass
@@ -131,7 +126,6 @@ def gen_group(bits: int, rng: RandomSource, retain_dlog: bool = False) -> GroupP
 
 COMB_ENTRIES = 2048
 COMB_GROUPS = 8
-SHARED_ROWS_MAX = 8
 SHARED_MIN_BITS = 512
 POW_PRODUCTS_PER_BIT = 1.2
 
@@ -150,13 +144,13 @@ def _comb_cost(bits: int, rows: int, blocks: int) -> tuple[int, int]:
     return (rows * blocks - 1) * width + (blocks << rows), (blocks + 1) * width
 
 
-def _comb_shapes(bits: int, rows_max: int) -> Iterator[tuple[int, int]]:
-    """Every (rows, blocks) with rows <= rows_max, at least one column per
-    block and at most COMB_ENTRIES table entries, one at a time: there are
-    about two thousand, and a list of them would raise peak memory."""
+def _comb_shapes(bits: int) -> Iterator[tuple[int, int]]:
+    """Every (rows, blocks) with at least one column per block and at most
+    COMB_ENTRIES table entries, one at a time: there are about two thousand,
+    and a list of them would raise peak memory."""
     return (
         (rows, blocks)
-        for rows in range(1, rows_max + 1)
+        for rows in range(1, bits + 1)
         for blocks in range(1, min(-(-bits // rows), COMB_ENTRIES >> rows) + 1)
     )
 
@@ -212,7 +206,7 @@ def _comb_table(g: int, P: int) -> Comb:
     """The comb of g for exponents below P, kept per (g, P): of the shapes
     within COMB_ENTRIES, the one with the fewest products per exponent."""
     bits = P.bit_length()
-    rows, blocks = min(_comb_shapes(bits, bits), key=lambda s: _comb_cost(bits, *s)[::-1])
+    rows, blocks = min(_comb_shapes(bits), key=lambda s: _comb_cost(bits, *s)[::-1])
     return _comb_build(g, P, bits, rows, blocks)
 
 
@@ -241,17 +235,8 @@ def _cheapest_comb(bits: int, uses: int) -> tuple[tuple[int, int], int]:
         build, each = _comb_cost(bits, *shape)
         return build + uses * each
 
-    shape = min(_comb_shapes(bits, SHARED_ROWS_MAX), key=products)
+    shape = min(_comb_shapes(bits), key=products)
     return shape, products(shape)
-
-
-def comb_shape(bits: int, uses: int) -> tuple[int, int] | None:
-    """(rows, blocks) of the cheapest comb for `uses` exponents below 2^bits,
-    or None when `uses` pow() calls cost less (see the module docstring)."""
-    if uses < 2 or bits < SHARED_MIN_BITS:
-        return None
-    shape, products = _cheapest_comb(bits, uses)
-    return shape if products < uses * POW_PRODUCTS_PER_BIT * bits else None
 
 
 def comb_powers(base: int, modulus: int, exponents: list[int]) -> Callable[[int], int] | None:
@@ -271,14 +256,13 @@ def comb_powers(base: int, modulus: int, exponents: list[int]) -> Callable[[int]
 
 def base_powers(base: GroupElement, params: GroupParams, uses: int) -> Power:
     """e -> base^(e mod q) mod P, for about `uses` exponents: through one comb
-    of base when comb_shape says it pays, else through modexp."""
-    bits = params.q.bit_length()
-    shape = None if HAVE_GMPY2 else comb_shape(bits, uses)
-    if shape is None:
+    of base when comb_powers says it pays for that many below q, else
+    through modexp."""
+    q = params.q
+    power = comb_powers(base, params.P, [q - 1] * uses)
+    if power is None:
         return lambda e: modexp(base, e, params)
-    P, q = params.P, params.q
-    comb = _comb_build(base, P, bits, *shape)
-    return lambda e: _comb_eval(comb, e % q, P)
+    return lambda e: power(e % q)
 
 
 def elem_mul(x: GroupElement, y: GroupElement, params: GroupParams) -> GroupElement:

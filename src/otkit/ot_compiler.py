@@ -116,12 +116,13 @@ def comp_retrieve(
     sigma_bits: int,
 ) -> ByteString:
     """Decrypt and decode the surviving element, then finish with the suite.
-    A mask component that is not sigma_bits long is a ShapeMismatch."""
-    element = tuple(
-        unembed_component(dec(sk_R, ct), kind)
-        for ct, kind in zip(compressed, suite.component_kinds)
-    )
-    for part, kind in zip(element, suite.component_kinds):
+    A ciphertext count off the suite's components, or a mask component that
+    is not sigma_bits long, is a ShapeMismatch."""
+    kinds = suite.component_kinds
+    if len(compressed) != len(kinds):
+        raise ShapeMismatch(f"{len(compressed)} ciphertexts, expected {len(kinds)}")
+    element = tuple(unembed_component(dec(sk_R, ct), kind) for ct, kind in zip(compressed, kinds))
+    for part, kind in zip(element, kinds):
         if kind == "mask" and 8 * len(part) != sigma_bits:
             raise ShapeMismatch(f"{len(part)}-byte body, expected {sigma_bits // 8}")
     return suite.retrieve(element, base_secret, pk_base)

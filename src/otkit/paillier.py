@@ -6,15 +6,14 @@ a plain int. Both constructions that use it (duq_family's filter and
 ot_compiler) pick one of z values the same way, so that step lives here
 once: one_hot encrypts a selector that is 1 at one index and 0 elsewhere,
 and select, the protocols' one caller of hscale and hadd, takes its inner
-product with z rows of plaintexts, one ciphertext per column. select
-refuses a selector entry outside [1, n^2) or sharing a factor with n. It
-raises entry i to the exponents of row i through one Lim-Lee comb of it mod
-n^2 (groupmath.comb_powers) when the build and one evaluation per exponent
-cost fewer products than pow() on the sum of their bit lengths: duq-mr's
-rows of two ~1024-bit heads and two 256-bit bodies at a 1152-bit key take
-the comb (1.5x faster than a pow() per scaling; Python 3.11, no gmpy2), and
-comp-np's rows of a 1032-bit and a 133-bit exponent keep pow(). The secret key
-keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
+product with z rows of plaintexts, one ciphertext per column. select refuses
+a selector entry, and dec a ciphertext, outside [1, n^2) or sharing a factor
+with n. select raises entry i to the exponents of row i through one Lim-Lee
+comb of it mod n^2 when groupmath.comb_powers says that pays: duq-mr's rows
+of two ~1024-bit heads and two 256-bit bodies at a 1152-bit key take the
+comb (1.5x faster than a pow() per scaling; Python 3.11, no gmpy2), and
+comp-np's rows of a 1032-bit and a 133-bit exponent keep pow(). The secret
+key keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
 joins the halves by CRT (Paillier, EUROCRYPT '99, section 7): two
 exponentiations with half-size moduli and exponents, about 3x faster than
 the single L(c^lambda mod n^2) * mu route they agree with, so the key keeps
@@ -93,10 +92,16 @@ def enc(pk: PaillierPublicKey, m: int, rng: RandomSource) -> Ciphertext:
     return (1 + pk.n * m) % pk.n_squared * powmod(rho, pk.n, pk.n_squared) % pk.n_squared
 
 
+def _is_ciphertext(pk: PaillierPublicKey, c: int) -> bool:
+    """c lies in [1, n^2) and is invertible mod n."""
+    return 0 < c < pk.n_squared and math.gcd(c, pk.n) == 1
+
+
 def dec(sk: PaillierSecretKey, c: Ciphertext) -> int:
-    """m mod p = L_p(c^(p-1) mod p^2) * h_p, m mod q likewise, joined by CRT."""
-    if math.gcd(c, sk.pk.n) != 1:
-        raise MalformedCiphertext("ciphertext shares a factor with n")
+    """m mod p = L_p(c^(p-1) mod p^2) * h_p, m mod q likewise, joined by CRT.
+    A c outside [1, n^2) or sharing a factor with n is a MalformedCiphertext."""
+    if not _is_ciphertext(sk.pk, c):
+        raise MalformedCiphertext("ciphertext outside [1, n^2) or not invertible mod n")
     p, q = sk.p, sk.q
     m_p = (powmod(c, p - 1, p * p) - 1) // p * sk.h_p % p
     m_q = (powmod(c, q - 1, q * q) - 1) // q * sk.h_q % q
@@ -141,12 +146,11 @@ def select(
     tracer that rebinds them counts every call."""
     if not rows or len(rows) != len(selector):
         raise ShapeMismatch(f"{len(rows)} rows against {len(selector)} selector entries")
-    n, n_squared = pk.n, pk.n_squared
-    if not all(0 < c < n_squared and math.gcd(c, n) == 1 for c in selector):
+    if not all(_is_ciphertext(pk, c) for c in selector):
         raise MalformedCiphertext("selector entry outside [1, n^2) or not invertible mod n")
     columns = None
     for c, row in zip(selector, rows):
-        power = comb_powers(c, n_squared, row)
+        power = comb_powers(c, pk.n_squared, row)
         terms = [hscale(pk, c, k, power) for k in row]
         columns = terms if columns is None else [
             hadd(pk, acc, term) for acc, term in zip(columns, terms)

@@ -1,7 +1,9 @@
 """Group arithmetic over the order-q subgroup mod a safe prime."""
 
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,11 @@ from otkit.groupmath import (
     COMB_GROUPS,
     PINNED_G,
     PINNED_SAFE_PRIMES,
-    SHARED_ROWS_MAX,
     GroupParams,
     TOY_G,
     TOY_P,
     TOY_Q,
     base_powers,
-    comb_shape,
     elem_div,
     elem_mul,
     elem_to_bytes,
@@ -248,7 +248,7 @@ SHARED_SHAPES = {
     (4, 1): None, (4, 2): None, (4, 4): None, (4, 32): None,
     (512, 1): None, (512, 2): (6, 1), (512, 4): (6, 2), (512, 32): (7, 5),
     (1024, 1): None, (1024, 2): (6, 2), (1024, 4): (6, 3), (1024, 32): (8, 4),
-    (2048, 1): None, (2048, 2): (6, 2), (2048, 4): (7, 3), (2048, 32): (8, 6),
+    (2048, 1): None, (2048, 2): (6, 2), (2048, 4): (7, 3), (2048, 32): (9, 4),
 }
 
 
@@ -272,7 +272,7 @@ class TestSharedBase:
         ]
         expected = {}  # the pow() oracle, once per exponent
         for uses in USES:
-            shape = comb_shape(bits, uses)
+            shape = SHARED_SHAPES[(bits, uses)]
             seams = _seams(*shape, groupmath._comb_width(bits, *shape)) if shape else []
             power = base_powers(base, shared_group, uses)
             for e in common + seams:
@@ -291,25 +291,29 @@ class TestSharedBase:
             built.clear()
             base_powers(shared_group.C, shared_group, uses)
             shape = SHARED_SHAPES[(bits, uses)]
-            assert comb_shape(bits, uses) == shape
             assert built == ([shape] if shape else [])
+            if shape:
+                assert groupmath._cheapest_comb(bits, uses)[0] == shape
 
-    def test_row_cap_and_single_use(self):
+    def test_entry_cap_and_single_use(self):
         for bits in (4, 64, 511, 512, 1024, 2048, 4096, 8192):
-            assert comb_shape(bits, 1) is None
+            top = (1 << bits) - 1
+            assert groupmath.comb_powers(3, top + 2, [top]) is None
             for uses in (2, 3, 8, 100, 10_000):
-                shape = comb_shape(bits, uses)
-                if shape is None:
-                    continue
+                shape, products = groupmath._cheapest_comb(bits, uses)
                 rows, blocks = shape
-                assert 1 <= rows <= SHARED_ROWS_MAX == 8 and blocks << rows <= COMB_ENTRIES
+                assert 1 <= rows and 1 <= blocks and blocks << rows <= COMB_ENTRIES
 
-                def products(rows, blocks):
+                def cost(rows, blocks):
                     build, each = groupmath._comb_cost(bits, rows, blocks)
                     return build + uses * each
 
                 # one block stays in the search, so no table costs more than a 1-D one
-                assert products(*shape) <= min(products(r, 1) for r in range(1, 9))
+                assert products == cost(*shape) <= min(
+                    cost(r, 1) for r in range(1, COMB_ENTRIES.bit_length())
+                )
+            if bits < groupmath.SHARED_MIN_BITS:
+                assert groupmath.comb_powers(3, top + 2, [top] * 8) is None
 
     @pytest.mark.parametrize("protocol", ["dq-mr", "duq-mr"])
     @pytest.mark.parametrize("z", [1, 4])
@@ -324,8 +328,36 @@ class TestSharedBase:
             return hashlib.sha256(export_transcript(t).encode()).hexdigest()
 
         shared = digest()
-        monkeypatch.setattr(groupmath, "comb_shape", lambda bits, uses: None)
+        monkeypatch.setattr(groupmath, "comb_powers", lambda base, modulus, exponents: None)
         assert digest() == shared
+
+    def test_one_comb_policy(self):
+        # _comb_table builds g's comb and comb_powers every other one, so no
+        # second rule for when a comb pays can come back beside them
+        def names(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    yield node.id
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr
+                elif isinstance(node, ast.alias):
+                    yield node.name
+
+        comb_names = {"_comb_build", "_comb_eval"}
+        source = Path(groupmath.__file__)
+        namers = {
+            path.stem
+            for path in source.parent.glob("*.py")
+            if comb_names & set(names(ast.parse(path.read_text())))
+        }
+        assert namers == {"groupmath"}
+        builders = {
+            getattr(top, "name", None)
+            for top in ast.parse(source.read_text()).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and "_comb_build" in names(node.func)
+        }
+        assert builders == {"_comb_table", "comb_powers"}
 
 
 class TestSerialization:

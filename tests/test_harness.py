@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import cli, harness, laws
+from otkit import cli, duq_family, harness, laws
 from otkit.base_ot import NpResponse
 from otkit.errors import (
     DecodeError,
@@ -316,9 +316,13 @@ class TestErrorPropagation:
         ("duq-mr", MsgType.TAGGED_RESPONSE_VEC,
          lambda vec: [vec[0]._replace(e0=(1 << 4096, vec[0].e0[1])), *vec[1:]], Role.P1),
         ("comp-np", MsgType.COMPRESSED_RESPONSE, _longer_compressed_body, Role.RECEIVER),
+        ("comp-np", MsgType.COMPRESSED_RESPONSE, lambda v: (v[0][:1], v[1]), Role.RECEIVER),
+        ("comp-np", MsgType.COMPRESSED_RESPONSE,
+         lambda v: ((*v[0], v[0][0]), v[1]), Role.RECEIVER),
     ], ids=["result-longer", "k0-longer", "pads-longer", "one-pair", "one-tagged-pair",
             "one-selector-entry", "np-bodies-longer", "dq-bodies-longer",
-            "dq-mr-bodies-longer", "head-over-modulus", "comp-np-body-longer"])
+            "dq-mr-bodies-longer", "head-over-modulus", "comp-np-body-longer",
+            "comp-np-one-ciphertext", "comp-np-three-ciphertexts"])
     def test_wrong_shape_refused(
         self, monkeypatch, capsys, tmp_path, protocol, mtype, alter, role
     ):
@@ -336,6 +340,25 @@ class TestErrorPropagation:
     ):
         self._assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype,
                              lambda vec: (*vec[:-1], entry), role, "MalformedCiphertext")
+
+    # a response ciphertext with n^2 added, at the key holder's dec; the
+    # duq-mr receiver's key is read from the kgen call that made it
+    @pytest.mark.parametrize("protocol, mtype", [
+        ("duq-mr", MsgType.FILTERED_RESPONSE),
+        ("comp-np", MsgType.COMPRESSED_RESPONSE),
+    ], ids=["filtered-response", "compressed-response"])
+    def test_response_over_modulus_refused(
+        self, monkeypatch, capsys, tmp_path, protocol, mtype
+    ):
+        keys = []
+        kgen = duq_family.kgen
+        monkeypatch.setattr(duq_family, "kgen", lambda *a: keys.append(kgen(*a)) or keys[-1])
+        alter = {
+            "duq-mr": lambda f: (f[0] + keys[-1][0].n_squared, *f[1:]),
+            "comp-np": lambda v: ((v[0][0] + v[1].n_squared, *v[0][1:]), v[1]),
+        }[protocol]
+        self._assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype, alter,
+                             Role.RECEIVER, "MalformedCiphertext")
 
     @staticmethod
     def _assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype, alter, role, error):

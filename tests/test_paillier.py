@@ -66,6 +66,15 @@ class TestRoundTrip:
         with pytest.raises(MalformedCiphertext):
             dec(sk, pk.n)
 
+    def test_ciphertext_over_modulus_rejected(self, paillier512, rng):
+        # c + k * n^2 is invertible mod n, and decrypts as c would
+        pk, sk = paillier512
+        c = enc(pk, 42, rng)
+        assert dec(sk, c) == 42
+        for bad in (c + pk.n_squared, c + (pk.n_squared << 4096)):
+            with pytest.raises(MalformedCiphertext):
+                dec(sk, bad)
+
 
 class TestHomomorphism:
     @given(
