@@ -20,13 +20,14 @@ every payload format does.
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .errors import ElementOutOfRange, IndexOutOfRange, LengthMismatch, ShapeMismatch
+from .errors import IndexOutOfRange, LengthMismatch, ShapeMismatch
 from .groupmath import (
     GroupElement,
     GroupParams,
     Power,
     Scalar,
     base_powers,
+    check_elements,
     elem_div,
     elem_to_bytes,
     modexp,
@@ -74,8 +75,7 @@ def np_gen_res(
     rng: RandomSource,
 ) -> NpResponse:
     """Mask both messages against the query pair (b0, C / b0)."""
-    if not 0 < query < pk.P:
-        raise ElementOutOfRange("query element outside [1, P) has no inverse")
+    check_elements(pk, query)
     powers = base_powers(query, pk, 1), base_powers(elem_div(pk.C, query, pk), pk, 1)
     return _mask_pair(m0, m1, pk, powers, rng, hash_H)
 
@@ -109,8 +109,10 @@ def _mask_pair(
 def unmask_element(
     element: ResponseElement, exponent: Scalar, pk: GroupParams, oracle: Oracle
 ) -> ByteString:
-    """Strip the oracle's pad of one response element with a known exponent."""
+    """Strip the oracle's pad of one response element with a known exponent,
+    refusing a head outside [1, P)."""
     head, body = element
+    check_elements(pk, head)
     pad = oracle(elem_to_bytes(modexp(head, exponent, pk), pk), 8 * len(body))
     return xor_bytes(pad, body)
 

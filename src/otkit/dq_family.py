@@ -8,19 +8,22 @@ receiver unmasks with the combined exponent x = r2 + r1 * (-1)^s2.
 
 In the multi-receiver form the sender answers with one response pair per
 database entry and P1 forwards exactly the pair at the receiver's index v.
+The single sender is the one-record case of that loop. A database is the
+plain tuple of (m0, m1) pairs that the session engine has already checked.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .base_ot import NpResponse, _mask_pair, unmask_message
-from .errors import ConsistencyAbort, IndexOutOfRange, ShapeMismatch, UsageError
+from .errors import ConsistencyAbort, IndexOutOfRange, ShapeMismatch
 from .groupmath import (
     GroupElement,
     GroupParams,
     Power,
     Scalar,
     base_powers,
+    check_elements,
     elem_div,
     elem_mul,
     modexp,
@@ -48,25 +51,6 @@ class FinalQueryPair(NamedTuple):
     b1: GroupElement
 
 
-@dataclass(frozen=True)
-class MessageDatabase:
-    """Sender's ordered vector of message pairs, uniform length per component."""
-
-    pairs: tuple[tuple[ByteString, ByteString], ...]
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise UsageError("database needs at least one pair")
-        sigma = len(self.pairs[0][0])
-        for m0, m1 in self.pairs:
-            if len(m0) != sigma or len(m1) != sigma:
-                raise UsageError("database entries must share one length")
-
-    @property
-    def z(self) -> int:
-        return len(self.pairs)
-
-
 def dq_r_request(
     s: int, pk: GroupParams, rng: RandomSource
 ) -> tuple[DelegationRequest, DelegationRequest]:
@@ -91,23 +75,38 @@ def dq_p1_gen_query(
     req1: DelegationRequest, partial: PartialQueryPair, pk: GroupParams
 ) -> FinalQueryPair:
     """Finish the pair: slot share takes d0 * g^r1, the other d1 / g^r1."""
+    check_elements(pk, *partial)
     gr1 = modexp(pk.g, req1.blind, pk)
     b = elem_mul(partial.d0, gr1, pk), elem_div(partial.d1, gr1, pk)
     return FinalQueryPair(*controlled_swap(req1.share, b))
 
 
 def check_consistency(query: FinalQueryPair, pk: GroupParams) -> None:
-    """Abort unless b0 * b1 = C."""
+    """Abort unless b0 and b1 lie in [1, P) and b0 * b1 = C."""
+    check_elements(pk, *query)
     if elem_mul(query.b0, query.b1, pk) != pk.C:
         raise ConsistencyAbort("query pair does not multiply to C")
 
 
 def query_powers(
-    query: FinalQueryPair, pk: GroupParams, uses: int = 1
+    query: FinalQueryPair, pk: GroupParams, uses: int
 ) -> tuple[Power, Power]:
-    """Power functions of b0 and b1, each for `uses` exponents; abort unless b0 * b1 = C."""
+    """Power functions of b0 and b1, each for `uses` exponents; abort unless
+    the pair passes check_consistency."""
     check_consistency(query, pk)
     return base_powers(query.b0, pk, uses), base_powers(query.b1, pk, uses)
+
+
+def dqmr_s_gen_res_multi(
+    db: tuple[tuple[ByteString, ByteString], ...],
+    pk: GroupParams,
+    query: FinalQueryPair,
+    rng: RandomSource,
+) -> list[NpResponse]:
+    """One independent response pair per database entry, all against one
+    pair of power functions built for z = len(db) exponents each."""
+    powers = query_powers(query, pk, len(db))
+    return [_mask_pair(m0, m1, pk, powers, rng, hash_H) for m0, m1 in db]
 
 
 def dq_s_gen_res(
@@ -117,8 +116,9 @@ def dq_s_gen_res(
     query: FinalQueryPair,
     rng: RandomSource,
 ) -> NpResponse:
-    """Answer a well-formed pair exactly like the base OT sender."""
-    return _mask_pair(m0, m1, pk, query_powers(query, pk), rng, hash_H)
+    """Answer a well-formed pair exactly like the base OT sender: the
+    one-record database (m0, m1)."""
+    return dqmr_s_gen_res_multi(((m0, m1),), pk, query, rng)[0]
 
 
 def retrieval_exponent(
@@ -140,18 +140,6 @@ def dq_r_retrieve(
     """m_s, unmasked with the combined exponent."""
     x = retrieval_exponent(req1.blind, req2.blind, req2.share, pk)
     return unmask_message(res[s], x, pk, sigma_bits)
-
-
-def dqmr_s_gen_res_multi(
-    db: MessageDatabase,
-    pk: GroupParams,
-    query: FinalQueryPair,
-    rng: RandomSource,
-) -> list[NpResponse]:
-    """One independent response pair per database entry, all against one
-    pair of power functions built for z exponents each."""
-    powers = query_powers(query, pk, uses=db.z)
-    return [_mask_pair(m0, m1, pk, powers, rng, hash_H) for m0, m1 in db.pairs]
 
 
 def dqmr_p1_filter(responses: list[NpResponse], v: int) -> NpResponse:

@@ -4,9 +4,10 @@ A third-party issuer holds the choice bit. It hands the helpers the bit
 shares, hands the sender a random tag, and hands the receiver only its second
 share plus that tag. A tagged pair is the base OT's plain mask of m_i || tag
 under the wider oracle hash_G (base_ot._mask_pair), then randomly permuted:
-an NpResponse whose slots are permuted. The receiver unmasks both slots under
-hash_G (base_ot.unmask_element) and recognizes the right one by the tag
-alone, so it never learns the choice bit.
+an NpResponse whose slots are permuted. As in dq_family, the single sender
+is the one-record case of the multi-receiver sender's loop. The receiver
+unmasks both slots under hash_G (base_ot.unmask_element) and recognizes the
+right one by the tag alone, so it never learns the choice bit.
 
 The multi-receiver extension pushes all pairs through P1, which
 compresses them against the issuer's compress vector, a tuple of ciphertexts
@@ -19,12 +20,7 @@ so the receiver gets four ciphertexts regardless of the database size.
 from dataclasses import dataclass
 
 from .base_ot import NpResponse, ResponseElement, _mask_pair, unmask_element
-from .dq_family import (
-    FinalQueryPair,
-    MessageDatabase,
-    query_powers,
-    retrieval_exponent,
-)
+from .dq_family import FinalQueryPair, query_powers, retrieval_exponent
 from .errors import (
     AmbiguousTag,
     KeyTooSmall,
@@ -32,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     UsageError,
 )
-from .groupmath import GroupParams, Power, Scalar, rand_scalar
+from .groupmath import GroupParams, Scalar, rand_scalar
 from .paillier import (
     Ciphertext,
     PaillierPublicKey,
@@ -77,22 +73,26 @@ def duq_s_gen_res(
     tag: ByteString,
     rng: RandomSource,
 ) -> NpResponse:
-    """Mask (m_i || tag) per slot, then randomly permute the pair."""
-    return _mask_tagged_pair(m0, m1, pk, query_powers(query, pk), tag, rng)
+    """Mask (m_i || tag) per slot, then randomly permute the pair: the
+    one-record database (m0, m1)."""
+    return duqmr_s_gen_res_multi(((m0, m1),), pk, query, tag, rng)[0]
 
 
-def _mask_tagged_pair(
-    m0: ByteString,
-    m1: ByteString,
+def duqmr_s_gen_res_multi(
+    db: tuple[tuple[ByteString, ByteString], ...],
     pk: GroupParams,
-    powers: tuple[Power, Power],
+    query: FinalQueryPair,
     tag: ByteString,
     rng: RandomSource,
-) -> NpResponse:
-    """duq_s_gen_res against power functions from query_powers, which has
-    already checked that the pair multiplies to C."""
-    pair = _mask_pair(m0 + tag, m1 + tag, pk, powers, rng, hash_G)
-    return NpResponse(*random_permute_pair(pair, rng))
+) -> list[NpResponse]:
+    """One independently masked and permuted tagged pair per entry, all
+    against one pair of power functions built for z = len(db) exponents each."""
+    powers = query_powers(query, pk, len(db))
+    responses = []
+    for m0, m1 in db:
+        pair = _mask_pair(m0 + tag, m1 + tag, pk, powers, rng, hash_G)
+        responses.append(NpResponse(*random_permute_pair(pair, rng)))
+    return responses
 
 
 def _tag_match(
@@ -156,19 +156,6 @@ def duqmr_t_setup(
 ) -> tuple[Ciphertext, ...]:
     """Fresh encryptions of the one-hot vector with 1 at position v."""
     return one_hot(pk_j, z, v, rng)
-
-
-def duqmr_s_gen_res_multi(
-    db: MessageDatabase,
-    pk: GroupParams,
-    query: FinalQueryPair,
-    tag: ByteString,
-    rng: RandomSource,
-) -> list[NpResponse]:
-    """One independently masked and permuted tagged pair per entry, all
-    against one pair of power functions built for z exponents each."""
-    powers = query_powers(query, pk, uses=db.z)
-    return [_mask_tagged_pair(m0, m1, pk, powers, tag, rng) for m0, m1 in db.pairs]
 
 
 def _embed(component: int | ByteString, pk_j: PaillierPublicKey) -> int:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .errors import UsageError
+from .errors import ElementOutOfRange, UsageError
 from .numth import HAVE_GMPY2, gen_safe_prime, invmod, powmod
 from .rng import RandomSource
 
@@ -280,6 +280,14 @@ def rand_scalar(params: GroupParams, rng: RandomSource, nonzero: bool = False) -
         v = rng.randbelow(params.q)
         if v or not nonzero:
             return v
+
+
+def check_elements(params: GroupParams, *xs: GroupElement) -> None:
+    """Refuse, with ElementOutOfRange, any x from a peer outside [1, P): 0
+    has no inverse, and x + P would pass for x once reduced."""
+    for x in xs:
+        if not 0 < x < params.P:
+            raise ElementOutOfRange("group element outside [1, P)")
 
 
 def in_subgroup(x: int, params: GroupParams) -> bool:

@@ -28,7 +28,6 @@ from .base_ot import NpResponse, np_gen_query, np_gen_res, np_retrieve, np_suite
 from .dq_family import (
     DelegationRequest,
     FinalQueryPair,
-    MessageDatabase,
     PartialQueryPair,
     dq_p1_gen_query,
     dq_p2_gen_query,
@@ -518,8 +517,6 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     multi = cfg.protocol.endswith("-mr")
     with _phase(t, "init", Role.RECEIVER):
         params = _make_group(cfg, rng)
-        if multi:
-            db = MessageDatabase(pairs=tuple(cfg.db))
         if issuer and multi:
             pk_j, sk_j = duqmr_r_setup(
                 _paillier_bits(cfg, params), rng, group=params,
@@ -527,7 +524,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
             )
     if issuer and multi:
         with _phase(t, "compress_vector", Role.ISSUER):
-            w = duqmr_t_setup(db.z, cfg.v, pk_j, rng)
+            w = duqmr_t_setup(len(cfg.db), cfg.v, pk_j, rng)
             w_rx = _hop(t, Role.ISSUER, Role.P1, MsgType.COMPRESS_VEC, w)
     with _phase(t, "request", Role.RECEIVER):
         # issuer variants send bare blinds: the shares come from the issuer
@@ -559,8 +556,8 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         b_rx = _hop(t, Role.P1, Role.SENDER, MsgType.FINAL_Q, final)
     with _phase(t, "gen_res", Role.SENDER):
         if multi:
-            vec = (duqmr_s_gen_res_multi(db, params, b_rx, tag_at_s, rng) if issuer
-                   else dqmr_s_gen_res_multi(db, params, b_rx, rng))
+            vec = (duqmr_s_gen_res_multi(cfg.db, params, b_rx, tag_at_s, rng) if issuer
+                   else dqmr_s_gen_res_multi(cfg.db, params, b_rx, rng))
             vec_type = MsgType.TAGGED_RESPONSE_VEC if issuer else MsgType.RESPONSE_VEC
             vec_rx = _hop(t, Role.SENDER, Role.P1, vec_type, vec)
         else:

@@ -14,7 +14,6 @@ from .base_ot import np_suite
 from .dq_family import (
     DelegationRequest,
     FinalQueryPair,
-    MessageDatabase,
     dq_p1_gen_query,
     dq_p2_gen_query,
     dq_r_retrieve,
@@ -171,9 +170,7 @@ def multi_receiver(small, big, key, z: int, per_choice: int, seed: int) -> int:
     deliver it in one RESPONSE (a pair) or FILTERED_RESPONSE (four
     ciphertexts), decoded to the last byte."""
     pk_j, sk_j = key
-    db = MessageDatabase(
-        pairs=tuple((bytes([t]) * 8, bytes([128 + t]) * 8) for t in range(z))
-    )
+    db = tuple((bytes([t]) * 8, bytes([128 + t]) * 8) for t in range(z))
     runs = list(itertools.product((0, 1), range(z), range(per_choice)))
     for k, (s, v, i) in enumerate(runs):
         rng = SeededSource(seed + k)
@@ -189,7 +186,7 @@ def multi_receiver(small, big, key, z: int, per_choice: int, seed: int) -> int:
         got = dq_r_retrieve(picked, req1, req2, s, small, 64), duqmr_r_retrieve(
             filtered, sk_j, r1, r2, bundle.share2, bundle.tag, 64, big
         )
-        if got != (db.pairs[v][s],) * 2:
+        if got != (db[v][s],) * 2:
             raise LawViolation(f"s={s} v={v}: dq-mr and duq-mr returned {got}")
     for size in (1, 4, 8):
         dq = _session_config("dq-mr", seed, z=size)
@@ -267,7 +264,7 @@ def tamper_aborts(params, trials: int, seed: int) -> int:
     one element multiplied by a power of g. Run i goes to sender i % 4 (dq,
     duq, dq-mr, duq-mr) and tampers b0 when (i >> 2) & 1, else b1."""
     m0, m1, tag = b"\x01" * 8, b"\x02" * 8, b"\xaa" * 8
-    db = MessageDatabase(pairs=((m0, m1),))
+    db = ((m0, m1),)
     senders = (
         lambda q, rng: dq_s_gen_res(m0, m1, params, q, rng),
         lambda q, rng: duq_s_gen_res(m0, m1, params, q, tag, rng),

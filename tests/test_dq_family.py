@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from otkit.dq_family import (
     DelegationRequest,
     FinalQueryPair,
-    MessageDatabase,
     check_consistency,
     dq_p1_gen_query,
     dq_p2_gen_query,
@@ -145,28 +144,9 @@ class TestEndToEnd:
         assert dq_r_retrieve(res, req1, req2, s, group512, 128) == (m0, m1)[s]
 
 
-class TestMessageDatabase:
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            MessageDatabase(pairs=())
-
-    def test_ragged_entries_rejected(self):
-        with pytest.raises(UsageError):
-            MessageDatabase(pairs=((b"\x01", b"\x02"), (b"\x03", b"\x04\x05")))
-
-    @given(z=st.integers(1, 12), width=st.integers(1, 8))
-    @settings(max_examples=50)
-    def test_shape_accessors(self, z, width):
-        pairs = tuple((bytes([i]) * width, bytes([255 - i]) * width) for i in range(z))
-        db = MessageDatabase(pairs=pairs)
-        assert db.z == z
-
-
 class TestMultiReceiver:
     def _db(self, z, width=8):
-        return MessageDatabase(
-            pairs=tuple((bytes([i]) * width, bytes([128 + i]) * width) for i in range(z))
-        )
+        return tuple((bytes([i]) * width, bytes([128 + i]) * width) for i in range(z))
 
     def test_one_response_per_entry(self, toy, rng):
         db = self._db(5)
@@ -180,9 +160,9 @@ class TestMultiReceiver:
         req1, req2, _, final = _cell_queries(toy, s1, s2, 4, 9)
         responses = dqmr_s_gen_res_multi(db, toy, final, rng)
         s = s1 ^ s2
-        for v in range(db.z):
+        for v in range(len(db)):
             picked = dqmr_p1_filter(responses, v)
-            assert dq_r_retrieve(picked, req1, req2, s, toy, 64) == db.pairs[v][s]
+            assert dq_r_retrieve(picked, req1, req2, s, toy, 64) == db[v][s]
 
     def test_filter_forwards_exact_pair(self, toy, rng):
         db = self._db(3)

@@ -4,7 +4,7 @@ import pytest
 
 from otkit.base_ot import NpResponse
 from otkit.dq_family import DelegationRequest, dq_p1_gen_query, dq_p2_gen_query
-from otkit.dq_family import FinalQueryPair, MessageDatabase
+from otkit.dq_family import FinalQueryPair
 from otkit.duq_family import (
     duq_r_request,
     duq_r_retrieve,
@@ -162,7 +162,7 @@ class TestCompression:
             duqmr_t_setup(5, v, paillier512[0], rng)
 
     def test_filter_length_checked(self, group512, paillier640, rng):
-        db = MessageDatabase(pairs=tuple((b"\x01", b"\x02") for _ in range(3)))
+        db = tuple((b"\x01", b"\x02") for _ in range(3))
         final = _assemble(group512, 0, 0, 5, 6)
         responses = duqmr_s_gen_res_multi(db, group512, final, b"\xaa" * 2, rng)
         w = duqmr_t_setup(2, 1, paillier640[0], rng)
@@ -173,7 +173,7 @@ class TestCompression:
         # a 16-bit homomorphic modulus cannot hold 513-bit group elements;
         # duqmr_r_setup sizes the key, so at P1 only a peer can cause this
         tiny_pk, _ = kgen(16, SeededSource(5))
-        db = MessageDatabase(pairs=((b"\x01", b"\x02"),))
+        db = ((b"\x01", b"\x02"),)
         final = _assemble(group512, 0, 0, 5, 6)
         responses = duqmr_s_gen_res_multi(db, group512, final, b"\xbb" * 2, rng)
         w = duqmr_t_setup(1, 0, tiny_pk, rng)
@@ -184,27 +184,25 @@ class TestCompression:
     @pytest.mark.parametrize("s2", [0, 1])
     def test_compressed_round_trip(self, group512, paillier640, rng, s1, s2):
         pk_j, sk_j = paillier640
-        db = MessageDatabase(
-            pairs=tuple((bytes([t]) * 4, bytes([160 + t]) * 4) for t in range(3))
-        )
+        db = tuple((bytes([t]) * 4, bytes([160 + t]) * 4) for t in range(3))
         tag = rng.randbytes(4)
         blind1, blind2 = duq_r_request(group512, rng)
         final = _assemble(group512, s1, s2, blind1, blind2)
         responses = duqmr_s_gen_res_multi(db, group512, final, tag, rng)
         s = s1 ^ s2
-        for v in range(db.z):
-            w = duqmr_t_setup(db.z, v, pk_j, rng)
+        for v in range(len(db)):
+            w = duqmr_t_setup(len(db), v, pk_j, rng)
             filtered = duqmr_p1_filter(responses, w, pk_j)
             got = duqmr_r_retrieve(
                 filtered, sk_j, blind1, blind2, s2, tag, 32, group512
             )
-            assert got == db.pairs[v][s]
+            assert got == db[v][s]
 
     def test_tampered_tag_rejected_after_compression(
         self, group512, paillier640, rng
     ):
         pk_j, sk_j = paillier640
-        db = MessageDatabase(pairs=((b"\x31" * 4, b"\x32" * 4),))
+        db = ((b"\x31" * 4, b"\x32" * 4),)
         tag = rng.randbytes(4)
         blind1, blind2 = duq_r_request(group512, rng)
         final = _assemble(group512, 1, 1, blind1, blind2)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import cli, duq_family, harness, laws
+from otkit import cli, duq_family, errors, harness, laws
 from otkit.base_ot import NpResponse
 from otkit.errors import (
     DecodeError,
     MalformedCiphertext,
+    ProtocolError,
     TruncatedFrame,
     UnknownRole,
     UnknownTag,
@@ -55,6 +56,23 @@ def _longer_compressed_body(value):
     return (compressed[0], body), pk_R
 
 
+def _heads(head):
+    """A response pair whose heads are head(h), for each honest head h."""
+    return lambda res: NpResponse(*((head(h), body) for h, body in res))
+
+
+def _compressed_head(head):
+    """A compressed response whose head decrypts to head, re-encrypted under
+    the receiver's public key."""
+
+    def alter(value):
+        compressed, pk_R = value
+        ct = enc(pk_R, embed_component(head, pk_R), SeededSource(1))
+        return (ct, *compressed[1:]), pk_R
+
+    return alter
+
+
 def _config(protocol, seed=11, s=1, z=4, **kw):
     cfg = SessionConfig(protocol=protocol, sigma_bits=64, toy=True, seed=seed, s=s)
     if protocol in ("dq-mr", "duq-mr"):
@@ -65,6 +83,20 @@ def _config(protocol, seed=11, s=1, z=4, **kw):
     for key, val in kw.items():
         setattr(cfg, key, val)
     return cfg
+
+
+def _run_argv(cfg, tmp_dir):
+    """`otkit run` arguments for a _config session; a database goes to a
+    file in tmp_dir."""
+    argv = ["run", cfg.protocol, "--seed", str(cfg.seed), "--s", str(cfg.s),
+            "--sigma", "64", "--lambda", str(cfg.lambda_bits)]
+    if cfg.paillier_bits:
+        argv += ["--paillier-bits", str(cfg.paillier_bits)]
+    if cfg.db:
+        db = tmp_dir / "db.txt"
+        db.write_text("".join(f"{m0.hex()} {m1.hex()}\n" for m0, m1 in cfg.db))
+        return argv + ["--db", str(db), "--v", str(cfg.v)]
+    return argv + ["--m0", cfg.m0.hex(), "--m1", cfg.m1.hex()]
 
 
 class TestEnvelopeCodec:
@@ -266,6 +298,10 @@ class TestDeterminism:
         assert lines[4] == f"output RECEIVER {out.hex()}"
 
 
+# the protocols whose receiver gets a plain response pair
+HEADED = ("np-ot", "dq-ot", "dq-mr", "duq-ot")
+
+
 class TestErrorPropagation:
     def test_query_tamper_stops_at_sender(self):
         t = run_session(_config("dq-ot", tamper="beta"))
@@ -360,6 +396,31 @@ class TestErrorPropagation:
         self._assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype, alter,
                              Role.RECEIVER, "MalformedCiphertext")
 
+    # a group element outside [1, P), refused by the role it reaches: a
+    # partial query at P1, a final query at the sender, a response head at
+    # the receiver; 0 has no inverse, and h + P would pass for h
+    @pytest.mark.parametrize("protocol, mtype, alter, role", [
+        ("dq-ot", MsgType.PARTIAL_Q, lambda d: d._replace(d0=0), Role.P1),
+        ("dq-ot", MsgType.PARTIAL_Q, lambda d: d._replace(d0=d.d0 + TOY_P), Role.P1),
+        ("dq-ot", MsgType.FINAL_Q, lambda b: b._replace(b0=0), Role.SENDER),
+        ("dq-ot", MsgType.FINAL_Q, lambda b: b._replace(b0=b.b0 + TOY_P), Role.SENDER),
+        ("duq-mr", MsgType.FINAL_Q, lambda b: b._replace(b1=b.b1 + TOY_P), Role.SENDER),
+        *((protocol, MsgType.RESPONSE, _heads(head), Role.RECEIVER)
+          for protocol in HEADED for head in (lambda h: 0, lambda h: h + TOY_P)),
+        ("comp-np", MsgType.COMPRESSED_RESPONSE, _compressed_head(0), Role.RECEIVER),
+        ("comp-np", MsgType.COMPRESSED_RESPONSE, _compressed_head(1 + TOY_P),
+         Role.RECEIVER),
+    ], ids=["partial-zero", "partial-plus-P", "final-zero", "final-plus-P",
+            "duq-mr-final-plus-P",
+            *(f"{protocol}-heads-{how}" for protocol in HEADED
+              for how in ("zero", "plus-P")),
+            "comp-np-head-zero", "comp-np-head-plus-P"])
+    def test_element_out_of_range_refused(
+        self, monkeypatch, capsys, tmp_path, protocol, mtype, alter, role
+    ):
+        self._assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype, alter,
+                             role, "ElementOutOfRange")
+
     @staticmethod
     def _assert_refused(monkeypatch, capsys, tmp_path, protocol, mtype, alter, role, error):
         """A session whose mtype payload is altered ends in error at role
@@ -371,14 +432,7 @@ class TestErrorPropagation:
         cfg = _config(protocol, seed=5)
         t = run_session(cfg)
         assert t.outputs == {role.name: f"error:{error}"}
-        argv = ["run", protocol, "--seed", "5", "--s", "1", "--sigma", "64"]
-        if cfg.db:
-            db = tmp_path / "db.txt"
-            db.write_text("".join(f"{m0.hex()} {m1.hex()}\n" for m0, m1 in cfg.db))
-            argv += ["--db", str(db), "--v", str(cfg.v)]
-        else:
-            argv += ["--m0", cfg.m0.hex(), "--m1", cfg.m1.hex()]
-        assert cli.main(argv) == 3
+        assert cli.main(_run_argv(cfg, tmp_path)) == 3
         assert f"protocol error: {error} ({role.name})" in capsys.readouterr().err
 
     def test_tamper_applicability_checked(self):
@@ -476,6 +530,15 @@ SHARE_TYPES = (MsgType.REQ1, MsgType.REQ2, MsgType.ISSUER_REQ1, MsgType.ISSUER_R
                MsgType.SP_R, MsgType.SUP_Q1, MsgType.SUP_Q2)
 
 
+def _modules_where(predicate) -> set[str]:
+    """Names of the otkit modules with an AST node that satisfies predicate."""
+    return {
+        path.stem
+        for path in Path(harness.__file__).parent.glob("*.py")
+        if any(map(predicate, ast.walk(ast.parse(path.read_text()))))
+    }
+
+
 class TestCodecTable:
     def test_table_covers_every_type(self, samples):
         assert set(harness._CODECS) == set(MsgType) == set(samples)
@@ -493,12 +556,7 @@ class TestCodecTable:
                 a.name == "otkit.wire" for a in node.names
             )
 
-        importers = {
-            path.stem
-            for path in Path(harness.__file__).parent.glob("*.py")
-            if any(map(imports_wire, ast.walk(ast.parse(path.read_text()))))
-        }
-        assert importers == {"harness"}
+        assert _modules_where(imports_wire) == {"harness"}
 
     def test_only_the_base_ot_calls_the_oracles(self):
         # every pad comes from base_ot's mask, which takes the oracle as an
@@ -510,12 +568,7 @@ class TestCodecTable:
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             return name in ("hash_H", "hash_G")
 
-        callers = {
-            path.stem
-            for path in Path(harness.__file__).parent.glob("*.py")
-            if any(map(calls_oracle, ast.walk(ast.parse(path.read_text()))))
-        }
-        assert callers <= {"base_ot"}
+        assert _modules_where(calls_oracle) <= {"base_ot"}
 
     def test_only_paillier_and_the_laws_scale_or_add_ciphertexts(self):
         # every product of a selector entry and a plaintext is made inside
@@ -527,12 +580,18 @@ class TestCodecTable:
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             return name in ("hscale", "hadd")
 
-        callers = {
-            path.stem
-            for path in Path(harness.__file__).parent.glob("*.py")
-            if any(map(calls_hom, ast.walk(ast.parse(path.read_text()))))
-        }
-        assert callers == {"paillier", "laws"}
+        assert _modules_where(calls_hom) == {"paillier", "laws"}
+
+    def test_only_groupmath_raises_element_out_of_range(self):
+        # groupmath.check_elements is the one home of the [1, P) rule
+        def raises_range(node) -> bool:
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                return False
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+            return name == "ElementOutOfRange"
+
+        assert _modules_where(raises_range) == {"groupmath"}
 
     @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda m: m.name)
     def test_encode_inverts_decode(self, samples, comp_np_key, mtype):
@@ -604,9 +663,68 @@ class TestValidation:
         cfg.v = 0
         with pytest.raises(UsageError):
             run_session(cfg)
+        # empty, and ragged: the engine is the one place a database is checked
+        for db in ((), (cfg.db[0], (b"\x03" * 8, b"\x04" * 9))):
+            cfg = _config("dq-mr", db=db, v=0)
+            with pytest.raises(UsageError):
+                run_session(cfg)
 
     def test_group_parameters_required(self):
         cfg = _config("dq-ot", toy=False)
         with pytest.raises(UsageError):
             run_session(cfg)
         run_session(_config("supersonic", toy=False))
+
+
+PROTOCOL_ERRORS = {
+    f"error:{name}"
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, ProtocolError)
+}
+# every (protocol, message type) a session sends
+SENT = [(p, m) for p in PROTOCOLS for m in dict.fromkeys(GOLDEN_PHASES[p])]
+
+
+def _mutate(payload: bytes, kind: str, at: int, byte: int) -> bytes:
+    """payload with the byte at position at (mod its length) xored with byte,
+    cut off there, preceded by byte, or replaced by byte."""
+    i = at % (len(payload) + (kind == "insert"))
+    if kind == "flip":
+        return payload[:i] + bytes((payload[i] ^ byte,)) + payload[i + 1:]
+    if kind == "truncate":
+        return payload[:i]
+    return payload[:i] + bytes((byte,)) + payload[i + (kind == "replace"):]
+
+
+class TestHostileInput:
+    """One mutated payload type per session, altered through the codec
+    table alone: no run raises, and each ends in the receiver's bytes or in
+    a named ProtocolError; with the same mutation `otkit run` exits 0 or 3
+    to match. About 500 toy sessions, with 16-bit tags and 128-bit Paillier
+    keys so that key generation does not dominate."""
+
+    @pytest.mark.parametrize("protocol, mtype", SENT,
+                             ids=[f"{p}-{m.name}" for p, m in SENT])
+    @pytest.mark.parametrize("kind", ["flip", "truncate", "insert", "replace"])
+    @given(at=st.integers(0, 1 << 16), byte=st.integers(1, 255),
+           seed=st.integers(0, 1 << 16), s=st.integers(0, 1), via_cli=st.booleans())
+    @settings(max_examples=3, deadline=None)
+    def test_mutated_payload(self, tmp_path_factory, protocol, mtype, kind, at, byte,
+                             seed, s, via_cli):
+        with pytest.MonkeyPatch.context() as mp:
+            if protocol.startswith("duq") and mtype in (MsgType.REQ1, MsgType.REQ2):
+                # the issuer variants send both bare blinds through _UINT
+                encode, decode = harness._UINT
+                mp.setattr(harness, "_UINT",
+                           (lambda v: _mutate(encode(v), kind, at, byte), decode))
+            else:
+                encode, decode = harness._CODECS[mtype]
+                mp.setitem(harness._CODECS, mtype,
+                           (lambda v: _mutate(encode(v), kind, at, byte), decode))
+            cfg = _config(protocol, seed=seed, s=s, lambda_bits=16, paillier_bits=128)
+            outputs = run_session(cfg).outputs.values()
+            refused = [out for out in outputs if not isinstance(out, bytes)]
+            assert set(refused) <= PROTOCOL_ERRORS
+            if via_cli:
+                argv = _run_argv(cfg, tmp_path_factory.mktemp("db"))
+                assert cli.main(argv) == (3 if refused else 0)
