@@ -12,13 +12,16 @@ and quartiles per workload, the interpreter's version, whether gmpy2 was
 importable, the checkout's git commit (with `dirty` set when src/ or
 perfbench/ differ from it), and the line and byte counts of its
 src/otkit/*.py: the pad workloads' `setup_s` follows the size of the source
-that each benchmark process byte-compiles. --append adds runs to an existing
-record of the same commit, so two checkouts can be run in alternation, one
-seed at a time. --trace also runs the command once per workload with
---trace 1 (the first seed, the same run length) and keeps its per-session
-call counts, the `*.calls` metrics, under the record's `traced` key. Every
-round of the benchmark gives the program the same seeds, so these counts are
-exact and repeat from run to run.
+that each benchmark process byte-compiles. Each run also keeps, under
+`protocols`, every protocol's sessions, p10_ms and median_ms from the
+`# protocol: ...` lines the command prints before its result: `session_ms`
+is a geometric mean over a workload's protocols, and these show which one
+moved. --append adds runs to an existing record of the same commit, so two
+checkouts can be run in alternation, one seed at a time. --trace also runs
+the command once per workload with --trace 1 (the first seed, the same run
+length) and keeps its per-session call counts, the `*.calls` metrics, under
+the record's `traced` key. Every round of the benchmark gives the program the
+same seeds, so these counts are exact and repeat from run to run.
 
 --diff prints each file's commit and source size, then each workload's failed
 and attempted sessions in each file, summed over its runs, then, for each
@@ -26,8 +29,10 @@ workload and metric in both files, both medians, their ratio B/A, A's
 interquartile range, and the pair wins: the seeds present in both where B's
 run was better than A's. A row ends in "OVER BOUND" when its metric is
 end-to-end and B's median is worse than A's by more than the metric's
-`bound` in BENCHMARK.json, a fraction of A's median. When both files hold
-traced counts, it then lists every count that differs between them.
+`bound` in BENCHMARK.json, a fraction of A's median. The per-protocol times
+follow in the same columns, as `protocol.field` rows (more sessions is
+better, fewer ms is better; no bound). When both files hold traced counts,
+it then lists every count that differs between them.
 """
 
 import argparse
@@ -42,6 +47,8 @@ SPEC = json.loads((HERE / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
 BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 DEFAULT_SEEDS = (901, 902, 903)
+# what a run keeps of each `# protocol: ...` line, and which way is better
+PROTOCOL_FIELDS = {"sessions": "higher", "p10_ms": "lower", "median_ms": "lower"}
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -73,8 +80,21 @@ def environment(checkout: Path) -> dict:
     }
 
 
+def protocol_times(stdout: str) -> dict[str, dict[str, float]]:
+    """protocol -> PROTOCOL_FIELDS, from lines such as
+    `# comp-np: sessions=20 kept=20 p10_ms=296.1 median_ms=493.0`."""
+    out = {}
+    for line in stdout.splitlines():
+        head, sep, rest = line.partition(": ")
+        fields = dict(f.split("=", 1) for f in rest.split() if "=" in f)
+        if head.startswith("# ") and sep and PROTOCOL_FIELDS.keys() <= fields.keys():
+            out[head[2:]] = {k: float(fields[k]) for k in PROTOCOL_FIELDS}
+    return out
+
+
 def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
-    """One fresh benchmark process; its result line, with metrics as plain values."""
+    """One fresh benchmark process; its result line, with metrics as plain
+    values, and its per-protocol times."""
     cmd = SPEC["command"] + ["--workload", workload, "--seed", str(seed),
                              "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -82,7 +102,8 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     metrics = {name: m["value"] for name, m in result.pop("metrics").items()}
-    return {"workload": workload, "seed": seed, **result, "metrics": metrics}
+    return {"workload": workload, "seed": seed, **result, "metrics": metrics,
+            "protocols": protocol_times(proc.stdout)}
 
 
 def traced_counts(checkout: Path, workload: str, seed: int) -> dict[str, float]:
@@ -91,11 +112,23 @@ def traced_counts(checkout: Path, workload: str, seed: int) -> dict[str, float]:
     return {name: value for name, value in metrics.items() if name.endswith(".calls")}
 
 
-def summarize(runs: list[dict]) -> dict:
-    """workload -> metric -> median, q1, q3 and n over the runs."""
+def _metrics(run: dict) -> dict[str, float]:
+    return run["metrics"]
+
+
+def _protocols(run: dict) -> dict[str, float]:
+    """A run's per-protocol times as `protocol.field` -> value."""
+    return {f"{protocol}.{field}": value
+            for protocol, fields in run.get("protocols", {}).items()
+            for field, value in fields.items()}
+
+
+def summarize(runs: list[dict], values=_metrics) -> dict:
+    """workload -> metric -> median, q1, q3 and n over the runs, of the
+    values each run gives (its end-to-end metrics unless told otherwise)."""
     by_workload: dict[str, dict[str, list[float]]] = {}
     for run in runs:
-        for name, value in run["metrics"].items():
+        for name, value in values(run).items():
             by_workload.setdefault(run["workload"], {}).setdefault(name, []).append(value)
     summary = {}
     for workload, metrics in by_workload.items():
@@ -118,20 +151,27 @@ def failures(rec: dict) -> dict[str, tuple[int, int]]:
     return out
 
 
-def diff_rows(a: dict, b: dict) -> list[dict]:
-    """One row per workload and metric that both records hold."""
+def _better(name: str) -> str:
+    return BETTER.get(name) or PROTOCOL_FIELDS.get(name.rpartition(".")[2], "lower")
+
+
+def diff_rows(a: dict, b: dict, values=_metrics) -> list[dict]:
+    """One row per workload and metric that both records hold, of the
+    values each run gives (its end-to-end metrics unless told otherwise)."""
+    summary_a, summary_b = summarize(a["runs"], values), summarize(b["runs"], values)
     rows = []
-    for workload, metrics in a["summary"].items():
+    for workload, metrics in summary_a.items():
         for name, sa in metrics.items():
-            sb = b["summary"].get(workload, {}).get(name)
+            sb = summary_b.get(workload, {}).get(name)
             if sb is None:
                 continue
             pairs = [
-                (ra["metrics"][name], rb["metrics"][name])
+                (values(ra)[name], values(rb)[name])
                 for ra in a["runs"] for rb in b["runs"]
                 if ra["workload"] == rb["workload"] == workload and ra["seed"] == rb["seed"]
+                and name in values(ra) and name in values(rb)
             ]
-            sign = 1 if BETTER.get(name, "lower") == "lower" else -1
+            sign = 1 if _better(name) == "lower" else -1
             worse = sign * (sb["median"] - sa["median"])
             rows.append({
                 "workload": workload,
@@ -172,10 +212,10 @@ def print_diff(path_a: Path, path_b: Path) -> None:
         shown = ["/".join(map(str, f[workload])) if workload in f else "-"
                  for f in (fa, fb)]
         print(f"{workload:<12} failed/attempted  A {shown[0]}  B {shown[1]}")
-    print(f"{'workload':<12} {'metric':<16} {'A median':>12} {'B median':>12} "
+    print(f"{'workload':<12} {'metric':<20} {'A median':>12} {'B median':>12} "
           f"{'B/A':>7} {'A IQR':>10} {'B wins':>7}")
-    for r in diff_rows(a, b):
-        print(f"{r['workload']:<12} {r['metric']:<16} {r['a']:>12.5g} {r['b']:>12.5g} "
+    for r in diff_rows(a, b) + diff_rows(a, b, _protocols):
+        print(f"{r['workload']:<12} {r['metric']:<20} {r['a']:>12.5g} {r['b']:>12.5g} "
               f"{r['ratio']:>7.3f} {r['a_iqr']:>10.4g} {r['wins']:>3}/{r['pairs']:<3}"
               f"{'  OVER BOUND' if r['over'] else ''}")
     traced = [w for w in a.get("traced", {}) if w in b.get("traced", {})]

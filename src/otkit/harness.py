@@ -586,7 +586,7 @@ def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         pk_R, sk_R = kgen(_paillier_bits(cfg, params), rng)
     with _phase(t, "gen_query", Role.RECEIVER):
         query, secret, selector = comp_gen_query(
-            suite, params, 2, cfg.s, pk_R, rng,
+            suite, params, 2, cfg.s, sk_R, rng,
             component_bits=max(params.P.bit_length(), cfg.sigma_bits),
         )
         q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)

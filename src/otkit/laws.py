@@ -217,7 +217,7 @@ def compiler_equivalence(params, key, trials: int, seed: int) -> tuple[int, int]
         q_p, sec_p = suite.gen_query(params, 2, s, plain_rng)
         res = suite.gen_res(msgs, params, q_p, plain_rng)
         plain = suite.retrieve(res[s], sec_p, params)
-        q_c, sec_c, selector = comp_gen_query(suite, params, 2, s, pk, comp_rng)
+        q_c, sec_c, selector = comp_gen_query(suite, params, 2, s, sk, comp_rng)
         compressed = comp_gen_res(suite, msgs, params, q_c, selector, pk, comp_rng)
         compiled = comp_retrieve(suite, compressed, sk, sec_c, params, 128)
         if (q_c, sec_c) != (q_p, sec_p):
@@ -228,7 +228,7 @@ def compiler_equivalence(params, key, trials: int, seed: int) -> tuple[int, int]
     encode, _ = _CODECS[MsgType.COMPRESSED_RESPONSE]
     for n in (2, 4, 8):
         msgs = [rng.randbytes(16) for _ in range(n)]
-        q, _, selector = comp_gen_query(suite, params, n, n - 1, pk, rng)
+        q, _, selector = comp_gen_query(suite, params, n, n - 1, sk, rng)
         compressed = comp_gen_res(suite, msgs, params, q, selector, pk, rng)
         sizes.add(len(encode((compressed, pk))))
     if len(sizes) != 1:
@@ -245,7 +245,7 @@ def homomorphic_laws(key, triples: int, seed: int) -> int:
     for i in range(triples):
         m1, m2 = rng.randbelow(pk.n), rng.randbelow(pk.n)
         k = rng.randbelow(1 << 128)
-        c1, c2 = enc(pk, m1, rng), enc(pk, m2, rng)
+        c1, c2 = enc(sk, m1, rng), enc(sk, m2, rng)
         if dec(sk, hadd(pk, c1, c2)) != (m1 + m2) % pk.n:
             raise LawViolation(f"Dec(c1 + c2) != m1 + m2 for triple {i}")
         if dec(sk, hscale(pk, c1, k)) != (m1 * k) % pk.n:
@@ -253,7 +253,7 @@ def homomorphic_laws(key, triples: int, seed: int) -> int:
     for z in (1, 4, 16):
         rows = [[rng.randbelow(1 << 64)] for _ in range(z)]
         for v in range(z):
-            (picked,) = select(pk, one_hot(pk, z, v, rng), rows)
+            (picked,) = select(pk, one_hot(sk, z, v, rng), rows)
             if dec(sk, picked) != rows[v][0]:
                 raise LawViolation(f"selector {v} of {z} picked the wrong value")
     return triples

@@ -3,7 +3,10 @@
 gmpy2 is used when available because it is much faster on big operands;
 the pure-Python fallbacks implement the same contracts. Primality is
 Miller-Rabin with 64 rounds, which is the certification level the toolkit
-promises (no deterministic proofs).
+promises (no deterministic proofs). The rounds' bases come from SHAKE-256 of
+the candidate, so a test of fewer rounds is a prefix of the 64-round test:
+paillier.kgen pretests each candidate with PRETEST_ROUNDS rounds and
+certifies with all 64 only the primes it keeps, which finds the same keys.
 """
 
 import hashlib
@@ -37,6 +40,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
         return _miller_rabin(n, rounds)
 
 MR_ROUNDS = 64
+PRETEST_ROUNDS = 2
 
 
 def _sieve(limit: int) -> list[int]:
@@ -84,14 +88,15 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
     return _mr_backend(n, rounds)
 
 
-def gen_prime(bits: int, rng) -> int:
-    """Random prime with the top bit set, candidates drawn from rng."""
+def gen_prime(bits: int, rng, rounds: int = MR_ROUNDS) -> int:
+    """Random prime with the top bit set, candidates drawn from rng and
+    tested with rounds Miller-Rabin rounds."""
     if bits < 3:
         raise ValueError("bits must be at least 3")
     budget = 400 * bits
     for _ in range(budget):
         cand = rng.randbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(cand):
+        if is_probable_prime(cand, rounds):
             return cand
     raise PrimeSearchExhausted(f"no {bits}-bit prime in {budget} attempts")
 

@@ -19,12 +19,7 @@ which keeps decoding unambiguous after decryption.
 from .base_ot import ConventionalOtSuite
 from .errors import DecodeError, EmbeddingOverflow, KeyTooSmall, ShapeMismatch
 from .paillier import (
-    Ciphertext,
-    PaillierPublicKey,
-    PaillierSecretKey,
-    dec,
-    one_hot,
-    select,
+    Ciphertext, Key, PaillierPublicKey, PaillierSecretKey, dec, one_hot, public, select
 )
 from .primitives import ByteString
 from .rng import RandomSource
@@ -74,21 +69,22 @@ def comp_gen_query(
     pk_base,
     n: int,
     s: int,
-    pk_R: PaillierPublicKey,
+    key_R: Key,
     rng: RandomSource,
     component_bits: int | None = None,
 ):
-    """Base query plus a fresh encrypted one-hot selector at s.
+    """Base query plus a fresh encrypted one-hot selector at s, by CRT when
+    key_R is the receiver's secret key.
 
     component_bits, when known at query time, is the widest component the
     base suite will produce; the key must clear it plus header and slack.
     """
     if component_bits is not None:
         needed = component_bits + 8 * HEADER_BYTES + 8
-        if pk_R.bits() <= needed:
+        if public(key_R).bits() <= needed:
             raise KeyTooSmall(f"need a modulus over {needed} bits")
     base_query, base_secret = suite.gen_query(pk_base, n, s, rng)
-    return base_query, base_secret, one_hot(pk_R, n, s, rng)
+    return base_query, base_secret, one_hot(key_R, n, s, rng)
 
 
 def comp_gen_res(

@@ -117,7 +117,8 @@ def test_trace_keeps_call_counts_and_diff_lists_changes(tmp_path, monkeypatch, c
                    else {"session_ms": 180.0})
         line = json.dumps({"correct": True, "attempted": 8, "failed": 0,
                            "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}})
-        return type("Done", (), {"returncode": 0, "stdout": f"timings\n{line}\n", "stderr": ""})
+        stdout = f"# np-ot: sessions=8 kept=8 p10_ms=170.5 median_ms=180.0\n{line}\n"
+        return type("Done", (), {"returncode": 0, "stdout": stdout, "stderr": ""})
 
     monkeypatch.setattr(bench_record, "HERE", tmp_path)
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
@@ -130,6 +131,9 @@ def test_trace_keeps_call_counts_and_diff_lists_changes(tmp_path, monkeypatch, c
     assert a["traced"] == {"dh-2048": calls}
     assert [c[c.index("--trace") + 1] for c in commands] == ["1", "0", "0"]
     assert [r["metrics"] for r in a["runs"]] == [{"session_ms": 180.0}] * 2
+    assert [r["protocols"] for r in a["runs"]] == [
+        {"np-ot": {"sessions": 8, "p10_ms": 170.5, "median_ms": 180.0}}
+    ] * 2
 
     # appending without --trace keeps the counts; a changed count shows in --diff
     assert bench_record.main(args[:-1] + ["--append"]) == 0
@@ -168,3 +172,48 @@ def test_diff_prints_each_record_source_size(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"A = {paths[0]} ({'a' * 12}; src/otkit ? lines, ? bytes)"
     assert out[1] == f"B = {paths[1]} ({'b' * 12}; src/otkit 2970 lines, 123456 bytes)"
+
+
+def test_protocol_times_keeps_each_protocol_line():
+    stdout = "\n".join([
+        "# setup samples: 4",
+        "# sessions=25 measured_sessions_per_s=1.2 scaled_sessions_per_s=1.1",
+        "# duq-mr: sessions=5 kept=5 p10_ms=2200.5 median_ms=2341.0",
+        "# comp-np: sessions=20 kept=20 p10_ms=296.0 median_ms=493.25 p90_ms=610.0",
+        '{"correct": true, "attempted": 25, "failed": 0, "metrics": {}}',
+    ])
+    assert bench_record.protocol_times(stdout) == {
+        "duq-mr": {"sessions": 5, "p10_ms": 2200.5, "median_ms": 2341.0},
+        "comp-np": {"sessions": 20, "p10_ms": 296.0, "median_ms": 493.25},
+    }
+    assert bench_record.protocol_times("# setup samples: 4\n{}") == {}
+
+
+def test_diff_prints_protocol_times_with_pair_wins(tmp_path, capsys):
+    def rec(times):
+        r = _record("mr-paillier", {seed: {"session_ms": 1000.0} for seed in times})
+        for run in r["runs"]:
+            sessions, median = times[run["seed"]]
+            run["protocols"] = {"comp-np": {"sessions": sessions, "p10_ms": median / 2,
+                                            "median_ms": median}}
+        return r
+
+    a = rec({1: (20, 500.0), 2: (20, 520.0), 3: (19, 510.0)})
+    b = rec({1: (24, 420.0), 2: (19, 530.0), 3: (22, 400.0)})
+    rows = {r["metric"]: r for r in bench_record.diff_rows(a, b, bench_record._protocols)}
+    # more sessions and fewer ms are wins: seeds 1 and 3 for both
+    assert (rows["comp-np.sessions"]["wins"], rows["comp-np.sessions"]["pairs"]) == (2, 3)
+    assert (rows["comp-np.median_ms"]["wins"], rows["comp-np.median_ms"]["b"]) == (2, 420.0)
+    assert not any(r["over"] for r in rows.values())
+    paths = []
+    for name, r in (("A", a), ("B", b)):
+        path = tmp_path / f"BENCH_{name}.json"
+        path.write_text(json.dumps(r))
+        paths.append(str(path))
+    assert bench_record.main(["--diff", *paths]) == 0
+    out = [line.split() for line in capsys.readouterr().out.splitlines()
+           if line.startswith("mr-paillier ") and "failed/attempted" not in line]
+    assert [line[1] for line in out] == [
+        "session_ms", "comp-np.sessions", "comp-np.p10_ms", "comp-np.median_ms"
+    ]
+    assert out[-1][2:5] == ["510", "420", "0.824"] and out[-1][-1] == "2/3"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import groupmath, paillier
+from otkit import groupmath, numth, paillier
 from otkit.errors import (
     IndexOutOfRange,
     MalformedCiphertext,
@@ -42,6 +42,52 @@ class TestKeygen:
         pk_a, _ = kgen(128, SeededSource(1))
         pk_b, _ = kgen(128, SeededSource(2))
         assert pk_a.n != pk_b.n
+
+
+def _kgen_certifying_every_prime(bits, rng):
+    """kgen as it was before primes were pretested: each prime certified with
+    all 64 rounds as it is found, both drawn again when p = r or n is short."""
+    while True:
+        p, r = numth.gen_prime(bits // 2, rng), numth.gen_prime(bits - bits // 2, rng)
+        if p != r and (p * r).bit_length() == bits:
+            return p * r, p, r
+
+
+class TestDeferredCertification:
+    """kgen pretests candidates with a few Miller-Rabin rounds and certifies
+    only the pair it keeps; the bases are a prefix of the 64-round test's, so
+    it finds the keys that certifying every prime finds."""
+
+    @pytest.mark.parametrize("bits,seeds", [
+        (16, 10), (64, 10), (512, 10), (640, 10), (1024, 10), (1152, 40)
+    ])
+    def test_same_keys_and_rng_state_as_certifying_every_prime(self, bits, seeds):
+        for seed in range(seeds):
+            rng, ref_rng = SeededSource(seed), SeededSource(seed)
+            pk, sk = kgen(bits, rng)
+            assert (pk.n, sk.p, sk.q) == _kgen_certifying_every_prime(bits, ref_rng)
+            assert rng.randbytes(16) == ref_rng.randbytes(16)
+
+    def test_a_pair_that_fails_certification_is_dropped(self, monkeypatch):
+        # the pretest admits the first composite it sees; seed 1 pairs it
+        # with a prime into an n of full length, so only certification stops it
+        backend, admitted, refused = numth._mr_backend, [], []
+
+        def lenient(n, rounds):
+            prime = backend(n, rounds)
+            if rounds == numth.PRETEST_ROUNDS and not prime and not admitted:
+                admitted.append(n)
+                return True
+            if rounds == numth.MR_ROUNDS and not prime:
+                refused.append(n)
+            return prime
+
+        monkeypatch.setattr(numth, "_mr_backend", lenient)
+        pk, sk = kgen(512, SeededSource(1))
+        monkeypatch.undo()
+        assert len(admitted) == 1 and refused == admitted
+        assert pk.bits() == 512 and sk.p * sk.q == pk.n
+        assert numth.is_probable_prime(sk.p) and numth.is_probable_prime(sk.q)
 
 
 class TestRoundTrip:
@@ -211,6 +257,27 @@ def _reference(pk, selector, rows):
         math.prod(pow(c, k, n_sq) for c, k in zip(selector, column)) % n_sq
         for column in zip(*rows)
     )
+
+
+class TestCrtEncryption:
+    """The key holder's enc raises rho to n mod p^2 and mod q^2 and joins
+    the two: the ciphertext the public key gives, from the same draws."""
+
+    def test_matches_the_public_key(self, select_key):
+        pk, sk = select_key
+        for m in (0, 1, pk.n - 1):
+            rng, pk_rng = SeededSource(m % 997), SeededSource(m % 997)
+            assert enc(sk, m, rng) == enc(pk, m, pk_rng)
+            assert rng.randbytes(16) == pk_rng.randbytes(16)
+        assert one_hot(sk, 3, 1, SeededSource(4)) == one_hot(pk, 3, 1, SeededSource(4))
+
+    def test_powers_are_half_size(self, select_key, monkeypatch):
+        pk, sk = select_key
+        moduli = []
+        monkeypatch.setattr(paillier, "powmod",
+                            lambda *args: moduli.append(args[2]) or pow(*args))
+        enc(sk, 5, SeededSource(6))
+        assert moduli == [sk.p ** 2, sk.q ** 2]
 
 
 class TestSelectComb:
