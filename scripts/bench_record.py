@@ -8,20 +8,21 @@ Recording runs BENCHMARK.json's command once per workload and seed, for its
 run_seconds, each in a fresh process in the checkout (this one unless
 --checkout names another), and writes BENCH_<tag>.json beside
 BENCHMARK.json. The file holds every run's end-to-end metrics, their median
-and quartiles per workload, the interpreter's version, whether gmpy2 was
-importable, the checkout's git commit (with `dirty` set when src/ or
-perfbench/ differ from it), and the line and byte counts of its
-src/otkit/*.py: the pad workloads' `setup_s` follows the size of the source
-that each benchmark process byte-compiles. Each run also keeps, under
-`protocols`, every protocol's sessions, p10_ms and median_ms from the
-`# protocol: ...` lines the command prints before its result: `session_ms`
-is a geometric mean over a workload's protocols, and these show which one
-moved. --append adds runs to an existing record of the same commit, so two
+and quartiles per workload, the interpreter's version, the checkout's git
+commit (with `dirty` set when src/ or perfbench/ differ from it), and the
+line and byte counts of its src/otkit/*.py: the pad workloads' `setup_s`
+follows the size of the source that each benchmark process byte-compiles.
+Each run also keeps, under `protocols`, every protocol's sessions, p10_ms
+and median_ms from the `# protocol: ...` lines the command prints before its
+result: `session_ms` is a geometric mean over a workload's protocols, and
+these show which one moved. --append adds runs to an existing record of the same commit, so two
 checkouts can be run in alternation, one seed at a time. --trace also runs
 the command once per workload with --trace 1 (the first seed, the same run
 length) and keeps its per-session call counts, the `*.calls` metrics, under
-the record's `traced` key. Every round of the benchmark gives the program the
-same seeds, so these counts are exact and repeat from run to run.
+the record's `traced` key, and its per-session times, the `*.ms` metrics
+(`role.*.ms` and `harness.self.ms` among them), under `traced_ms`. Every
+round of the benchmark gives the program the same seeds, so the counts are
+exact and repeat from run to run; the times are one run's and are not.
 
 --diff prints each file's commit and source size, then each workload's failed
 and attempted sessions in each file, summed over its runs, then, for each
@@ -31,8 +32,10 @@ run was better than A's. A row ends in "OVER BOUND" when its metric is
 end-to-end and B's median is worse than A's by more than the metric's
 `bound` in BENCHMARK.json, a fraction of A's median. The per-protocol times
 follow in the same columns, as `protocol.field` rows (more sessions is
-better, fewer ms is better; no bound). When both files hold traced counts,
-it then lists every count that differs between them.
+better, fewer ms is better; no bound). When both files hold traced times,
+the times both hold follow as A, B and B/A (one run each: no pair wins and
+no bound). When both files hold traced counts, it then lists every count
+that differs between them.
 """
 
 import argparse
@@ -63,16 +66,13 @@ def source_size(checkout: Path) -> tuple[int, int]:
 
 
 def environment(checkout: Path) -> dict:
-    """Interpreter, gmpy2 flag, git commit and source size that a record's
-    runs share."""
-    probe = ("import importlib.util, platform; print(platform.python_version(), "
-             "importlib.util.find_spec('gmpy2') is not None)")
-    out = subprocess.run([SPEC["command"][0], "-c", probe], capture_output=True,
-                         text=True, check=True).stdout.split()
+    """Interpreter, git commit and source size that a record's runs share."""
+    probe = "import platform; print(platform.python_version())"
+    python = subprocess.run([SPEC["command"][0], "-c", probe], capture_output=True,
+                            text=True, check=True).stdout.strip()
     lines, size = source_size(checkout)
     return {
-        "python": out[0],
-        "gmpy2": out[1] == "True",
+        "python": python,
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
         "src_lines": lines,
@@ -106,10 +106,12 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
             "protocols": protocol_times(proc.stdout)}
 
 
-def traced_counts(checkout: Path, workload: str, seed: int) -> dict[str, float]:
-    """The per-session call counts of one traced run."""
+def traced_run(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    """The per-session call counts and times (`*.calls`, `*.ms`) of one
+    traced run."""
     metrics = run_once(checkout, workload, seed, trace=1)["metrics"]
-    return {name: value for name, value in metrics.items() if name.endswith(".calls")}
+    return tuple({name: value for name, value in metrics.items() if name.endswith(suffix)}
+                 for suffix in (".calls", ".ms"))
 
 
 def _metrics(run: dict) -> dict[str, float]:
@@ -200,6 +202,15 @@ def traced_diff(a: dict, b: dict) -> list[tuple[str, str, float | None, float | 
     return rows
 
 
+def traced_ms_rows(a: dict, b: dict) -> list[tuple[str, str, float, float]]:
+    """(workload, time, A's value, B's value) for every traced time that
+    both records hold."""
+    ta, tb = a.get("traced_ms", {}), b.get("traced_ms", {})
+    return [(workload, name, ta[workload][name], tb[workload][name])
+            for workload in ta if workload in tb
+            for name in ta[workload] if name in tb[workload]]
+
+
 def print_diff(path_a: Path, path_b: Path) -> None:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     for name, path, rec in (("A", path_a, a), ("B", path_b, b)):
@@ -218,6 +229,12 @@ def print_diff(path_a: Path, path_b: Path) -> None:
         print(f"{r['workload']:<12} {r['metric']:<20} {r['a']:>12.5g} {r['b']:>12.5g} "
               f"{r['ratio']:>7.3f} {r['a_iqr']:>10.4g} {r['wins']:>3}/{r['pairs']:<3}"
               f"{'  OVER BOUND' if r['over'] else ''}")
+    ms_rows = traced_ms_rows(a, b)
+    if ms_rows:
+        print(f"{'traced ms per session, one run':<38} {'A':>12} {'B':>12} {'B/A':>7}")
+    for workload, name, va, vb in ms_rows:
+        ratio = vb / va if va else float("nan")
+        print(f"{workload:<12} {name:<25} {va:>12.5g} {vb:>12.5g} {ratio:>7.3f}")
     traced = [w for w in a.get("traced", {}) if w in b.get("traced", {})]
     if traced:
         rows = traced_diff(a, b)
@@ -230,15 +247,16 @@ def record(args) -> None:
     checkout = Path(args.checkout).resolve()
     out = HERE / f"BENCH_{args.tag}.json"
     env = environment(checkout)
-    runs, traced = [], {}
+    runs, traced, traced_ms = [], {}, {}
     if args.append and out.exists():
         old = json.loads(out.read_text())
         if {k: old.get(k) for k in env} != env:
             raise SystemExit(f"{out} was recorded from another checkout or interpreter")
-        runs, traced = old["runs"], old.get("traced", {})
+        runs, traced, traced_ms = old["runs"], old.get("traced", {}), old.get("traced_ms", {})
     if args.trace:
         for workload in args.workloads:
-            traced[workload] = traced_counts(checkout, workload, args.seeds[0])
+            traced[workload], traced_ms[workload] = traced_run(checkout, workload,
+                                                               args.seeds[0])
             print(f"{workload} traced: {len(traced[workload])} counts", flush=True)
     for workload in args.workloads:
         for seed in args.seeds:
@@ -247,7 +265,8 @@ def record(args) -> None:
             print(f"{workload} seed {seed}: session_ms "
                   f"{runs[-1]['metrics'].get('session_ms', float('nan')):.4g}", flush=True)
     doc = {"tag": args.tag, **env, "command": SPEC["command"], "seconds": SPEC["run_seconds"],
-           "runs": runs, "summary": summarize(runs), "traced": traced}
+           "runs": runs, "summary": summarize(runs), "traced": traced,
+           "traced_ms": traced_ms}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
 

@@ -103,7 +103,11 @@ def cmd_run(args) -> int:
             raise UsageError(f"cannot write transcript: {err}") from None
     for role, value in sorted(transcript.outputs.items()):
         if isinstance(value, str) and value.startswith("error:"):
-            print(f"protocol error: {value[6:]} ({role})", file=sys.stderr)
+            phase = transcript.phase_times[-1][0]
+            after = (f" after {transcript.events[-1].msg_type.name}"
+                     if transcript.events else "")
+            print(f"protocol error: {value[6:]} ({role}) in phase {phase}{after}",
+                  file=sys.stderr)
             return 3
     print(transcript.outputs[Role.RECEIVER.name].hex())
     return 0

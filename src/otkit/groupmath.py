@@ -12,20 +12,19 @@ scripts/gen_pinned_groups.py and verified by the test suite); C is still
 freshly sampled per session.
 
 Powers of the generator g (g^r, g^y, C = g^a) are most of a session's
-exponentiations, so without gmpy2 they go through a fixed-base comb, the
-two-dimensional table of Lim-Lee (CRYPTO '94). An exponent of n bits is read
-as h rows of c = ceil(n / h) bits, and each row as v blocks of
-b = ceil(c / v) bits. Block j has a sub-table of the 2^h products of its
-heads g^(2^((i*v + j)*b)), one head per row i, so the comb holds v * 2^h
-entries, and g^e costs b squarings and v * b >= c products instead of about
-n squarings. The one-block case v = 1 is the one-dimensional comb. The g
-table takes the shape with the fewest products per exponent within
+exponentiations, so they go through a fixed-base comb, the two-dimensional
+table of Lim-Lee (CRYPTO '94). An exponent of n bits is read as h rows of
+c = ceil(n / h) bits, and each row as v blocks of b = ceil(c / v) bits.
+Block j has a sub-table of the 2^h products of its heads
+g^(2^((i*v + j)*b)), one head per row i, so the comb holds v * 2^h entries,
+and g^e costs b squarings and v * b >= c products instead of about n
+squarings. The one-block case v = 1 is the one-dimensional comb. The g table
+takes the shape with the fewest products per exponent within
 COMB_ENTRIES = 2048 entries: h = 9, v = 4 at every pinned size, 57 + 228
 products at 2048 bits. That table takes 0.63 MB and 48 ms to build, and g^e
 takes 3.5 ms against 21 ms for pow() and 4.7 ms for the 10-row
-one-dimensional comb (1.36x; 1.33x at 1024 bits; Python 3.11, no gmpy2).
-Tables are built on first use and kept for the last COMB_GROUPS distinct
-(g, P); with gmpy2, powers of g use its powmod.
+one-dimensional comb (1.36x; 1.33x at 1024 bits; Python 3.11). Tables are
+built on first use and kept for the last COMB_GROUPS distinct (g, P).
 
 One other base raised to many exponents in a session gets a comb of its own,
 for that session only, when it pays: the multi-receiver senders raise b0 and
@@ -42,7 +41,7 @@ for any. v = 1 is among the shapes, so by this count no choice costs more
 than the one-dimensional comb. One exponent never builds a table, and
 neither do exponents under SHARED_MIN_BITS bits, where interpreter overhead
 outweighs the products saved (so the toy group never does). Without a table,
-and always with gmpy2, the power is pow() (modexp for a group base).
+the power is pow() (modexp for a group base).
 """
 
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import ElementOutOfRange, UsageError
-from .numth import HAVE_GMPY2, gen_safe_prime, invmod, powmod
+from .numth import gen_safe_prime, powmod
 from .rng import RandomSource
 
 GroupElement = int
@@ -211,8 +210,8 @@ def _comb_table(g: int, P: int) -> Comb:
 
 
 def _pow_g(g: int, e: int, P: int) -> int:
-    """g^e mod P; for 0 <= e < P without gmpy2, by the comb of (g, P)."""
-    if HAVE_GMPY2 or not 0 <= e < P:
+    """g^e mod P; for 0 <= e < P, by the comb of (g, P)."""
+    if not 0 <= e < P:
         return powmod(g, e, P)
     return _comb_eval(_comb_table(g, P), e, P)
 
@@ -241,8 +240,8 @@ def _cheapest_comb(bits: int, uses: int) -> tuple[tuple[int, int], int]:
 
 def comb_powers(base: int, modulus: int, exponents: list[int]) -> Callable[[int], int] | None:
     """e -> base^e mod modulus for these exponents, through one comb of base
-    when it pays by their own lengths, else None (always with gmpy2)."""
-    if HAVE_GMPY2 or len(exponents) < 2 or min(exponents) < 0:
+    when it pays by their own lengths, else None."""
+    if len(exponents) < 2 or min(exponents) < 0:
         return None
     bits = max(exponents).bit_length()
     if bits < SHARED_MIN_BITS:
@@ -271,7 +270,7 @@ def elem_mul(x: GroupElement, y: GroupElement, params: GroupParams) -> GroupElem
 
 def elem_div(x: GroupElement, y: GroupElement, params: GroupParams) -> GroupElement:
     """x * y^(-1) mod P."""
-    return x * invmod(y, params.P) % params.P
+    return x * pow(y, -1, params.P) % params.P
 
 
 def rand_scalar(params: GroupParams, rng: RandomSource, nonzero: bool = False) -> Scalar:

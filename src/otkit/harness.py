@@ -4,7 +4,10 @@ One session owns every role's state and plays the protocol's phases in
 their canonical order over an in-process bus. Each message goes through
 `_hop`, which encodes it with its type's entry in the codec table `_CODECS`,
 frames and round-trips the envelope, records it, and decodes it for the
-receiving role. The table is the only home of the payload formats: the
+receiving role. The one exception: in duq-ot and duq-mr, REQ1 and REQ2 carry
+a bare blind, which `_run_delegated` sends through `_UINT` by `_hop`'s codec
+argument, since the table's entry for those types is dq's share and blind.
+The table and `_UINT` are the only home of the payload formats: the
 protocol modules build and consume values and never touch bytes, and no
 other module imports from `wire`. Table entries look `encode_uint`,
 `encode_bytes` and the `Reader` methods up by name when called, so a tracer

@@ -1,43 +1,22 @@
 """Number-theory helpers: modular exponentiation and probabilistic primes.
 
-gmpy2 is used when available because it is much faster on big operands;
-the pure-Python fallbacks implement the same contracts. Primality is
-Miller-Rabin with 64 rounds, which is the certification level the toolkit
-promises (no deterministic proofs). The rounds' bases come from SHAKE-256 of
-the candidate, so a test of fewer rounds is a prefix of the 64-round test:
-paillier.kgen pretests each candidate with PRETEST_ROUNDS rounds and
-certifies with all 64 only the primes it keeps, which finds the same keys.
+Everything runs on the interpreter's own integers: powmod is pow() under a
+name that a tracer can wrap. Primality is Miller-Rabin with 64 rounds, which
+is the certification level the toolkit promises (no deterministic proofs).
+The rounds' bases come from SHAKE-256 of the candidate, so a test of fewer
+rounds is a prefix of the 64-round test: paillier.kgen pretests each
+candidate with PRETEST_ROUNDS rounds and certifies with all 64 only the
+primes it keeps, which finds the same keys.
 """
 
 import hashlib
 
 from .errors import PrimeSearchExhausted
 
-try:
-    import gmpy2
 
-    HAVE_GMPY2 = True
+def powmod(base: int, exp: int, mod: int) -> int:
+    return pow(base, exp, mod)
 
-    def powmod(base: int, exp: int, mod: int) -> int:
-        return int(gmpy2.powmod(base, exp, mod))
-
-    def invmod(x: int, mod: int) -> int:
-        return int(gmpy2.invert(x, mod))
-
-    def _mr_backend(n: int, rounds: int) -> bool:
-        return bool(gmpy2.is_prime(n, rounds))
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    HAVE_GMPY2 = False
-
-    def powmod(base: int, exp: int, mod: int) -> int:
-        return pow(base, exp, mod)
-
-    def invmod(x: int, mod: int) -> int:
-        return pow(x, -1, mod)
-
-    def _mr_backend(n: int, rounds: int) -> bool:
-        return _miller_rabin(n, rounds)
 
 MR_ROUNDS = 64
 PRETEST_ROUNDS = 2
@@ -85,7 +64,7 @@ def is_probable_prime(n: int, rounds: int = MR_ROUNDS) -> bool:
             return True
         if n % p == 0:
             return False
-    return _mr_backend(n, rounds)
+    return _miller_rabin(n, rounds)
 
 
 def gen_prime(bits: int, rng, rounds: int = MR_ROUNDS) -> int:

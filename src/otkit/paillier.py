@@ -11,7 +11,7 @@ a selector entry, and dec a ciphertext, outside [1, n^2) or sharing a factor
 with n. select raises entry i to the exponents of row i through one Lim-Lee
 comb of it mod n^2 when groupmath.comb_powers says that pays: duq-mr's rows
 of two ~1024-bit heads and two 256-bit bodies at a 1152-bit key take the
-comb (1.5x faster than a pow() per scaling; Python 3.11, no gmpy2), and
+comb (1.5x faster than a pow() per scaling; Python 3.11), and
 comp-np's rows of a 1032-bit and a 133-bit exponent keep pow(). The secret
 key keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
 joins the halves by CRT (Paillier, EUROCRYPT '99, section 7): two
@@ -22,7 +22,7 @@ exponentiation: (n+1)^k = 1 + kn (mod n^2), so
 h_p = L_p((n+1)^(p-1) mod p^2)^-1 = (-q)^-1 mod p, h_q likewise. The key
 holder encrypts by CRT too: enc and one_hot given the secret key raise rho
 to n mod p(p-1) mod p^2 and to n mod q(q-1) mod q^2 and join the two, the
-same rho^n mod n^2 (1.6x faster at 1024 and 1152 bits, no gmpy2).
+same rho^n mod n^2 (1.6x faster at 1024 and 1152 bits).
 """
 
 import math
@@ -33,7 +33,7 @@ from .errors import (
     IndexOutOfRange, MalformedCiphertext, PlaintextOutOfRange, ShapeMismatch
 )
 from .groupmath import comb_powers
-from .numth import PRETEST_ROUNDS, gen_prime, invmod, is_probable_prime, powmod
+from .numth import PRETEST_ROUNDS, gen_prime, is_probable_prime, powmod
 from .rng import RandomSource
 
 
@@ -85,8 +85,8 @@ def kgen(bits: int, rng: RandomSource) -> tuple[PaillierPublicKey, PaillierSecre
         pk=pk,
         p=p,
         q=r,
-        h_p=invmod(-r % p, p),
-        h_q=invmod(-p % r, r),
+        h_p=pow(-r % p, -1, p),
+        h_q=pow(-p % r, -1, r),
     )
 
 
@@ -105,7 +105,7 @@ def enc(key: Key, m: int, rng: RandomSource) -> Ciphertext:
         p2, q2 = key.p * key.p, key.q * key.q
         b_p = powmod(rho, pk.n % (p2 - key.p), p2)
         b_q = powmod(rho, pk.n % (q2 - key.q), q2)
-        blind = b_q + q2 * ((b_p - b_q) * invmod(q2, p2) % p2)
+        blind = b_q + q2 * ((b_p - b_q) * pow(q2, -1, p2) % p2)
     # (n+1)^m = 1 + n*m mod n^2, so the generator power needs no exponentiation
     return (1 + pk.n * m) % pk.n_squared * blind % pk.n_squared
 

@@ -123,8 +123,8 @@ def test_trace_keeps_call_counts_and_diff_lists_changes(tmp_path, monkeypatch, c
     monkeypatch.setattr(bench_record, "HERE", tmp_path)
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
     monkeypatch.setattr(bench_record, "environment",
-                        lambda checkout: {"python": "3", "gmpy2": False,
-                                          "commit": "c" * 40, "dirty": False})
+                        lambda checkout: {"python": "3", "commit": "c" * 40,
+                                          "dirty": False})
     args = ["--tag", "A", "--workloads", "dh-2048", "--seeds", "951", "952", "--trace"]
     assert bench_record.main(args) == 0
     a = json.loads((tmp_path / "BENCH_A.json").read_text())
@@ -148,6 +148,45 @@ def test_trace_keeps_call_counts_and_diff_lists_changes(tmp_path, monkeypatch, c
     out = capsys.readouterr().out.splitlines()
     assert out[-2] == "traced calls per session (dh-2048): 1 differ"
     assert out[-1].split() == ["dh-2048", "numth.powmod.calls", "A", "2.75", "B", "4.75"]
+
+
+def test_trace_keeps_times_and_diff_prints_them(tmp_path, monkeypatch, capsys):
+    times = {"harness.self.ms": 0.5, "role.sender.ms": 100.0, "numth.powmod.ms": 80.0}
+
+    def fake_run(cmd, cwd, capture_output, text):
+        traced = cmd[cmd.index("--trace") + 1] == "1"
+        metrics = ({**times, "numth.powmod.calls": 2.75, "session_ms": 150.0} if traced
+                   else {"session_ms": 180.0})
+        line = json.dumps({"correct": True, "attempted": 8, "failed": 0,
+                           "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}})
+        return type("Done", (), {"returncode": 0, "stdout": line + "\n", "stderr": ""})
+
+    monkeypatch.setattr(bench_record, "HERE", tmp_path)
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "environment",
+                        lambda checkout: {"python": "3", "commit": "c" * 40,
+                                          "dirty": False})
+    args = ["--tag", "A", "--workloads", "dh-2048", "--seeds", "951", "--trace"]
+    assert bench_record.main(args) == 0
+    a = json.loads((tmp_path / "BENCH_A.json").read_text())
+    # session_ms is end-to-end, not a layer's time; the counts stay apart
+    assert a["traced_ms"] == {"dh-2048": times}
+    assert a["traced"] == {"dh-2048": {"numth.powmod.calls": 2.75}}
+    assert bench_record.main(args[:-1] + ["--append"]) == 0
+    assert json.loads((tmp_path / "BENCH_A.json").read_text())["traced_ms"] == a["traced_ms"]
+
+    b = {**a, "traced_ms": {"dh-2048": {**times, "role.sender.ms": 90.0}}}
+    (tmp_path / "BENCH_B.json").write_text(json.dumps(b))
+    capsys.readouterr()
+    assert bench_record.main(["--diff", str(tmp_path / "BENCH_A.json"),
+                              str(tmp_path / "BENCH_B.json")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    start = out.index(next(line for line in out if line.startswith("traced ms")))
+    assert out[start].split()[-3:] == ["A", "B", "B/A"]
+    rows = {line.split()[1]: line.split()[2:] for line in out[start + 1:start + 4]}
+    assert rows["role.sender.ms"] == ["100", "90", "0.900"]
+    assert rows["harness.self.ms"] == ["0.5", "0.5", "1.000"]
+    assert out[start + 4] == "traced calls per session (dh-2048): 0 differ"
 
 
 def test_source_size_counts_lines_and_bytes_of_the_package(tmp_path):

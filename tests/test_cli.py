@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from otkit import laws
+from otkit import laws, supersonic
 from otkit.cli import bench_protocol, main
+from otkit.errors import ShapeMismatch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -136,13 +137,32 @@ class TestRun:
         assert rc == 3
         err = capsys.readouterr().err
         assert "protocol error: ConsistencyAbort (SENDER)" in err
+        assert err.splitlines() == [
+            "protocol error: ConsistencyAbort (SENDER) in phase gen_res after FINAL_Q"
+        ]
 
     def test_tag_tamper_aborts(self, capsys):
         rc = main(["run", "duq-ot", "--m0", "aa", "--m1", "bb", "--s", "1",
                    "--sigma", "8", "--seed", "5", "--group-bits", "512",
                    "--inject-tamper", "tag"])
         assert rc == 3
-        assert "NoTagMatch (RECEIVER)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "NoTagMatch (RECEIVER)" in err
+        assert err.splitlines() == [
+            "protocol error: NoTagMatch (RECEIVER) in phase retrieve after RESPONSE"
+        ]
+
+    def test_refusal_before_any_message_names_no_message(self, capsys, monkeypatch):
+        def refuse(sigma_bits, rng):
+            raise ShapeMismatch("refused before sending")
+
+        monkeypatch.setattr(supersonic, "sup_setup", refuse)
+        rc = main(["run", "supersonic", "--m0", "00", "--m1", "ff", "--s", "1",
+                   "--sigma", "8", "--seed", "7"])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "protocol error: ShapeMismatch (RECEIVER) in phase setup"
+        ]
 
 
 class TestDatabaseFile:

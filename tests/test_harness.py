@@ -711,12 +711,20 @@ class TestHostileInput:
     @settings(max_examples=3, deadline=None)
     def test_mutated_payload(self, tmp_path_factory, protocol, mtype, kind, at, byte,
                              seed, s, via_cli):
+        sent = []  # the bare blinds encoded in this session
         with pytest.MonkeyPatch.context() as mp:
             if protocol.startswith("duq") and mtype in (MsgType.REQ1, MsgType.REQ2):
-                # the issuer variants send both bare blinds through _UINT
+                # the issuer variants send both bare blinds through _UINT,
+                # REQ1's first: mutate only the one of the hop named
                 encode, decode = harness._UINT
-                mp.setattr(harness, "_UINT",
-                           (lambda v: _mutate(encode(v), kind, at, byte), decode))
+                hop = 1 if mtype == MsgType.REQ1 else 2
+
+                def encode_blind(v):
+                    sent.append(v)
+                    payload = encode(v)
+                    return _mutate(payload, kind, at, byte) if len(sent) == hop else payload
+
+                mp.setattr(harness, "_UINT", (encode_blind, decode))
             else:
                 encode, decode = harness._CODECS[mtype]
                 mp.setitem(harness._CODECS, mtype,
@@ -726,5 +734,6 @@ class TestHostileInput:
             refused = [out for out in outputs if not isinstance(out, bytes)]
             assert set(refused) <= PROTOCOL_ERRORS
             if via_cli:
+                sent.clear()
                 argv = _run_argv(cfg, tmp_path_factory.mktemp("db"))
                 assert cli.main(argv) == (3 if refused else 0)

@@ -71,7 +71,7 @@ class TestDeferredCertification:
     def test_a_pair_that_fails_certification_is_dropped(self, monkeypatch):
         # the pretest admits the first composite it sees; seed 1 pairs it
         # with a prime into an n of full length, so only certification stops it
-        backend, admitted, refused = numth._mr_backend, [], []
+        backend, admitted, refused = numth._miller_rabin, [], []
 
         def lenient(n, rounds):
             prime = backend(n, rounds)
@@ -82,7 +82,7 @@ class TestDeferredCertification:
                 refused.append(n)
             return prime
 
-        monkeypatch.setattr(numth, "_mr_backend", lenient)
+        monkeypatch.setattr(numth, "_miller_rabin", lenient)
         pk, sk = kgen(512, SeededSource(1))
         monkeypatch.undo()
         assert len(admitted) == 1 and refused == admitted
@@ -330,10 +330,9 @@ class TestSelectPowers:
     duq-mr-shaped selection (two ~1024-bit heads and two 256-bit bodies per
     row), all four of a comp-np-shaped one (1032- and 133-bit exponents,
     two uses per entry), whose comb would cost more than pow() on those
-    lengths; and every one with gmpy2."""
+    lengths."""
 
-    @pytest.mark.parametrize("gmpy2", [False, True])
-    def test_powmod_calls(self, monkeypatch, gmpy2):
+    def test_powmod_calls(self, monkeypatch):
         pk, _ = _key(1152)
         rng, r = SeededSource(3), random.Random(3)
         duq_sel, comp_sel = one_hot(pk, 4, 1, rng), one_hot(pk, 2, 0, rng)
@@ -341,10 +340,9 @@ class TestSelectPowers:
         duq_rows = [[head(), body(), head(), body()] for _ in duq_sel]
         comp_rows = [[r.getrandbits(1032), r.getrandbits(133)] for _ in comp_sel]
         calls = []
-        monkeypatch.setattr(groupmath, "HAVE_GMPY2", gmpy2)
         monkeypatch.setattr(paillier, "powmod", lambda *args: calls.append(args) or pow(*args))
         assert select(pk, duq_sel, duq_rows) == _reference(pk, duq_sel, duq_rows)
-        assert len(calls) == (16 if gmpy2 else 0)
+        assert len(calls) == 0
         calls.clear()
         assert select(pk, comp_sel, comp_rows) == _reference(pk, comp_sel, comp_rows)
         assert len(calls) == 4
