@@ -1,5 +1,8 @@
 """Regenerate the pinned safe-prime table in groupmath.py.
 
+The 4-bit row is the toy group, written from TOY_P and TOY_Q; this script
+regenerates the others.
+
 Each modulus comes from a fixed SHAKE-256 candidate stream seeded with its
 own bit length, so reruns reproduce the table bit for bit. 512 takes well
 under a second, 1024 around ten seconds, 2048 minutes; pass --bits to

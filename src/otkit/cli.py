@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import laws
 from .errors import UsageError
-from .groupmath import TOY_Q, gen_group, toy_group
+from .groupmath import gen_group, toy_group
 from .harness import (PROTOCOLS, TAMPERS, Role, SessionConfig, export_transcript,
                       run_session)
 from .paillier import kgen
@@ -67,10 +67,9 @@ def _session_fields(args) -> dict:
     return dict(
         sigma_bits=args.sigma,
         lambda_bits=args.lambda_bits,
-        group_bits=args.group_bits,
+        # group protocols default to the 4-bit toy group when no size is named
+        group_bits=4 if args.group_bits is None else args.group_bits,
         paillier_bits=args.paillier_bits,
-        # group protocols default to the toy group when no size is named
-        toy=args.toy or args.group_bits is None,
     )
 
 
@@ -119,7 +118,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     toy = args.toy
     rng = SeededSource(100)
-    toy_dbg = toy_group(a=1 + rng.randbelow(TOY_Q - 1), retain_dlog=True)
+    toy_dbg = gen_group(4, rng, retain_dlog=True)
     big = gen_group(512, rng, retain_dlog=True)
     groups = lambda toy_n, big_n: [(toy_dbg, toy_n)] + ([] if toy else [(big, big_n)])
     key = lambda bits, seed: kgen(bits, SeededSource(seed, b"key"))
@@ -267,10 +266,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lambda_bits", type=int, default=128,
                    help="tag bits")
     p.add_argument("--group-bits", type=int, default=None,
-                   help="subgroup order bits (default: toy group)")
+                   help="subgroup order bits: 4 (toy group, default), 512, 1024 or 2048")
     p.add_argument("--paillier-bits", type=int, default=None,
                    help="homomorphic modulus bits")
-    p.add_argument("--toy", action="store_true", help="force the toy group")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,10 +6,11 @@ P = 2q + 1. Elements are plain ints in [1, P-1] with x^q = 1 mod P; scalars
 g^a with a discarded, except in debug groups that retain a so the query-pair
 exponent identities can be checked directly.
 
-Fresh safe-prime searches are only practical at small sizes, so the common
-production sizes come from pinned moduli (generated once by
-scripts/gen_pinned_groups.py and verified by the test suite); C is still
-freshly sampled per session.
+Fresh safe-prime searches are only practical at small sizes, so sessions
+take P from one pinned table keyed by the bits of q: 4, the toy group
+P = 23, q = 11 that can be checked by hand, and 512, 1024 and 2048 (generated
+once by scripts/gen_pinned_groups.py and verified by the test suite). C is
+still freshly sampled per session.
 
 Powers of the generator g (g^r, g^y, C = g^a) are most of a session's
 exponentiations, so they go through a fixed-base comb, the two-dimensional
@@ -79,6 +80,7 @@ TOY_P, TOY_Q, TOY_G = 23, 11, 4
 # Safe primes with q of exactly the keyed bit length; g = 4 = 2^2 is a square,
 # so it generates the order-q subgroup in each.
 PINNED_SAFE_PRIMES: dict[int, int] = {
+    TOY_Q.bit_length(): TOY_P,
     512: 0x13B0B3860808D61F6766990969FF60D1D1E270C51C364203AD2A3477CFC013A7D071D1A97AEB443F9216C3393A6EF5AFCF60053FDDEFEA5A1C25617754ABB620B,
     1024: 0x1EEC692260FA93843898334F5DE9C73519AAE262EB73DCCAE235E40EF5E61A12A6C037F54188F1B8EEC1C411B17AE85AC289864B50ED500AE7CD5208D5BC06516FB904F172352121F349B4198F3F31FE51643D5110423A0091FE6179D9FEAA2EC47EC566DA7B31817ACA390A4F94B0788F456CDEB4D6C2325EC0CEC67237DB153,
     2048: 0x127FF81DBCCB82A8A543F9E3184B4EE14C543D55FF87AC685FD779DB368C6475F4F31373C73176F947D2FAA83A82931A7FC58369929B2A9FC3BA4B48F153411677EF9BC0688E1E53562839AE5880B08C781992103C730EB352B5C15949FCAE2C64C2A0F5BD0A3F0DB592C3CD53A5E0AE14C047175558968F17A93C3F6E3C913A3773CFE565EEFFE2782EE80ADD1F0670C5B6695B95DA36002BA97E33D8F45F07254BEBB906230683FC436D333B10F67EE1CA0031CD9C0A26D2BB13215AF5E23197A5BF170EE4D55623DF24493D1B959296AFBC435AB1B8C65980B082A79CED7466959EF33D505D71B59B64F7414AE66B4B8C2F4286F67A2D0DBB75415594C6B8F,
@@ -87,7 +89,7 @@ PINNED_G = 4
 
 
 def toy_group(a: int = 8, retain_dlog: bool = False) -> GroupParams:
-    """The canonical brute-forceable group P=23, q=11, g=4 (C = 4^a, default 9)."""
+    """The toy group P=23, q=11, g=4 at a fixed dlog a (C = 4^a, default 9)."""
     if not 1 <= a < TOY_Q:
         raise UsageError("toy dlog must be in [1, q)")
     return GroupParams(

@@ -60,14 +60,7 @@ from .errors import (
     UnknownTag,
     UsageError,
 )
-from .groupmath import (
-    PINNED_SAFE_PRIMES,
-    GroupParams,
-    TOY_Q,
-    elem_mul,
-    gen_group,
-    toy_group,
-)
+from .groupmath import PINNED_SAFE_PRIMES, GroupParams, elem_mul, gen_group
 from .ot_compiler import comp_gen_query, comp_gen_res, comp_retrieve
 from .paillier import kgen
 from .rng import SeededSource, SystemSource
@@ -218,10 +211,12 @@ TAMPERS: dict[str, tuple[MsgType, Role, str]] = {
 class SessionConfig:
     """Inputs and security parameters for one protocol run.
 
-    m0/m1 feed the two-message protocols, db and v the multi-receiver ones.
-    s is the choice bit (held by the receiver, or by the issuer in the
-    unknown-query variants). A seed makes the run reproducible; with none,
-    every secret comes from the OS and the transcript exports `seed none`.
+    group_bits names a row of groupmath.PINNED_SAFE_PRIMES (4 is the toy
+    group); supersonic needs none. m0/m1 feed the two-message protocols, db
+    and v the multi-receiver ones. s is the choice bit (held by the receiver,
+    or by the issuer in the unknown-query variants). A seed makes the run
+    reproducible; with none, every secret comes from the OS and the
+    transcript exports `seed none`.
     tamper is test plumbing: the name of an in-flight hook in TAMPERS.
     """
 
@@ -230,7 +225,6 @@ class SessionConfig:
     lambda_bits: int = 128
     group_bits: int | None = None
     paillier_bits: int | None = None
-    toy: bool = False
     seed: int | None = None
     s: int | None = None
     m0: bytes | None = None
@@ -451,27 +445,27 @@ def _validate(cfg: SessionConfig) -> None:
     if cfg.tamper is not None and target not in GOLDEN_PHASES[cfg.protocol]:
         raise UsageError(f"tamper {cfg.tamper!r} not applicable to {cfg.protocol}")
     # only pinned moduli: a fresh safe prime of arbitrary size may take forever
-    needs_group = cfg.protocol != "supersonic"
-    if needs_group and not cfg.toy and cfg.group_bits not in PINNED_SAFE_PRIMES:
+    if cfg.protocol != "supersonic" and cfg.group_bits not in PINNED_SAFE_PRIMES:
         raise UsageError(
-            f"group protocols need group_bits in {sorted(PINNED_SAFE_PRIMES)} "
-            "or toy mode"
+            f"group protocols need group_bits in {sorted(PINNED_SAFE_PRIMES)}"
         )
     if cfg.paillier_bits is not None and cfg.paillier_bits < 16:
         raise UsageError("paillier_bits must be at least 16")
 
 
-def _make_group(cfg: SessionConfig, rng) -> GroupParams:
-    if cfg.toy:
-        return toy_group(a=1 + rng.randbelow(TOY_Q - 1))
-    return gen_group(cfg.group_bits, rng)
+# the largest Paillier key a session generates: kgen's time grows steeply past it
+PAILLIER_MAX_BITS = 4096
 
 
 def _paillier_bits(cfg: SessionConfig, params: GroupParams) -> int:
-    if cfg.paillier_bits is not None:
-        return cfg.paillier_bits
-    needed = embedding_min_bits(params, cfg.sigma_bits, cfg.lambda_bits)
-    return max(256, (needed // 64 + 2) * 64)
+    bits = cfg.paillier_bits
+    if bits is None:
+        needed = embedding_min_bits(params, cfg.sigma_bits, cfg.lambda_bits)
+        bits = max(256, (needed // 64 + 2) * 64)
+    if bits > PAILLIER_MAX_BITS:
+        raise UsageError(f"a {bits}-bit Paillier key exceeds the maximum "
+                         f"paillier_bits of {PAILLIER_MAX_BITS}")
+    return bits
 
 
 def run_session(config: SessionConfig) -> SessionTranscript:
@@ -497,7 +491,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 
 def _run_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     with _phase(t, "init", Role.RECEIVER):
-        params = _make_group(cfg, rng)
+        params = gen_group(cfg.group_bits, rng)
     with _phase(t, "gen_query", Role.RECEIVER):
         query, secret = np_gen_query(params, cfg.s, rng)
         q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)
@@ -519,7 +513,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     issuer = cfg.protocol.startswith("duq")
     multi = cfg.protocol.endswith("-mr")
     with _phase(t, "init", Role.RECEIVER):
-        params = _make_group(cfg, rng)
+        params = gen_group(cfg.group_bits, rng)
         if issuer and multi:
             pk_j, sk_j = duqmr_r_setup(
                 _paillier_bits(cfg, params), rng, group=params,
@@ -585,7 +579,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
 def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     suite = np_suite()
     with _phase(t, "init", Role.RECEIVER):
-        params = _make_group(cfg, rng)
+        params = gen_group(cfg.group_bits, rng)
         pk_R, sk_R = kgen(_paillier_bits(cfg, params), rng)
     with _phase(t, "gen_query", Role.RECEIVER):
         query, secret, selector = comp_gen_query(

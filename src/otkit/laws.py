@@ -67,7 +67,7 @@ def _query(params, s1, r1, s2, r2):
 def _session_config(protocol: str, seed: int, z: int = 4, **fields) -> SessionConfig:
     """A toy-group session with 64-bit messages and s = 1; multi-receiver
     protocols get a z-record database and v = 2 % z. fields override."""
-    cfg = SessionConfig(protocol=protocol, sigma_bits=64, toy=True, seed=seed, s=1)
+    cfg = SessionConfig(protocol=protocol, sigma_bits=64, group_bits=4, seed=seed, s=1)
     if protocol.endswith("-mr"):
         cfg.db = tuple((bytes([i]) * 8, bytes([64 + i]) * 8) for i in range(z))
         cfg.v = 2 % z
@@ -190,7 +190,7 @@ def multi_receiver(small, big, key, z: int, per_choice: int, seed: int) -> int:
             raise LawViolation(f"s={s} v={v}: dq-mr and duq-mr returned {got}")
     for size in (1, 4, 8):
         dq = _session_config("dq-mr", seed, z=size)
-        duq = _session_config("duq-mr", seed, z=size, toy=False, group_bits=512)
+        duq = _session_config("duq-mr", seed, z=size, group_bits=512)
         for cfg, inbound in ((dq, "RESPONSE"), (duq, "SP_R FILTERED_RESPONSE")):
             t = run_session(cfg)
             seen = " ".join(e.msg_type.name for e in t.events if e.dst is Role.RECEIVER)

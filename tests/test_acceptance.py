@@ -42,7 +42,7 @@ def test_criterion_03_pad_swap_exactness_and_speed():
     report = bench_protocol(
         "supersonic", 50,
         argparse.Namespace(seed=None, sigma=128, lambda_bits=128,
-                           group_bits=None, paillier_bits=None, toy=True),
+                           group_bits=None, paillier_bits=None),
     )
     assert report.mean_seconds <= 0.005
 
@@ -57,7 +57,7 @@ def test_criterion_03_pad_swap_exactness_and_speed():
 def test_criterion_04_speedup_over_group_based_transfer():
     """Pad-swap sessions beat 2048-bit group sessions by at least 50x."""
     args = argparse.Namespace(seed=None, sigma=128, lambda_bits=128,
-                              group_bits=2048, paillier_bits=None, toy=False)
+                              group_bits=2048, paillier_bits=None)
     sup = bench_protocol("supersonic", 300, args)
     base = bench_protocol("np-ot", 20, args)
     ratio = base.mean_seconds / sup.mean_seconds

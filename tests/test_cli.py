@@ -34,7 +34,7 @@ raise SystemExit(main(["verify", "--toy"]))
 
 def _bench_args(**kw):
     base = dict(seed=None, sigma=64, lambda_bits=64, group_bits=None,
-                paillier_bits=None, toy=True, iters=10)
+                paillier_bits=None, iters=10)
     base.update(kw)
     return argparse.Namespace(**base)
 
@@ -106,9 +106,33 @@ class TestRun:
 
     def test_paillier_key_below_16_bits(self, capsys):
         rc = main(["run", "comp-np", "--s", "1", "--m0", "00", "--m1", "ff",
-                   "--sigma", "8", "--toy", "--paillier-bits", "8"])
+                   "--sigma", "8", "--paillier-bits", "8"])
         assert rc == 2
         assert "paillier_bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol, flags", [
+        ("comp-np", ["--sigma", "8", "--paillier-bits", "40000"]),
+        ("comp-np", ["--sigma", "65536"]),  # the derived key follows sigma
+        ("duq-mr", ["--sigma", "32", "--paillier-bits", "40000"]),
+    ])
+    def test_paillier_key_over_maximum(self, capsys, db_file, protocol, flags):
+        inputs = (["--db", db_file, "--v", "0"] if protocol == "duq-mr"
+                  else ["--m0", "00", "--m1", "ff"])
+        started = time.perf_counter()
+        rc = main(["run", protocol, "--s", "0", "--seed", "1", *inputs, *flags])
+        assert time.perf_counter() - started < 2.0
+        assert rc == 2
+        assert "maximum paillier_bits of 4096" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "np-ot", "--s", "0", "--m0", "00", "--m1", "ff", "--sigma", "8"],
+        ["bench", "np-ot", "--iters", "1"],
+    ])
+    def test_toy_flag_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, "--toy"])
+        assert exit_.value.code == 2
+        assert "--toy" in capsys.readouterr().err
 
     def test_transcript_stable_across_runs(self, capsys, tmp_path):
         argv = ["run", "dq-ot", "--m0", "aa", "--m1", "bb", "--s", "1",
@@ -297,12 +321,22 @@ class TestBench:
         ("-5", "1", 2), (str(2**64 - 1), "2", 2), (str(2**64 - 2), "2", 0),
     ])
     def test_seed_range(self, capsys, seed, iters, rc):
-        assert main(["bench", "supersonic", "--iters", iters, "--toy",
+        assert main(["bench", "supersonic", "--iters", iters,
                      "--seed", seed]) == rc
 
     def test_group_protocol_bench(self, capsys):
         assert main(["bench", "dq-ot", "--iters", "3", "--sigma", "64"]) == 0
         assert "partial_query" in capsys.readouterr().out
+
+    def test_multi_receiver_bench(self, capsys):
+        assert main(["bench", "dq-mr", "--iters", "2"]) == 0
+        assert "  filter " in capsys.readouterr().out
+
+    def test_compare(self, capsys):
+        assert main(["bench", "compare", "--group-bits", "4", "--iters", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "protocol    supersonic" in out and "protocol    np-ot" in out
+        assert "speedup" in out
 
 
 def _env_without_pythonpath(**overrides):

@@ -106,6 +106,19 @@ class TestGenGroup:
             assert q.bit_length() == bits
             assert P == 2 * q + 1
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_toy_row(self, seed):
+        # gen_group(4) draws a exactly as toy_group's callers did, in one draw
+        rng, expected_rng = SeededSource(seed), SeededSource(seed)
+        expected = toy_group(a=1 + expected_rng.randbelow(TOY_Q - 1))
+        assert gen_group(4, rng) == expected
+        assert rng.randbytes(16) == expected_rng.randbytes(16)
+
+    def test_toy_row_retains_dlog(self):
+        params = gen_group(4, SeededSource(7), retain_dlog=True)
+        assert params.a == 1 + SeededSource(7).randbelow(TOY_Q - 1)
+        assert params.C == pow(TOY_G, params.a, TOY_P)
+
     def test_pinned_are_safe_primes(self):
         # full check at 512; the larger ones are spot checks on q only
         P = PINNED_SAFE_PRIMES[512]

@@ -74,7 +74,7 @@ def _compressed_head(head):
 
 
 def _config(protocol, seed=11, s=1, z=4, **kw):
-    cfg = SessionConfig(protocol=protocol, sigma_bits=64, toy=True, seed=seed, s=s)
+    cfg = SessionConfig(protocol=protocol, sigma_bits=64, group_bits=4, seed=seed, s=s)
     if protocol in ("dq-mr", "duq-mr"):
         cfg.db = tuple((bytes([i]) * 8, bytes([16 + i]) * 8) for i in range(z))
         cfg.v = 2 % z
@@ -316,7 +316,7 @@ class TestErrorPropagation:
 
     def test_tag_tamper_surfaces_at_receiver(self):
         # 512-bit group: the toy group can ambiguously double-match instead
-        cfg = _config("duq-ot", tamper="tag", toy=False, group_bits=512)
+        cfg = _config("duq-ot", tamper="tag", group_bits=512)
         t = run_session(cfg)
         assert t.outputs[Role.RECEIVER.name] == "error:NoTagMatch"
 
@@ -631,7 +631,7 @@ class TestValidation:
 
     def test_unknown_protocol(self):
         with pytest.raises(UsageError):
-            run_session(SessionConfig(protocol="uq-ot", s=0, toy=True))
+            run_session(SessionConfig(protocol="uq-ot", s=0, group_bits=4))
 
     def test_choice_bit_required(self):
         with pytest.raises(UsageError):
@@ -654,10 +654,10 @@ class TestValidation:
         cfg.db = None
         with pytest.raises(UsageError):
             run_session(cfg)
-        cfg = _config("dq-mr")
-        cfg.v = 9
-        with pytest.raises(UsageError):
-            run_session(cfg)
+        for v in (9, None):
+            cfg = _config("dq-mr", v=v)
+            with pytest.raises(UsageError, match="index v"):
+                run_session(cfg)
         cfg = _config("dq-mr")
         cfg.db = ((b"\x01", b"\x02"),)
         cfg.v = 0
@@ -670,10 +670,10 @@ class TestValidation:
                 run_session(cfg)
 
     def test_group_parameters_required(self):
-        cfg = _config("dq-ot", toy=False)
+        cfg = _config("dq-ot", group_bits=None)
         with pytest.raises(UsageError):
             run_session(cfg)
-        run_session(_config("supersonic", toy=False))
+        run_session(_config("supersonic", group_bits=None))
 
 
 PROTOCOL_ERRORS = {

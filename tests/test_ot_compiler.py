@@ -189,7 +189,7 @@ class TestOperationCounts:
         # and one decryption per response component
         counts = count_calls(*(getattr(paillier, op) for op in
                                ("kgen", "enc", "hscale", "hadd", "dec")))
-        cfg = SessionConfig(protocol="comp-np", sigma_bits=64, toy=True, seed=5, s=1,
+        cfg = SessionConfig(protocol="comp-np", sigma_bits=64, group_bits=4, seed=5, s=1,
                             m0=b"\x0a" * 8, m1=b"\xf5" * 8)
         assert run_session(cfg).outputs == {"RECEIVER": b"\xf5" * 8}
         assert counts == {"kgen": 1, "enc": 2, "hscale": 4, "hadd": 2, "dec": 2}

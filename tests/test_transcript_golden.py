@@ -18,7 +18,7 @@ def _config(protocol, group, s, seed, tamper=None):
     cfg = SessionConfig(protocol=protocol, sigma_bits=64, lambda_bits=64,
                         seed=seed, s=s, tamper=tamper)
     if group == "toy":
-        cfg.toy = True
+        cfg.group_bits = 4
     else:
         cfg.group_bits = group
     if protocol in ("dq-mr", "duq-mr"):
