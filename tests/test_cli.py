@@ -128,7 +128,7 @@ class TestRun:
         ["run", "np-ot", "--s", "0", "--m0", "00", "--m1", "ff", "--sigma", "8"],
         ["bench", "np-ot", "--iters", "1"],
     ])
-    def test_toy_flag_gone(self, capsys, command):
+    def test_no_toy_flag(self, capsys, command):
         with pytest.raises(SystemExit) as exit_:
             main([*command, "--toy"])
         assert exit_.value.code == 2
