@@ -1,7 +1,7 @@
 """Record the benchmark in one BENCH_<tag>.json file, and diff two such files.
 
     python3 scripts/bench_record.py --tag NAME [--checkout DIR] [--workloads W ...]
-                                    [--seeds 901 902 903] [--append] [--trace]
+                                    [--seeds 901 902 903] [--append] [--trace] [--micro]
     python3 scripts/bench_record.py --diff BENCH_a.json BENCH_b.json
 
 Recording runs BENCHMARK.json's command once per workload and seed, for its
@@ -23,6 +23,13 @@ the record's `traced` key, and its per-session times, the `*.ms` metrics
 (`role.*.ms` and `harness.self.ms` among them), under `traced_ms`. Every
 round of the benchmark gives the program the same seeds, so the counts are
 exact and repeat from run to run; the times are one run's and are not.
+--micro also times the session engine's per-message steps in a fresh process
+that imports the checkout's src/otkit: building an `Envelope`, framing it
+(`encode_envelope`), parsing it (`decode_envelope`) and one `_hop` of a SUP_Q1
+bit, each the best of MICRO_REPEAT timings of MICRO_NUMBER calls, in µs per
+call, under the record's `micro` key. With --append, each keeps the lower of
+the old and the new reading, so alternating runs give each side the best over
+all of its runs.
 
 --diff prints each file's commit and source size, then each workload's failed
 and attempted sessions in each file, summed over its runs, then, for each
@@ -34,8 +41,9 @@ end-to-end and B's median is worse than A's by more than the metric's
 follow in the same columns, as `protocol.field` rows (more sessions is
 better, fewer ms is better; no bound). When both files hold traced times,
 the times both hold follow as A, B and B/A (one run each: no pair wins and
-no bound). When both files hold traced counts, it then lists every count
-that differs between them.
+no bound), and then, when both hold micro timings, those the same way. When
+both files hold traced counts, it then lists every count that differs
+between them.
 """
 
 import argparse
@@ -43,6 +51,7 @@ import json
 import statistics
 import subprocess
 import sys
+import timeit
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -52,6 +61,7 @@ BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 DEFAULT_SEEDS = (901, 902, 903)
 # what a run keeps of each `# protocol: ...` line, and which way is better
 PROTOCOL_FIELDS = {"sessions": "higher", "p10_ms": "lower", "median_ms": "lower"}
+MICRO_NUMBER, MICRO_REPEAT = 20000, 7
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -112,6 +122,45 @@ def traced_run(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
     metrics = run_once(checkout, workload, seed, trace=1)["metrics"]
     return tuple({name: value for name, value in metrics.items() if name.endswith(suffix)}
                  for suffix in (".calls", ".ms"))
+
+
+def micro_timings(number: int = MICRO_NUMBER, repeat: int = MICRO_REPEAT) -> dict[str, float]:
+    """µs per call, best of repeat timings of number calls, of each step
+    that `harness._hop` takes per message, on a one-byte SUP_Q1 payload."""
+    from otkit.harness import (Envelope, MsgType, Role, SessionTranscript, _hop,
+                               decode_envelope, encode_envelope)
+
+    env = Envelope(Role.RECEIVER, Role.SENDER, MsgType.SUP_Q1, b"\x01")
+    frame = encode_envelope(env)
+    steps = {
+        "harness.Envelope": lambda: Envelope(Role.RECEIVER, Role.SENDER,
+                                             MsgType.SUP_Q1, b"\x01"),
+        "harness.encode_envelope": lambda: encode_envelope(env),
+        "harness.decode_envelope": lambda: decode_envelope(frame),
+        # a fresh transcript per timing, so its event list grows by number
+        "harness._hop.SUP_Q1": lambda: _hop(t, Role.RECEIVER, Role.SENDER,
+                                            MsgType.SUP_Q1, 1),
+    }
+    out = {}
+    for name, step in steps.items():
+        best = float("inf")
+        for _ in range(repeat):
+            t = SessionTranscript(protocol="supersonic", seed=None)
+            best = min(best, timeit.timeit(step, number=number))
+        out[name] = best / number * 1e6
+    return out
+
+
+def micro_run(checkout: Path) -> dict[str, float]:
+    """micro_timings in a fresh process that imports the checkout's otkit."""
+    code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
+            f"{str(HERE / 'scripts')!r}]; import bench_record; "
+            "print(json.dumps(bench_record.micro_timings()))")
+    cmd = [SPEC["command"][0], "-c", code]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"micro timings exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def _metrics(run: dict) -> dict[str, float]:
@@ -235,6 +284,12 @@ def print_diff(path_a: Path, path_b: Path) -> None:
     for workload, name, va, vb in ms_rows:
         ratio = vb / va if va else float("nan")
         print(f"{workload:<12} {name:<25} {va:>12.5g} {vb:>12.5g} {ratio:>7.3f}")
+    ma, mb = a.get("micro", {}), b.get("micro", {})
+    micro = [name for name in ma if name in mb]
+    if micro:
+        print(f"{'micro, best of runs, us per call':<38} {'A':>12} {'B':>12} {'B/A':>7}")
+    for name in micro:
+        print(f"{name:<38} {ma[name]:>12.5g} {mb[name]:>12.5g} {mb[name] / ma[name]:>7.3f}")
     traced = [w for w in a.get("traced", {}) if w in b.get("traced", {})]
     if traced:
         rows = traced_diff(a, b)
@@ -247,12 +302,18 @@ def record(args) -> None:
     checkout = Path(args.checkout).resolve()
     out = HERE / f"BENCH_{args.tag}.json"
     env = environment(checkout)
-    runs, traced, traced_ms = [], {}, {}
+    runs, traced, traced_ms, micro = [], {}, {}, {}
     if args.append and out.exists():
         old = json.loads(out.read_text())
         if {k: old.get(k) for k in env} != env:
             raise SystemExit(f"{out} was recorded from another checkout or interpreter")
         runs, traced, traced_ms = old["runs"], old.get("traced", {}), old.get("traced_ms", {})
+        micro = old.get("micro", {})
+    if args.micro:
+        for name, us in micro_run(checkout).items():
+            micro[name] = min(us, micro.get(name, us))
+        print(f"micro: {', '.join(f'{n} {us:.3g} us' for n, us in micro.items())}",
+              flush=True)
     if args.trace:
         for workload in args.workloads:
             traced[workload], traced_ms[workload] = traced_run(checkout, workload,
@@ -266,7 +327,7 @@ def record(args) -> None:
                   f"{runs[-1]['metrics'].get('session_ms', float('nan')):.4g}", flush=True)
     doc = {"tag": args.tag, **env, "command": SPEC["command"], "seconds": SPEC["run_seconds"],
            "runs": runs, "summary": summarize(runs), "traced": traced,
-           "traced_ms": traced_ms}
+           "traced_ms": traced_ms, "micro": micro}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
 
@@ -281,6 +342,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", nargs="+", type=int, default=list(DEFAULT_SEEDS))
     ap.add_argument("--append", action="store_true")
     ap.add_argument("--trace", action="store_true")
+    ap.add_argument("--micro", action="store_true")
     args = ap.parse_args(argv)
     if args.diff:
         print_diff(*args.diff)

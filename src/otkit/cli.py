@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from . import laws
 from .errors import UsageError
 from .groupmath import gen_group, toy_group
-from .harness import (PROTOCOLS, TAMPERS, Role, SessionConfig, export_transcript,
-                      run_session)
+from .harness import (PROTOCOLS, SIGMA_MAX_BITS, TAMPERS, Role, SessionConfig,
+                      export_transcript, run_session)
 from .paillier import kgen
 from .rng import SeededSource
 
@@ -61,9 +61,13 @@ def _load_db(path: str, width: int) -> tuple[tuple[bytes, bytes], ...]:
 
 
 def _session_fields(args) -> dict:
-    """The SessionConfig fields that run and bench take from _add_common's flags."""
-    if args.sigma <= 0 or args.sigma % 8:
-        raise UsageError("sigma must be a positive multiple of 8")
+    """The SessionConfig fields that run and bench take from _add_common's flags.
+
+    sigma is checked here, before it sizes any hex field or drawn message.
+    """
+    if args.sigma <= 0 or args.sigma % 8 or args.sigma > SIGMA_MAX_BITS:
+        raise UsageError(f"sigma must be a positive multiple of 8, "
+                         f"at most {SIGMA_MAX_BITS}")
     return dict(
         sigma_bits=args.sigma,
         lambda_bits=args.lambda_bits,
@@ -92,14 +96,8 @@ def _build_config(args) -> SessionConfig:
 # --------------------------------------------------------------------- run
 
 
-def cmd_run(args) -> int:
-    transcript = run_session(_build_config(args))
-    if args.transcript:
-        try:
-            with open(args.transcript, "w", encoding="ascii") as fh:
-                fh.write(export_transcript(transcript))
-        except OSError as err:
-            raise UsageError(f"cannot write transcript: {err}") from None
+def _report(transcript) -> int:
+    """Print the receiver's output, or the refusal, and return the exit code."""
     for role, value in sorted(transcript.outputs.items()):
         if isinstance(value, str) and value.startswith("error:"):
             phase = transcript.phase_times[-1][0]
@@ -110,6 +108,30 @@ def cmd_run(args) -> int:
             return 3
     print(transcript.outputs[Role.RECEIVER.name].hex())
     return 0
+
+
+def _print_stats(transcript) -> None:
+    """Each phase's wall time, then each message's framed size, to stderr."""
+    for label, seconds in transcript.phase_times:
+        print(f"phase {label:<16} {seconds * 1000:.3f} ms", file=sys.stderr)
+    # a frame is the 7-byte header (length, roles, type), then the payload
+    for e in transcript.events:
+        print(f"hop {e.src.name}→{e.dst.name} {e.msg_type.name} "
+              f"{len(e.payload) + 7} bytes", file=sys.stderr)
+
+
+def cmd_run(args) -> int:
+    transcript = run_session(_build_config(args))
+    if args.transcript:
+        try:
+            with open(args.transcript, "w", encoding="ascii") as fh:
+                fh.write(export_transcript(transcript))
+        except OSError as err:
+            raise UsageError(f"cannot write transcript: {err}") from None
+    code = _report(transcript)
+    if args.stats:
+        _print_stats(transcript)
+    return code
 
 
 # ------------------------------------------------------------------ verify
@@ -288,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--transcript", default=None, help="write transcript here")
     run_p.add_argument("--inject-tamper", choices=tuple(TAMPERS), default=None,
                        help="test hook: corrupt one value in flight")
+    run_p.add_argument("--stats", action="store_true",
+                       help="also print phase times and framed message sizes to stderr")
 
     verify_p = sub.add_parser("verify", help="run the protocol law checks")
     verify_p.add_argument("--toy", action="store_true",

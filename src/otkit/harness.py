@@ -3,7 +3,8 @@
 One session owns every role's state and plays the protocol's phases in
 their canonical order over an in-process bus. Each message goes through
 `_hop`, which encodes it with its type's entry in the codec table `_CODECS`,
-frames and round-trips the envelope, records it, and decodes it for the
+frames and round-trips the envelope, records the parsed `Envelope` (a
+slotted dataclass, not frozen, with `bytes` payload), and decodes it for the
 receiving role. The one exception: in duq-ot and duq-mr, REQ1 and REQ2 carry
 a bare blind, which `_run_delegated` sends through `_UINT` by `_hop`'s codec
 argument, since the table's entry for those types is dq's share and blind.
@@ -100,8 +101,13 @@ class MsgType(enum.IntEnum):
     NP_QUERY = 0x15
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
+    """One framed message. Slotted, not frozen: a frozen dataclass's __init__
+    sets each field through object.__setattr__, and _hop builds two envelopes
+    per message. So an envelope is neither immutable nor hashable; the roles
+    never receive one, only the values decoded from its payload."""
+
     src: Role
     dst: Role
     msg_type: MsgType
@@ -414,12 +420,19 @@ class _phase:
             raise _Refusal(self.role) from err
 
 
+# the largest message (sigma) and tag (lambda) a session takes, 1 MiB: sixteen
+# times pad-bulk's records, and a bound on what the CLI pads hex fields to
+SIGMA_MAX_BITS = 8 << 20
+
+
 def _validate(cfg: SessionConfig) -> None:
     if cfg.protocol not in PROTOCOLS:
         raise UsageError(f"unknown protocol {cfg.protocol!r}")
     for name, bits in (("sigma_bits", cfg.sigma_bits), ("lambda_bits", cfg.lambda_bits)):
         if bits <= 0 or bits % 8:
             raise UsageError(f"{name} must be a positive multiple of 8")
+        if bits > SIGMA_MAX_BITS:
+            raise UsageError(f"{name} must be at most {SIGMA_MAX_BITS}")
     if cfg.s not in (0, 1):
         raise UsageError("choice bit s must be 0 or 1")
     if cfg.seed is not None and not 0 <= cfg.seed < 1 << 64:

@@ -256,3 +256,56 @@ def test_diff_prints_protocol_times_with_pair_wins(tmp_path, capsys):
         "session_ms", "comp-np.sessions", "comp-np.p10_ms", "comp-np.median_ms"
     ]
     assert out[-1][2:5] == ["510", "420", "0.824"] and out[-1][-1] == "2/3"
+
+
+def test_micro_timings_cover_each_step_of_a_hop():
+    timings = bench_record.micro_timings(number=50, repeat=2)
+    assert list(timings) == ["harness.Envelope", "harness.encode_envelope",
+                             "harness.decode_envelope", "harness._hop.SUP_Q1"]
+    assert all(0 < us < 1e4 for us in timings.values())
+
+
+def test_micro_keeps_the_best_reading_and_diff_prints_it(tmp_path, monkeypatch, capsys):
+    readings = iter([
+        {"harness.Envelope": 1.5, "harness._hop.SUP_Q1": 4.0},
+        {"harness.Envelope": 1.2, "harness._hop.SUP_Q1": 4.4},
+    ])
+    micro_commands = []
+
+    def fake_run(cmd, cwd, capture_output, text):
+        if cmd[1] == "-c":
+            micro_commands.append(cmd)
+            stdout = json.dumps(next(readings)) + "\n"
+        else:
+            stdout = json.dumps({"correct": True, "attempted": 8, "failed": 0,
+                                 "metrics": {"session_ms": {"value": 0.06, "unit": "ms"}}})
+        return type("Done", (), {"returncode": 0, "stdout": stdout, "stderr": ""})
+
+    monkeypatch.setattr(bench_record, "HERE", tmp_path)
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "environment",
+                        lambda checkout: {"python": "3", "commit": "c" * 40,
+                                          "dirty": False})
+    args = ["--tag", "A", "--workloads", "pad-small", "--seeds", "951", "--micro",
+            "--checkout", str(tmp_path)]
+    assert bench_record.main(args) == 0
+    # the fresh process imports the checkout's own otkit
+    assert repr(str(tmp_path / "src")) in micro_commands[0][2]
+    assert bench_record.main(args + ["--append"]) == 0
+    a = json.loads((tmp_path / "BENCH_A.json").read_text())
+    assert a["micro"] == {"harness.Envelope": 1.2, "harness._hop.SUP_Q1": 4.0}
+    assert bench_record.main(args[:-3] + ["--append"]) == 0
+    assert json.loads((tmp_path / "BENCH_A.json").read_text())["micro"] == a["micro"]
+
+    b = {**a, "micro": {"harness.Envelope": 0.6, "harness._hop.SUP_Q1": 3.0}}
+    (tmp_path / "BENCH_B.json").write_text(json.dumps(b))
+    capsys.readouterr()
+    assert bench_record.main(["--diff", str(tmp_path / "BENCH_A.json"),
+                              str(tmp_path / "BENCH_B.json")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    start = out.index(next(line for line in out if line.startswith("micro")))
+    assert out[start].split()[-3:] == ["A", "B", "B/A"]
+    assert [line.split() for line in out[start + 1:]] == [
+        ["harness.Envelope", "1.2", "0.6", "0.500"],
+        ["harness._hop.SUP_Q1", "4", "3", "0.750"],
+    ]

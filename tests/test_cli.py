@@ -3,6 +3,7 @@
 import argparse
 import ast
 import gc
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -14,11 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from otkit import laws, supersonic
+from otkit import cli, laws, supersonic
 from otkit.cli import bench_protocol, main
 from otkit.errors import ShapeMismatch
+from otkit.harness import GOLDEN_PHASES, PROTOCOLS, SIGMA_MAX_BITS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# the benchmark's own definition of a session's wire bytes
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+perfbench_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_workloads)
 
 DB_TEXT = "00000001 00000011\n00000002 00000012\n00000003 00000013\n00000004 00000014\n"
 
@@ -123,6 +131,60 @@ class TestRun:
         assert time.perf_counter() - started < 2.0
         assert rc == 2
         assert "maximum paillier_bits of 4096" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "supersonic", "--s", "0", "--m0", "00", "--m1", "ff", "--seed", "1"],
+        ["bench", "supersonic", "--iters", "1"],
+    ])
+    @pytest.mark.parametrize("sigma", [SIGMA_MAX_BITS + 8, 8_000_000_000])
+    def test_sigma_over_maximum(self, capsys, command, sigma):
+        # refused before any hex field is padded or any message drawn
+        started = time.perf_counter()
+        rc = main([*command, "--sigma", str(sigma)])
+        assert time.perf_counter() - started < 2.0
+        assert rc == 2
+        assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_stats_leave_output_and_export_alone(self, capsys, monkeypatch, tmp_path,
+                                                 db_file, protocol):
+        runs = []
+        real = cli.run_session
+
+        def recording(cfg):
+            runs.append(real(cfg))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_session", recording)
+        inputs = (["--db", db_file, "--v", "2", "--sigma", "32"] if protocol.endswith("-mr")
+                  else ["--m0", "aa", "--m1", "bb", "--sigma", "8"])
+        argv = ["run", protocol, "--s", "1", "--seed", "21", *inputs]
+        outs, blobs = [], []
+        for name, extra in (("plain.txt", []), ("stats.txt", ["--stats"])):
+            path = tmp_path / name
+            assert main([*argv, "--transcript", str(path), *extra]) == 0
+            outs.append(capsys.readouterr())
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert outs[0].out == outs[1].out and outs[0].err == ""
+        lines = outs[1].err.splitlines()
+        phases = [line.split() for line in lines if line.startswith("phase ")]
+        assert [p[1] for p in phases] == [label for label, _ in runs[1].phase_times]
+        hops = [line.split() for line in lines if line.startswith("hop ")]
+        assert len(phases) + len(hops) == len(lines)
+        assert tuple(h[2] for h in hops) == tuple(m.name for m in GOLDEN_PHASES[protocol])
+        assert [h[1] for h in hops] == [f"{e.src.name}→{e.dst.name}" for e in runs[1].events]
+        wire = perfbench_workloads.wire_bytes(runs[1])
+        assert sum(int(h[3]) for h in hops) == sum(wire.values())
+
+    def test_stats_follow_a_refusal(self, capsys):
+        rc = main(["run", "dq-ot", "--m0", "aa", "--m1", "bb", "--s", "1", "--sigma", "8",
+                   "--seed", "5", "--inject-tamper", "beta", "--stats"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("protocol error: ConsistencyAbort")
+        assert [line.split()[2] for line in err if line.startswith("hop ")] == [
+            "REQ1", "REQ2", "PARTIAL_Q", "FINAL_Q"]
 
     @pytest.mark.parametrize("command", [
         ["run", "np-ot", "--s", "0", "--m0", "00", "--m1", "ff", "--sigma", "8"],

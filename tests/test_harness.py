@@ -1,6 +1,7 @@
 """Session engine: framing, golden phase orders, views, determinism."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from otkit.supersonic import PadKeys
 from otkit.harness import (
     GOLDEN_PHASES,
     PROTOCOLS,
+    SIGMA_MAX_BITS,
     TAMPERS,
     Envelope,
     MsgType,
@@ -288,6 +290,16 @@ class TestDeterminism:
         t = run_session(_config(protocol))
         assert t.events and all(type(e.payload) is bytes for e in t.events)
 
+    def test_recorded_events_are_dataclasses(self):
+        # tools that rewrite a recorded event, such as the benchmark's size
+        # checks, do so with dataclasses.replace
+        t = run_session(_config("supersonic"))
+        e = t.events[-1]
+        grown = dataclasses.replace(e, payload=e.payload + b"\x00")
+        assert (grown.src, grown.dst, grown.msg_type) == (e.src, e.dst, e.msg_type)
+        assert grown.payload == e.payload + b"\x00" and grown != e
+        assert export_transcript(t) == export_transcript(run_session(_config("supersonic")))
+
     def test_export_line_format(self):
         t = run_session(_config("np-ot", seed=5))
         lines = export_transcript(t).splitlines()
@@ -488,6 +500,25 @@ class TestErrorPropagation:
         assert t.outputs == {role: f"error:{name}"}
         assert t.events == []
 
+    @pytest.mark.parametrize("protocol", ["supersonic", "dq-ot"])
+    def test_round_trip_compare_refuses_a_changed_envelope(self, monkeypatch, protocol):
+        # a parser that reads back a well-formed envelope with another
+        # destination: only the compare against the sent envelope catches it
+        honest = run_session(_config(protocol))
+        parse = harness.decode_envelope
+        second = GOLDEN_PHASES[protocol][1]
+
+        def misroute(buf):
+            env = parse(buf)
+            if env.msg_type is second:
+                env.dst = Role.ISSUER if env.dst is not Role.ISSUER else Role.SERVER
+            return env
+
+        monkeypatch.setattr(harness, "decode_envelope", misroute)
+        t = run_session(_config(protocol))
+        assert t.outputs == {honest.events[1].dst.name: "error:DecodeError"}
+        assert t.events == honest.events[:1]
+
     def test_non_bit_share_refused_by_helper(self, monkeypatch):
         _, decode = harness._CODECS[MsgType.ISSUER_REQ2]
         monkeypatch.setitem(
@@ -648,6 +679,15 @@ class TestValidation:
         cfg.m0 = b"\x00"
         with pytest.raises(UsageError):
             run_session(cfg)
+
+    @pytest.mark.parametrize("field", ["sigma_bits", "lambda_bits"])
+    def test_sizes_bounded(self, field):
+        cfg = _config("supersonic", **{field: SIGMA_MAX_BITS + 8})
+        with pytest.raises(UsageError, match=f"{field} must be at most"):
+            run_session(cfg)
+        width = SIGMA_MAX_BITS // 8 if field == "sigma_bits" else 8
+        harness._validate(_config("supersonic", m0=bytes(width), m1=bytes(width),
+                                  **{field: SIGMA_MAX_BITS}))
 
     def test_database_requirements(self):
         cfg = _config("dq-mr")
