@@ -6,11 +6,11 @@ P = 2q + 1. Elements are plain ints in [1, P-1] with x^q = 1 mod P; scalars
 g^a with a discarded, except in debug groups that retain a so the query-pair
 exponent identities can be checked directly.
 
-Fresh safe-prime searches are only practical at small sizes, so sessions
-take P from one pinned table keyed by the bits of q: 4, the toy group
-P = 23, q = 11 that can be checked by hand, and 512, 1024 and 2048 (generated
-once by scripts/gen_pinned_groups.py and verified by the test suite). C is
-still freshly sampled per session.
+P and g are fixed: every group comes from one pinned table keyed by the
+bits of q, with g = 4. The sizes are 4, the toy group P = 23, q = 11 that
+can be checked by hand, and 512, 1024 and 2048, found once by the safe-prime
+search in scripts/gen_pinned_groups.py and verified by the test suite. No
+session searches for a prime; C is still freshly sampled per session.
 
 Powers of the generator g (g^r, g^y, C = g^a) are most of a session's
 exponentiations, so they go through a fixed-base comb, the two-dimensional
@@ -50,7 +50,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import ElementOutOfRange, UsageError
-from .numth import gen_safe_prime, powmod
+from .numth import powmod
 from .rng import RandomSource
 
 GroupElement = int
@@ -102,27 +102,15 @@ def toy_group(a: int = 8, retain_dlog: bool = False) -> GroupParams:
 
 
 def gen_group(bits: int, rng: RandomSource, retain_dlog: bool = False) -> GroupParams:
-    """Group parameters with a q of the given bit length and a fresh C = g^a.
-
-    Pinned moduli are used when available, else a safe prime is searched
-    for. Raises PrimeSearchExhausted when the search budget runs out.
-    """
-    if bits < 4:
-        raise UsageError("bits must be at least 4")
-    if bits in PINNED_SAFE_PRIMES:
-        P = PINNED_SAFE_PRIMES[bits]
-        q = (P - 1) // 2
-        g = PINNED_G
-    else:
-        P, q = gen_safe_prime(bits, rng)
-        while True:
-            h = 2 + rng.randbelow(P - 3)
-            g = powmod(h, 2, P)
-            if g != 1:
-                break
+    """The pinned group whose q has the given bit length, with a fresh C = g^a;
+    a size that is not in PINNED_SAFE_PRIMES raises UsageError."""
+    if bits not in PINNED_SAFE_PRIMES:
+        raise UsageError(f"bits must be a pinned size, one of {sorted(PINNED_SAFE_PRIMES)}")
+    P = PINNED_SAFE_PRIMES[bits]
+    q = (P - 1) // 2
     a = 1 + rng.randbelow(q - 1)
-    C = _pow_g(g, a, P)
-    return GroupParams(P=P, q=q, g=g, C=C, a=a if retain_dlog else None)
+    C = _pow_g(PINNED_G, a, P)
+    return GroupParams(P=P, q=q, g=PINNED_G, C=C, a=a if retain_dlog else None)
 
 
 COMB_ENTRIES = 2048

@@ -25,6 +25,7 @@ for the bench command but stay out of the canonical export.
 import enum
 import struct
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import supersonic as sup
@@ -61,7 +62,7 @@ from .errors import (
     UnknownTag,
     UsageError,
 )
-from .groupmath import PINNED_SAFE_PRIMES, GroupParams, elem_mul, gen_group
+from .groupmath import PINNED_G, PINNED_SAFE_PRIMES, GroupParams, gen_group
 from .ot_compiler import comp_gen_query, comp_gen_res, comp_retrieve
 from .paillier import kgen
 from .rng import SeededSource, SystemSource
@@ -206,10 +207,14 @@ GOLDEN_PHASES: dict[str, tuple[MsgType, ...]] = {
 
 PROTOCOLS = tuple(GOLDEN_PHASES)
 
-# in-flight test hooks: name -> (message type altered, refusing role, refusal)
-TAMPERS: dict[str, tuple[MsgType, Role, str]] = {
-    "beta": (MsgType.FINAL_Q, Role.SENDER, "ConsistencyAbort"),  # b0 times g
-    "tag": (MsgType.SP_S, Role.RECEIVER, "NoTagMatch"),  # first tag bit flipped
+# in-flight test hooks: for the honest value of msg_type, _hop sends alter(value,
+# P), P the group's modulus, and role must refuse it with the named refusal
+Tamper = namedtuple("Tamper", "msg_type role refusal alter")
+TAMPERS: dict[str, Tamper] = {
+    "beta": Tamper(MsgType.FINAL_Q, Role.SENDER, "ConsistencyAbort",
+                   lambda f, P: f._replace(b0=f.b0 * PINNED_G % P)),  # b0 times g
+    "tag": Tamper(MsgType.SP_S, Role.RECEIVER, "NoTagMatch",
+                  lambda tag, P: bytes((tag[0] ^ 0x01,)) + tag[1:]),  # first bit
 }
 
 
@@ -223,7 +228,7 @@ class SessionConfig:
     or by the issuer in the unknown-query variants). A seed makes the run
     reproducible; with none, every secret comes from the OS and the
     transcript exports `seed none`.
-    tamper is test plumbing: the name of an in-flight hook in TAMPERS.
+    tamper is test plumbing: the name of a hook in TAMPERS, which _hop applies.
     """
 
     protocol: str
@@ -247,6 +252,8 @@ class SessionTranscript:
     events: list[Envelope] = field(default_factory=list)
     outputs: dict[str, bytes | str] = field(default_factory=dict)
     phase_times: list[tuple[str, float]] = field(default_factory=list)
+    # (tampered message type, value -> value) for _hop, or None; not exported
+    _tamper: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def export_transcript(t: SessionTranscript) -> str:
@@ -324,7 +331,8 @@ def _uint_pair(cls):
 
 def _encode_full_width(value) -> bytes:
     """(components, pk_R) as a count and the ciphertexts, each at the width
-    of n^2, so the length is blind to the message count."""
+    of n^2, so the length is blind to the message count; the decoder keeps
+    the leading zero bytes that read_uint would refuse."""
     components, pk_R = value
     width = (pk_R.n_squared.bit_length() + 7) // 8
     prefix = width.to_bytes(4, "big")
@@ -365,7 +373,8 @@ _CODECS = {
         _reading(lambda r: tuple(r.read_uint() for _ in range(4))),
     ),
     MsgType.SELECTOR_VEC: _CIPHERTEXTS,
-    MsgType.COMPRESSED_RESPONSE: (_encode_full_width, _CIPHERTEXTS[1]),
+    MsgType.COMPRESSED_RESPONSE: (_encode_full_width, _reading(lambda r: tuple(
+        int.from_bytes(r.read_bytes(), "big") for _ in range(r.read_u32())))),
     MsgType.PAD_KEYS: (
         lambda k: encode_bytes(k.k0, k.k1),
         _reading(lambda r: sup.PadKeys(k0=r.read_bytes(), k1=r.read_bytes())),
@@ -388,8 +397,11 @@ class _Refusal(Exception):
 def _hop(t: SessionTranscript, src: Role, dst: Role, mtype: MsgType, value, codec=None):
     """Encode value, frame and round-trip it, record it, and decode it at dst.
 
-    codec replaces the table's entry for the issuer variants' bare blinds.
+    codec replaces the table's entry for the issuer variants' bare blinds. A
+    session's tamper, if any, alters the value of its message type first.
     """
+    if t._tamper is not None and t._tamper[0] is mtype:
+        value = t._tamper[1](value)
     encode, decode = codec or _CODECS[mtype]
     env = Envelope(src, dst, mtype, encode(value))
     try:
@@ -454,16 +466,16 @@ def _validate(cfg: SessionConfig) -> None:
         if len(cfg.m0) != sigma or len(cfg.m1) != sigma:
             raise UsageError("messages must be exactly sigma bits")
     # a tamper alters one message type, so it applies where that type is sent
-    target = TAMPERS[cfg.tamper][0] if cfg.tamper in TAMPERS else None
+    target = TAMPERS[cfg.tamper].msg_type if cfg.tamper in TAMPERS else None
     if cfg.tamper is not None and target not in GOLDEN_PHASES[cfg.protocol]:
         raise UsageError(f"tamper {cfg.tamper!r} not applicable to {cfg.protocol}")
-    # only pinned moduli: a fresh safe prime of arbitrary size may take forever
-    if cfg.protocol != "supersonic" and cfg.group_bits not in PINNED_SAFE_PRIMES:
-        raise UsageError(
-            f"group protocols need group_bits in {sorted(PINNED_SAFE_PRIMES)}"
-        )
-    if cfg.paillier_bits is not None and cfg.paillier_bits < 16:
-        raise UsageError("paillier_bits must be at least 16")
+    # sizes hold whether the protocol uses them or not; only supersonic may omit a group
+    if cfg.group_bits not in PINNED_SAFE_PRIMES and (
+            cfg.group_bits is not None or cfg.protocol != "supersonic"):
+        raise UsageError(f"group_bits must be one of {sorted(PINNED_SAFE_PRIMES)}")
+    if cfg.paillier_bits is not None and not 16 <= cfg.paillier_bits <= PAILLIER_MAX_BITS:
+        raise UsageError(f"paillier_bits must be at least 16, at most the "
+                         f"maximum paillier_bits of {PAILLIER_MAX_BITS}")
 
 
 # the largest Paillier key a session generates: kgen's time grows steeply past it
@@ -475,7 +487,7 @@ def _paillier_bits(cfg: SessionConfig, params: GroupParams) -> int:
     if bits is None:
         needed = embedding_min_bits(params, cfg.sigma_bits, cfg.lambda_bits)
         bits = max(256, (needed // 64 + 2) * 64)
-    if bits > PAILLIER_MAX_BITS:
+    if bits > PAILLIER_MAX_BITS:  # sigma can push the derived size past it
         raise UsageError(f"a {bits}-bit Paillier key exceeds the maximum "
                          f"paillier_bits of {PAILLIER_MAX_BITS}")
     return bits
@@ -491,6 +503,9 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     _validate(config)
     rng = SystemSource() if config.seed is None else SeededSource(config.seed)
     t = SessionTranscript(protocol=config.protocol, seed=config.seed)
+    if config.tamper is not None:
+        tamper, P = TAMPERS[config.tamper], PINNED_SAFE_PRIMES[config.group_bits]
+        t._tamper = (tamper.msg_type, lambda value: tamper.alter(value, P))
     try:
         t.outputs[Role.RECEIVER.name] = _RUNNERS[config.protocol](config, rng, t)
     except _Refusal as refusal:
@@ -548,10 +563,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
             bundle = duq_t_request(cfg.s, cfg.lambda_bits, rng)
             share1 = _hop(t, Role.ISSUER, Role.P1, MsgType.ISSUER_REQ1, bundle.share1)
             share2 = _hop(t, Role.ISSUER, Role.P2, MsgType.ISSUER_REQ2, bundle.share2)
-            tag = bundle.tag
-            if cfg.tamper == "tag":
-                tag = bytes((tag[0] ^ 0x01,)) + tag[1:]
-            tag_at_s = _hop(t, Role.ISSUER, Role.SENDER, MsgType.SP_S, tag)
+            tag_at_s = _hop(t, Role.ISSUER, Role.SENDER, MsgType.SP_S, bundle.tag)
             share2_at_r, tag_at_r = _hop(t, Role.ISSUER, Role.RECEIVER, MsgType.SP_R,
                                          (bundle.share2, bundle.tag))
             req1_rx = DelegationRequest(share=share1, blind=req1_rx)
@@ -561,8 +573,6 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         d_rx = _hop(t, Role.P2, Role.P1, MsgType.PARTIAL_Q, partial)
     with _phase(t, "final_query", Role.P1):
         final = dq_p1_gen_query(req1_rx, d_rx, params)
-        if cfg.tamper == "beta":
-            final = FinalQueryPair(b0=elem_mul(final.b0, params.g, params), b1=final.b1)
         b_rx = _hop(t, Role.P1, Role.SENDER, MsgType.FINAL_Q, final)
     with _phase(t, "gen_res", Role.SENDER):
         if multi:

@@ -146,7 +146,7 @@ def tag_selection(params, honest: int, flipped: int, seed: int) -> tuple[int, in
         bundle = duq_t_request(i & 1, 128, rng)
         r1, r2 = duq_r_request(params, rng)
         *_, final = _query(params, bundle.share1, r1, bundle.share2, r2)
-        tag = bundle.tag if i < honest else bytes((bundle.tag[0] ^ 1,)) + bundle.tag[1:]
+        tag = bundle.tag if i < honest else TAMPERS["tag"].alter(bundle.tag, params.P)
         res = duq_s_gen_res(m0, m1, params, final, tag, rng)
         try:
             got = duq_r_retrieve(res, r1, r2, bundle.share2, bundle.tag, params)
@@ -327,9 +327,10 @@ def envelope_roundtrip(rounds: int, seed: int) -> int:
 def tamper_trips(kind: str, seed: int) -> str:
     """A session of the first protocol that sends the message type the hook
     kind alters ends in the refusal, at the role, that TAMPERS[kind] names."""
-    mtype, role, error = TAMPERS[kind]
-    protocol = next(p for p, phases in GOLDEN_PHASES.items() if mtype in phases)
+    tamper = TAMPERS[kind]
+    protocol = next(p for p, phases in GOLDEN_PHASES.items() if tamper.msg_type in phases)
+    role, error = tamper.role.name, tamper.refusal
     t = run_session(_session_config(protocol, seed, tamper=kind))
-    if t.outputs.get(role.name) != f"error:{error}":
-        raise LawViolation(f"tamper {kind} did not trigger {error} at the {role.name}")
+    if t.outputs.get(role) != f"error:{error}":
+        raise LawViolation(f"tamper {kind} did not trigger {error} at the {role}")
     return f"{error} triggered"

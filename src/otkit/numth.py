@@ -78,19 +78,3 @@ def gen_prime(bits: int, rng, rounds: int = MR_ROUNDS) -> int:
         if is_probable_prime(cand, rounds):
             return cand
     raise PrimeSearchExhausted(f"no {bits}-bit prime in {budget} attempts")
-
-
-def gen_safe_prime(qbits: int, rng) -> tuple[int, int]:
-    """Safe prime pair (P, q) with P = 2q + 1 and q of exactly qbits bits."""
-    budget = 4000 * qbits * qbits
-    for _ in range(budget):
-        q = rng.randbits(qbits) | (1 << (qbits - 1)) | 1
-        # P = 2q+1 is divisible by 3 unless q = 2 mod 3; skip those cheaply
-        if qbits > 2 and q % 3 != 2:
-            continue
-        if not is_probable_prime(q):
-            continue
-        p = 2 * q + 1
-        if is_probable_prime(p):
-            return p, q
-    raise PrimeSearchExhausted(f"no safe prime with {qbits}-bit q in {budget} attempts")

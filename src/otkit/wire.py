@@ -1,9 +1,10 @@
 """Low-level payload codecs.
 
 Big integers travel as a 4-byte big-endian length followed by the minimal
-big-endian magnitude (zero encodes as length 0, no sign). Byte strings travel
-as a 4-byte big-endian length followed by the raw bytes. Composite payloads
-are plain concatenations in a fixed field order; Reader walks them back.
+big-endian magnitude (zero encodes as length 0, no sign), the one form
+read_uint accepts. Byte strings travel as a 4-byte big-endian length
+followed by the raw bytes. Composite payloads are plain concatenations in a
+fixed field order; Reader walks them back.
 The encoders take several fields at once and join them in one pass, so a
 large field is copied once.
 """
@@ -65,7 +66,10 @@ class Reader:
         return n
 
     def read_uint(self) -> int:
-        return int.from_bytes(self.read_bytes(), "big")
+        mag = self.read_bytes()
+        if mag[:1] == b"\x00":  # not minimal: a second encoding of the integer
+            raise DecodeError("integer magnitude has a leading zero byte")
+        return int.from_bytes(mag, "big")
 
     def read_bytes(self) -> bytes:
         buf, pos = self._buf, self._pos

@@ -132,6 +132,20 @@ class TestRun:
         assert rc == 2
         assert "maximum paillier_bits of 4096" in capsys.readouterr().err
 
+    # a size the protocol does not use is refused all the same, by the one
+    # rule that run and bench share
+    @pytest.mark.parametrize("protocol, flags", [
+        ("dq-ot", ["--paillier-bits", "99999"]),
+        ("supersonic", ["--group-bits", "77"]),
+    ])
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_unused_size_out_of_range(self, capsys, command, protocol, flags):
+        inputs = (["--s", "1", "--m0", "00", "--m1", "ff"] if command == "run"
+                  else ["--iters", "1"])
+        rc = main([command, protocol, "--sigma", "8", "--seed", "1", *inputs, *flags])
+        assert rc == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+
     # refused before any hex field is padded or any message drawn. Past the
     # bound, run gets a size whose padding could not even be allocated; bench
     # draws its messages block by block, so it gets one that is cheap to draw.

@@ -19,7 +19,7 @@ from otkit.errors import (
     UnknownTag,
     UsageError,
 )
-from otkit.groupmath import TOY_P
+from otkit.groupmath import PINNED_SAFE_PRIMES, TOY_P
 from otkit.ot_compiler import embed_component
 from otkit.paillier import enc
 from otkit.primitives import hash_G, hash_H
@@ -40,7 +40,7 @@ from otkit.harness import (
     project_view,
     run_session,
 )
-from otkit.wire import Reader
+from otkit.wire import Reader, encode_bytes
 
 DB4 = tuple((bytes([i]) * 8, bytes([16 + i]) * 8) for i in range(4))
 
@@ -333,7 +333,57 @@ class TestErrorPropagation:
 
     @pytest.mark.parametrize("kind", list(TAMPERS))
     def test_tamper_trips_its_refusal(self, kind):
-        assert laws.tamper_trips(kind, 55) == f"{TAMPERS[kind][2]} triggered"
+        assert laws.tamper_trips(kind, 55) == f"{TAMPERS[kind].refusal} triggered"
+
+    # every (tamper, protocol) where the tamper's message type is sent
+    @pytest.mark.parametrize("kind, protocol", [
+        (kind, p) for kind, tamper in TAMPERS.items() for p in PROTOCOLS
+        if tamper.msg_type in GOLDEN_PHASES[p]
+    ])
+    def test_tamper_alters_only_its_hop(self, kind, protocol):
+        # up to the altered hop the runs match, and that hop carries the
+        # honest value under the tamper's own transform
+        honest = run_session(_config(protocol, seed=7)).events
+        tampered = run_session(_config(protocol, seed=7, tamper=kind)).events
+        tamper = TAMPERS[kind]
+        at = [e.msg_type for e in honest].index(tamper.msg_type)
+        assert tampered[:at] == honest[:at]
+        encode, decode = harness._CODECS[tamper.msg_type]
+        altered = tamper.alter(decode(honest[at].payload), PINNED_SAFE_PRIMES[4])
+        assert tampered[at] == dataclasses.replace(honest[at], payload=encode(altered))
+        assert tampered[at].payload != honest[at].payload
+
+    def test_no_runner_reads_tamper(self):
+        # _hop applies a session's tamper; no runner names one, as a name,
+        # an attribute or a string
+        def names(node):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    yield sub.id
+                elif isinstance(sub, ast.Attribute):
+                    yield sub.attr
+                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield sub.value
+
+        runners = {f.__name__ for f in harness._RUNNERS.values()}
+        tree = ast.parse(Path(harness.__file__).read_text())
+        found = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in runners]
+        assert {node.name for node in found} == runners
+        for node in found:
+            assert not [name for name in names(node) if "tamper" in name], node.name
+
+    # an integer with a leading zero byte is a second encoding of it
+    @pytest.mark.parametrize("protocol", ["np-ot", "comp-np"])
+    def test_non_minimal_query_refused_by_sender(self, monkeypatch, protocol):
+        encode, decode = harness._CODECS[MsgType.NP_QUERY]
+        monkeypatch.setitem(harness._CODECS, MsgType.NP_QUERY, (
+            lambda q: encode_bytes(b"\x00" + q.to_bytes((q.bit_length() + 7) // 8, "big")),
+            decode,
+        ))
+        t = run_session(_config(protocol))
+        assert t.outputs == {Role.SENDER.name: "error:DecodeError"}
+        assert t.events[-1].msg_type == MsgType.NP_QUERY
 
     # 0 and P have no inverse mod P, so C / query cannot be formed
     @pytest.mark.parametrize("protocol", ["np-ot", "comp-np"])
@@ -623,6 +673,14 @@ class TestCodecTable:
             return name == "ElementOutOfRange"
 
         assert _modules_where(raises_range) == {"groupmath"}
+
+    def test_full_width_ciphertext_keeps_its_zero_bytes(self, comp_np_key):
+        # compressed ciphertexts travel at the width of n^2, not minimally
+        encode, decode = harness._CODECS[MsgType.COMPRESSED_RESPONSE]
+        cts = (1, 0xFF, comp_np_key.n_squared - 1)
+        payload = encode((cts, comp_np_key))
+        assert payload[8] == 0  # after the count and the first width prefix
+        assert decode(payload) == cts
 
     @pytest.mark.parametrize("mtype", list(MsgType), ids=lambda m: m.name)
     def test_encode_inverts_decode(self, samples, comp_np_key, mtype):

@@ -100,6 +100,13 @@ class TestWire:
     def test_zero_is_empty_magnitude(self):
         assert encode_uint(0) == b"\x00\x00\x00\x00"
 
+    @pytest.mark.parametrize("magnitude", [b"\x00", b"\x00\x07", b"\x00\x00\x01\x00"],
+                             ids=["zero", "seven", "two-zero-bytes"])
+    def test_leading_zero_byte_rejected(self, magnitude):
+        # each integer has one encoding: the minimal magnitude
+        with pytest.raises(DecodeError, match="leading zero byte"):
+            Reader(encode_bytes(magnitude)).read_uint()
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             encode_uint(-1)

@@ -1,8 +1,12 @@
 """The helper scripts run from any working directory."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from otkit.numth import is_probable_prime
+from otkit.rng import SeededSource
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -25,3 +29,15 @@ def test_enumerate_toy_cells(tmp_path):
 def test_gen_pinned_groups(tmp_path):
     out = _run(tmp_path, "gen_pinned_groups.py", "--bits", "512")
     assert "matches the committed table" in out
+
+
+def test_gen_safe_prime():
+    # the one safe-prime search lives in the script that builds the table
+    spec = importlib.util.spec_from_file_location(
+        "gen_pinned_groups", SCRIPTS / "gen_pinned_groups.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    P, q = script.gen_safe_prime(32, SeededSource(3))
+    assert q.bit_length() == 32
+    assert P == 2 * q + 1
+    assert is_probable_prime(P) and is_probable_prime(q)
