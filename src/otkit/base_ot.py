@@ -1,24 +1,26 @@
-"""1-out-of-2 oblivious transfer over the DH group.
+"""Naor-Pinkas 1-out-of-n oblivious transfer over the DH group (SODA 2001).
 
-The receiver sends a single group element; the sender derives the companion
-element through the public C, masks each message with a hash of a fresh
-DH share, and the receiver can unmask exactly the slot its blind matches.
+The receiver with choice s sends b0 = g^r for s = 0, else C_s / g^r. The
+sender masks m_0 under b0 and each other m_i under C_i / b0 with a hash of
+a fresh DH share, so the receiver unmasks element s alone. C_1 is the
+session's C, so np-ot is the n = 2 case; public_element derives the other
+C_i from P and i, so nobody knows their discrete logs.
 
-`_mask`, `_mask_pair` and `unmask_element` are the one mask of every
+`mask_messages`, `_mask` and `unmask_element` are the one mask of every
 group-based transfer, (g^y, oracle(b^y) xor m). They take the oracle as an
 argument: hash_H for a plain message, hash_G for a tagged one (duq_family).
 Callers pass the module global at call time, so a tracer that rebinds it
-sees every call. unmask_message opens a plain message for np-ot and the
-dq family, and refuses a body that is not the receiver's own sigma bits.
+sees every call. unmask_message opens a plain message and refuses a body
+that is not the receiver's own sigma bits.
 
-Also defines the pluggable suite contract that the response compiler
-consumes, plus that contract's instantiation for this OT. The response's
-wire format lives in the session engine's codec table (harness._CODECS), as
-every payload format does.
+np_suite() fills the suite contract that the response compiler consumes
+with this OT's own functions. The response's wire format lives in the
+session engine's codec table (harness._CODECS), as every payload format does.
 """
 
+import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, LengthMismatch, ShapeMismatch
 from .groupmath import (
@@ -42,7 +44,7 @@ Oracle = Callable[[ByteString, int], ByteString]
 
 @dataclass(frozen=True)
 class NpSecret:
-    """Receiver side secret: the nonzero blind r and the choice bit."""
+    """Receiver side secret: the nonzero blind r and the choice s."""
 
     r: Scalar
     s: int
@@ -56,28 +58,39 @@ class NpResponse(NamedTuple):
     e1: ResponseElement
 
 
+def public_element(pk: GroupParams, i: int) -> GroupElement:
+    """C_i: the session's C for i = 1, else the square mod P of a SHAKE-256
+    output keyed by (P, i), first mapped into [2, P - 2] so that the square
+    is neither 0 nor 1."""
+    if i == 1:
+        return pk.C
+    key = b"C" + elem_to_bytes(pk.P, pk) + i.to_bytes(4, "big")
+    digest = hashlib.shake_256(key).digest(pk.elem_bytes() + 16)
+    x = 2 + int.from_bytes(digest, "big") % (pk.P - 3)
+    return x * x % pk.P
+
+
 def np_gen_query(
-    pk: GroupParams, s: int, rng: RandomSource
+    pk: GroupParams, s: int, rng: RandomSource, n: int = 2
 ) -> tuple[GroupElement, NpSecret]:
-    """Query element b0, where b_s = g^r and b_(1-s) = C / b_s."""
+    """Query element b0: g^r for s = 0, else C_s / g^r. It divides by C_1 at
+    s = 0 too, so the receiver's counted work depends on neither s nor n."""
+    if not 0 <= s < n:
+        raise IndexOutOfRange(f"choice {s} outside [0, {n})")
     r = rand_scalar(pk, rng, nonzero=True)
     chosen = modexp(pk.g, r, pk)
-    other = elem_div(pk.C, chosen, pk)
-    b0 = chosen if s == 0 else other
-    return b0, NpSecret(r=r, s=s)
+    other = elem_div(public_element(pk, max(s, 1)), chosen, pk)
+    return (other if s else chosen), NpSecret(r=r, s=s)
 
 
 def np_gen_res(
-    m0: ByteString,
-    m1: ByteString,
-    pk: GroupParams,
-    query: GroupElement,
-    rng: RandomSource,
-) -> NpResponse:
-    """Mask both messages against the query pair (b0, C / b0)."""
+    msgs: Sequence[ByteString], pk: GroupParams, query: GroupElement, rng: RandomSource
+) -> tuple[ResponseElement, ...]:
+    """One element per message: m_0 masked under b0 = query, each other m_i
+    under C_i / b0."""
     check_elements(pk, query)
-    powers = base_powers(query, pk, 1), base_powers(elem_div(pk.C, query, pk), pk, 1)
-    return _mask_pair(m0, m1, pk, powers, rng, hash_H)
+    bases = [query] + [elem_div(public_element(pk, i), query, pk) for i in range(1, len(msgs))]
+    return mask_messages(msgs, [base_powers(b, pk, 1) for b in bases], pk, rng, hash_H)
 
 
 def _mask(
@@ -89,21 +102,16 @@ def _mask(
     return modexp(pk.g, y, pk), xor_bytes(pad, m)
 
 
-def _mask_pair(
-    m0: ByteString,
-    m1: ByteString,
-    pk: GroupParams,
-    powers: tuple[Power, Power],
-    rng: RandomSource,
-    oracle: Oracle,
-) -> NpResponse:
-    """Mask m_i against powers[i], slot 0 first. The caller vouches that the
-    powers belong to a pair multiplying to C."""
-    if len(m0) != len(m1):
+def mask_messages(
+    msgs: Sequence[ByteString], powers: Sequence[Power], pk: GroupParams,
+    rng: RandomSource, oracle: Oracle,
+) -> tuple[ResponseElement, ...]:
+    """Mask msgs[i] against powers[i], in order, each under a fresh y. The
+    caller vouches for the powers: np_gen_res builds them from the public
+    elements, the dq and duq senders from a pair multiplying to C."""
+    if len({len(m) for m in msgs}) > 1:
         raise LengthMismatch("messages must share the session length")
-    return NpResponse(
-        _mask(m0, powers[0], pk, rng, oracle), _mask(m1, powers[1], pk, rng, oracle)
-    )
+    return tuple(_mask(m, power, pk, rng, oracle) for m, power in zip(msgs, powers, strict=True))
 
 
 def unmask_element(
@@ -129,50 +137,30 @@ def unmask_message(
 def np_retrieve(
     res: NpResponse, secret: NpSecret, pk: GroupParams, sigma_bits: int
 ) -> ByteString:
-    """m_s from the response slot matching the stored choice bit."""
+    """m_s from the response element at the stored choice."""
     return unmask_message(res[secret.s], secret.r, pk, sigma_bits)
 
 
 @dataclass(frozen=True)
 class ConventionalOtSuite:
-    """Suite operations: gen_query, gen_res, retrieve.
+    """Suite operations: gen_query(pk, s, rng, n), gen_res(msgs, pk, query,
+    rng) and retrieve(element, secret, pk, sigma_bits). gen_res returns one
+    response element per message, a tuple of components whose kinds
+    component_kinds declares ("elem" for a group element, "mask" for a byte
+    string), so the compiler can embed and recover them. retrieve opens the
+    one element it is given, the one at the receiver's choice, and refuses a
+    mask that is not sigma_bits long."""
 
-    gen_res returns one response element per message; each element is a
-    tuple of components whose kinds are declared in component_kinds
-    ("elem" for a group element, "mask" for a byte string), which is what
-    lets the compiler embed and recover them. retrieve(element, secret, pk)
-    opens the one element it is given: the one at the receiver's choice.
-    """
-
-    gen_query: Callable[[Any, int, int, RandomSource], tuple[Any, Any]]
-    gen_res: Callable[[list[ByteString], Any, Any, RandomSource], list[tuple]]
-    retrieve: Callable[[tuple, Any, Any], ByteString]
+    gen_query: Callable[[Any, int, RandomSource, int], tuple[Any, Any]]
+    gen_res: Callable[[list[ByteString], Any, Any, RandomSource], tuple[tuple, ...]]
+    retrieve: Callable[[tuple, Any, Any, int], ByteString]
     component_kinds: tuple[str, ...]
-
-
-def _suite_gen_query(pk, n, s, rng):
-    if not 0 <= s < n:
-        raise IndexOutOfRange(f"choice {s} outside [0, {n})")
-    # beyond two messages the query degenerates: every element is masked
-    # against the query element b0 itself, one element per index
-    return np_gen_query(pk, s if n == 2 else 0, rng)
-
-
-def _suite_gen_res(msgs, pk, query, rng):
-    if len(msgs) == 2:
-        return list(np_gen_res(msgs[0], msgs[1], pk, query, rng))
-    power = base_powers(query, pk, len(msgs))
-    return [_mask(m, power, pk, rng, hash_H) for m in msgs]
-
-
-def _suite_retrieve(element, secret, pk):
-    return unmask_element(element, secret.r, pk, hash_H)
 
 
 def np_suite() -> ConventionalOtSuite:
     return ConventionalOtSuite(
-        gen_query=_suite_gen_query,
-        gen_res=_suite_gen_res,
-        retrieve=_suite_retrieve,
+        gen_query=np_gen_query,
+        gen_res=np_gen_res,
+        retrieve=lambda element, secret, pk, bits: unmask_message(element, secret.r, pk, bits),
         component_kinds=("elem", "mask"),
     )

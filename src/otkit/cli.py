@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import laws
 from .errors import UsageError
 from .groupmath import gen_group, toy_group
-from .harness import (PROTOCOLS, SIGMA_MAX_BITS, TAMPERS, Role, SessionConfig,
+from .harness import (_HEADER, PROTOCOLS, TAMPERS, Role, SessionConfig, check_bits,
                       export_transcript, run_session)
 from .paillier import kgen
 from .rng import SeededSource
@@ -65,9 +65,7 @@ def _session_fields(args) -> dict:
 
     sigma is checked here, before it sizes any hex field or drawn message.
     """
-    if args.sigma <= 0 or args.sigma % 8 or args.sigma > SIGMA_MAX_BITS:
-        raise UsageError(f"sigma must be a positive multiple of 8, "
-                         f"at most {SIGMA_MAX_BITS}")
+    check_bits("sigma", args.sigma)
     return dict(
         sigma_bits=args.sigma,
         lambda_bits=args.lambda_bits,
@@ -114,10 +112,10 @@ def _print_stats(transcript) -> None:
     """Each phase's wall time, then each message's framed size, to stderr."""
     for label, seconds in transcript.phase_times:
         print(f"phase {label:<16} {seconds * 1000:.3f} ms", file=sys.stderr)
-    # a frame is the 7-byte header (length, roles, type), then the payload
+    # a frame is the header (length, roles, type), then the payload
     for e in transcript.events:
         print(f"hop {e.src.name}→{e.dst.name} {e.msg_type.name} "
-              f"{len(e.payload) + 7} bytes", file=sys.stderr)
+              f"{len(e.payload) + _HEADER.size} bytes", file=sys.stderr)
 
 
 def cmd_run(args) -> int:
@@ -154,6 +152,7 @@ def cmd_verify(args) -> int:
             toy_group(), big, key(big.P.bit_length() + 72, 105), 4, 2, 105)),
         ("compiler-equivalence", lambda: laws.compiler_equivalence(
             toy_group(), key(256 if toy else 512, 106), 10, 106)),
+        ("np-one-of-n", lambda: laws.one_out_of_n(big, (3, 4, 8), 110)),
         ("paillier-homomorphism", lambda: laws.homomorphic_laws(
             key(256 if toy else 512, 107), 30 if toy else 100, 107)),
         ("abort-on-tamper", lambda: laws.tamper_aborts(toy_group(), 40, 108)),

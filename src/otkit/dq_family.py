@@ -15,7 +15,7 @@ plain tuple of (m0, m1) pairs that the session engine has already checked.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .base_ot import NpResponse, _mask_pair, unmask_message
+from .base_ot import NpResponse, mask_messages, unmask_message
 from .errors import ConsistencyAbort, IndexOutOfRange, ShapeMismatch
 from .groupmath import (
     GroupElement,
@@ -106,7 +106,7 @@ def dqmr_s_gen_res_multi(
     """One independent response pair per database entry, all against one
     pair of power functions built for z = len(db) exponents each."""
     powers = query_powers(query, pk, len(db))
-    return [_mask_pair(m0, m1, pk, powers, rng, hash_H) for m0, m1 in db]
+    return [NpResponse(*mask_messages((m0, m1), powers, pk, rng, hash_H)) for m0, m1 in db]
 
 
 def dq_s_gen_res(

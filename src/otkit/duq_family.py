@@ -3,11 +3,11 @@
 A third-party issuer holds the choice bit. It hands the helpers the bit
 shares, hands the sender a random tag, and hands the receiver only its second
 share plus that tag. A tagged pair is the base OT's plain mask of m_i || tag
-under the wider oracle hash_G (base_ot._mask_pair), then randomly permuted:
-an NpResponse whose slots are permuted. As in dq_family, the single sender
-is the one-record case of the multi-receiver sender's loop. The receiver
-unmasks both slots under hash_G (base_ot.unmask_element) and recognizes the
-right one by the tag alone, so it never learns the choice bit.
+under the wider oracle hash_G (base_ot.mask_messages), then randomly
+permuted: an NpResponse whose slots are permuted. As in dq_family, the
+single sender is the one-record case of the multi-receiver sender's loop.
+The receiver unmasks both slots under hash_G (base_ot.unmask_element) and
+recognizes the right one by the tag alone, so it never learns the choice bit.
 
 The multi-receiver extension pushes all pairs through P1, which
 compresses them against the issuer's compress vector, a tuple of ciphertexts
@@ -19,7 +19,7 @@ so the receiver gets four ciphertexts regardless of the database size.
 
 from dataclasses import dataclass
 
-from .base_ot import NpResponse, ResponseElement, _mask_pair, unmask_element
+from .base_ot import NpResponse, ResponseElement, mask_messages, unmask_element
 from .dq_family import FinalQueryPair, query_powers, retrieval_exponent
 from .errors import (
     AmbiguousTag,
@@ -90,7 +90,7 @@ def duqmr_s_gen_res_multi(
     powers = query_powers(query, pk, len(db))
     responses = []
     for m0, m1 in db:
-        pair = _mask_pair(m0 + tag, m1 + tag, pk, powers, rng, hash_G)
+        pair = mask_messages((m0 + tag, m1 + tag), powers, pk, rng, hash_G)
         responses.append(NpResponse(*random_permute_pair(pair, rng)))
     return responses
 

@@ -15,7 +15,7 @@ other module imports from `wire`. Table entries look `encode_uint`,
 that rebinds them sees every call. The four delegated-query protocols share
 one pipeline, `_run_delegated`; the protocol id fixes who deals the
 choice-bit shares (the receiver or an issuer) and whether P1 filters a whole
-database's response.
+database's response. np-ot and comp-np, its compiled form, share `_run_np`.
 
 A ProtocolError ends the run as error:<Name> at the role that raised it (for
 a failed decode, the hop's receiver). Phase wall-clock timings ride along
@@ -437,14 +437,19 @@ class _phase:
 SIGMA_MAX_BITS = 8 << 20
 
 
+def check_bits(name: str, bits: int) -> None:
+    """A message or tag length is a positive multiple of 8, at most SIGMA_MAX_BITS."""
+    if bits <= 0 or bits % 8:
+        raise UsageError(f"{name} must be a positive multiple of 8")
+    if bits > SIGMA_MAX_BITS:
+        raise UsageError(f"{name} must be at most {SIGMA_MAX_BITS}")
+
+
 def _validate(cfg: SessionConfig) -> None:
     if cfg.protocol not in PROTOCOLS:
         raise UsageError(f"unknown protocol {cfg.protocol!r}")
-    for name, bits in (("sigma_bits", cfg.sigma_bits), ("lambda_bits", cfg.lambda_bits)):
-        if bits <= 0 or bits % 8:
-            raise UsageError(f"{name} must be a positive multiple of 8")
-        if bits > SIGMA_MAX_BITS:
-            raise UsageError(f"{name} must be at most {SIGMA_MAX_BITS}")
+    check_bits("sigma_bits", cfg.sigma_bits)
+    check_bits("lambda_bits", cfg.lambda_bits)
     if cfg.s not in (0, 1):
         raise UsageError("choice bit s must be 0 or 1")
     if cfg.seed is not None and not 0 <= cfg.seed < 1 << 64:
@@ -518,15 +523,30 @@ def run_session(config: SessionConfig) -> SessionTranscript:
 
 
 def _run_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
+    """np-ot, and comp-np: np-ot as the response compiler's suite, with the
+    receiver's Paillier key and selector and one compressed response."""
+    comp, suite, msgs = cfg.protocol == "comp-np", np_suite(), (cfg.m0, cfg.m1)
     with _phase(t, "init", Role.RECEIVER):
         params = gen_group(cfg.group_bits, rng)
+        if comp:
+            pk_R, sk_R = kgen(_paillier_bits(cfg, params), rng)
     with _phase(t, "gen_query", Role.RECEIVER):
-        query, secret = np_gen_query(params, cfg.s, rng)
+        if comp:
+            query, secret, selector = comp_gen_query(suite, params, 2, cfg.s, sk_R, rng,
+                component_bits=max(params.P.bit_length(), cfg.sigma_bits))
+        else:
+            query, secret = np_gen_query(params, cfg.s, rng)
         q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)
+        if comp:
+            sel_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.SELECTOR_VEC, selector)
     with _phase(t, "gen_res", Role.SENDER):
-        res = np_gen_res(cfg.m0, cfg.m1, params, q_rx, rng)
-        res_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.RESPONSE, res)
+        res = ((comp_gen_res(suite, msgs, params, q_rx, sel_rx, pk_R, rng), pk_R) if comp
+               else np_gen_res(msgs, params, q_rx, rng))
+        res_type = MsgType.COMPRESSED_RESPONSE if comp else MsgType.RESPONSE
+        res_rx = _hop(t, Role.SENDER, Role.RECEIVER, res_type, res)
     with _phase(t, "retrieve", Role.RECEIVER):
+        if comp:
+            return comp_retrieve(suite, res_rx, sk_R, secret, params, cfg.sigma_bits)
         return np_retrieve(res_rx, secret, params, cfg.sigma_bits)
 
 
@@ -599,28 +619,6 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
         return duq_r_retrieve(res_rx, req1, req2, share2_at_r, tag_at_r, params)
 
 
-def _run_comp_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
-    suite = np_suite()
-    with _phase(t, "init", Role.RECEIVER):
-        params = gen_group(cfg.group_bits, rng)
-        pk_R, sk_R = kgen(_paillier_bits(cfg, params), rng)
-    with _phase(t, "gen_query", Role.RECEIVER):
-        query, secret, selector = comp_gen_query(
-            suite, params, 2, cfg.s, sk_R, rng,
-            component_bits=max(params.P.bit_length(), cfg.sigma_bits),
-        )
-        q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)
-        sel_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.SELECTOR_VEC, selector)
-    with _phase(t, "gen_res", Role.SENDER):
-        compressed = comp_gen_res(
-            suite, [cfg.m0, cfg.m1], params, q_rx, sel_rx, pk_R, rng
-        )
-        cr_rx = _hop(t, Role.SENDER, Role.RECEIVER, MsgType.COMPRESSED_RESPONSE,
-                     (compressed, pk_R))
-    with _phase(t, "retrieve", Role.RECEIVER):
-        return comp_retrieve(suite, cr_rx, sk_R, secret, params, cfg.sigma_bits)
-
-
 def _run_supersonic(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     with _phase(t, "setup", Role.RECEIVER):
         keys = sup.sup_setup(cfg.sigma_bits, rng)
@@ -645,6 +643,6 @@ _RUNNERS = {
     "duq-ot": _run_delegated,
     "dq-mr": _run_delegated,
     "duq-mr": _run_delegated,
-    "comp-np": _run_comp_np,
+    "comp-np": _run_np,
     "supersonic": _run_supersonic,
 }

@@ -214,9 +214,9 @@ def compiler_equivalence(params, key, trials: int, seed: int) -> tuple[int, int]
         s = k & 1
         msgs = [rng.randbytes(16), rng.randbytes(16)]
         plain_rng, comp_rng = SeededSource(seed + 1 + k), SeededSource(seed + 1 + k)
-        q_p, sec_p = suite.gen_query(params, 2, s, plain_rng)
+        q_p, sec_p = suite.gen_query(params, s, plain_rng, 2)
         res = suite.gen_res(msgs, params, q_p, plain_rng)
-        plain = suite.retrieve(res[s], sec_p, params)
+        plain = suite.retrieve(res[s], sec_p, params, 128)
         q_c, sec_c, selector = comp_gen_query(suite, params, 2, s, sk, comp_rng)
         compressed = comp_gen_res(suite, msgs, params, q_c, selector, pk, comp_rng)
         compiled = comp_retrieve(suite, compressed, sk, sec_c, params, 128)
@@ -234,6 +234,23 @@ def compiler_equivalence(params, key, trials: int, seed: int) -> tuple[int, int]
     if len(sizes) != 1:
         raise LawViolation(f"response size varies with n: {sorted(sizes)}")
     return 2 * trials, sizes.pop()
+
+
+def one_out_of_n(params, sizes, seed: int) -> int:
+    """In np-ot's suite at each n in sizes and every choice s, the receiver's
+    secret opens element s alone. Not for the toy group, where two of the
+    C_i, or a sender's y of 0, coincide with probability about 1/11."""
+    suite = np_suite()
+    for k, (n, s) in enumerate((n, s) for n in sizes for s in range(n)):
+        rng = SeededSource(seed + k)
+        msgs = [rng.randbytes(16) for _ in range(n)]
+        query, secret = suite.gen_query(params, s, rng, n)
+        res = suite.gen_res(msgs, params, query, rng)
+        opened = [i for i, element in enumerate(res)
+                  if suite.retrieve(element, secret, params, 128) == msgs[i]]
+        if opened != [s]:
+            raise LawViolation(f"n={n} s={s}: the receiver's secret opened {opened}")
+    return sum(sizes)
 
 
 def homomorphic_laws(key, triples: int, seed: int) -> int:

@@ -8,8 +8,8 @@ component, by one paillier.select call with a row per element, so the
 response size stops depending on the message count. The compressed response
 is that tuple of ciphertexts; it travels with each at the key's full width,
 the COMPRESSED_RESPONSE entry of the codec table in harness.py. The receiver
-decrypts the one surviving element, refuses a mask component that is not
-sigma bits long, and hands the element to the suite's retrieve.
+decrypts the one surviving element and hands it to the suite's retrieve,
+which refuses a mask component that is not sigma bits long.
 
 Embedding: every component travels through the plaintext space as the
 big-endian integer of a 2-byte length header followed by the component bytes,
@@ -83,7 +83,7 @@ def comp_gen_query(
         needed = component_bits + 8 * HEADER_BYTES + 8
         if public(key_R).bits() <= needed:
             raise KeyTooSmall(f"need a modulus over {needed} bits")
-    base_query, base_secret = suite.gen_query(pk_base, n, s, rng)
+    base_query, base_secret = suite.gen_query(pk_base, s, rng, n)
     return base_query, base_secret, one_hot(key_R, n, s, rng)
 
 
@@ -112,13 +112,10 @@ def comp_retrieve(
     sigma_bits: int,
 ) -> ByteString:
     """Decrypt and decode the surviving element, then finish with the suite.
-    A ciphertext count off the suite's components, or a mask component that
-    is not sigma_bits long, is a ShapeMismatch."""
+    A ciphertext count off the suite's components is a ShapeMismatch, and so
+    is, in the suite's retrieve, a mask component that is not sigma_bits long."""
     kinds = suite.component_kinds
     if len(compressed) != len(kinds):
         raise ShapeMismatch(f"{len(compressed)} ciphertexts, expected {len(kinds)}")
     element = tuple(unembed_component(dec(sk_R, ct), kind) for ct, kind in zip(compressed, kinds))
-    for part, kind in zip(element, kinds):
-        if kind == "mask" and 8 * len(part) != sigma_bits:
-            raise ShapeMismatch(f"{len(part)}-byte body, expected {sigma_bits // 8}")
-    return suite.retrieve(element, base_secret, pk_base)
+    return suite.retrieve(element, base_secret, pk_base, sigma_bits)

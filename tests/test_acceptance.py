@@ -80,13 +80,15 @@ def test_criterion_06_multi_receiver_exactness(toy, group512, paillier640):
     _report(6, "multi-receiver, 2x320 runs exact; inbound constant in z")
 
 
-def test_criterion_07_compiled_suite_equivalence(toy, paillier512):
+def test_criterion_07_compiled_suite_equivalence(toy, group512, paillier512):
     """Compiled sessions agree with plain ones seed for seed; response
-    bytes do not grow with the message count."""
+    bytes do not grow with the message count; the base suite's secret opens
+    only the chosen element at n in (3, 4, 8)."""
     runs, size = laws.compiler_equivalence(toy, paillier512, trials=100, seed=9000)
     assert runs == 200
+    assert laws.one_out_of_n(group512, (3, 4, 8), seed=9500) == 15
     _report(7, f"compiler, 100 trials x both s equal; "
-               f"{size} response bytes for n in (2,4,8)")
+               f"{size} response bytes for n in (2,4,8); 1-of-n opens s alone")
 
 
 def test_criterion_08_homomorphic_laws(paillier1024):

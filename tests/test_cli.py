@@ -350,7 +350,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "dq-e2e-cells             FAIL  cell (0,0) returned the wrong" in out
         assert "mr-filter-exactness      FAIL  s=0 v=0: dq-mr and duq-mr" in out
-        assert "2 of 10 checks failed" in out
+        assert "2 of 11 checks failed" in out
 
     def test_broken_law_fails_under_optimize(self):
         proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_VERIFY],

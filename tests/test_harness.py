@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import cli, duq_family, errors, harness, laws
+from otkit import cli, duq_family, errors, harness, laws, supersonic
 from otkit.base_ot import NpResponse
 from otkit.errors import (
     DecodeError,
@@ -373,6 +373,25 @@ class TestErrorPropagation:
         for node in found:
             assert not [name for name in names(node) if "tamper" in name], node.name
 
+    def test_every_traced_role_is_called_by_a_runner(self):
+        # perfbench's tracer rebinds each ROLES name on harness, or else on
+        # supersonic, so a runner must call each harness one as a bare global
+        tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "tracing.py").read_text())
+        roles = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and getattr(node.targets[0], "id", None) == "ROLES")
+        runners = {f.__name__ for f in harness._RUNNERS.values()}
+        called = {
+            sub.func.id
+            for node in ast.parse(Path(harness.__file__).read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name in runners
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+        }
+        missing = [name for names in roles.values() for name in names
+                   if name not in called and not hasattr(supersonic, name)]
+        assert not missing
+
     # an integer with a leading zero byte is a second encoding of it
     @pytest.mark.parametrize("protocol", ["np-ot", "comp-np"])
     def test_non_minimal_query_refused_by_sender(self, monkeypatch, protocol):
@@ -650,6 +669,18 @@ class TestCodecTable:
             return name in ("hash_H", "hash_G")
 
         assert _modules_where(calls_oracle) <= {"base_ot"}
+
+    def test_only_the_base_ot_calls_its_mask(self):
+        # the dq and duq senders mask through base_ot.mask_messages, the one
+        # loop over (message, power) pairs
+        def calls_mask(node) -> bool:
+            if not isinstance(node, ast.Call):
+                return False
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            return name == "_mask"
+
+        assert _modules_where(calls_mask) == {"base_ot"}
 
     def test_only_paillier_and_the_laws_scale_or_add_ciphertexts(self):
         # every product of a selector entry and a plaintext is made inside

@@ -110,7 +110,7 @@ class TestCompiledSession:
             compressed = comp_gen_res(
                 suite, msgs, toy, q_c, selector, pk_R, SeededSource(10)
             )
-            plain = np_gen_res(msgs[0], msgs[1], toy, q_p, SeededSource(10))
+            plain = np_gen_res(msgs, toy, q_p, SeededSource(10))
             got_c = comp_retrieve(suite, compressed, sk_R, sec_c, toy, 48)
             assert got_c == np_retrieve(plain, sec_p, toy, 48) == msgs[s]
 
@@ -193,3 +193,27 @@ class TestOperationCounts:
                             m0=b"\x0a" * 8, m1=b"\xf5" * 8)
         assert run_session(cfg).outputs == {"RECEIVER": b"\xf5" * 8}
         assert counts == {"kgen": 1, "enc": 2, "hscale": 4, "hadd": 2, "dec": 2}
+
+
+class TestPackingSelector:
+    def test_packing_selector_recovers_only_the_chosen_message(self, group512):
+        # A receiver with its own 2240-bit key sends Enc(2^(544 i)) in place of
+        # the one-hot selector of a compiled n = 4 run, so each decrypted
+        # component packs all four elements' components 544 bits apart (an
+        # embedded 513-bit element takes at most 536). Its secret still opens
+        # element s alone.
+        pk, sk = paillier.kgen(2240, SeededSource(1))
+        suite, rng, width = np_suite(), SeededSource(4), 544
+        msgs = [rng.randbytes(16) for _ in range(4)]
+        for s in range(4):
+            query, secret = suite.gen_query(group512, s, rng, 4)
+            selector = tuple(paillier.enc(sk, 1 << (width * i), rng) for i in range(4))
+            compressed = comp_gen_res(suite, msgs, group512, query, selector, pk, rng)
+            packed = [paillier.dec(sk, ct) for ct in compressed]
+            opened = []
+            for i in range(4):
+                element = tuple(unembed_component(v >> (width * i) & ((1 << width) - 1), kind)
+                                for v, kind in zip(packed, suite.component_kinds))
+                if suite.retrieve(element, secret, group512, 128) == msgs[i]:
+                    opened.append(i)
+            assert opened == [s]
