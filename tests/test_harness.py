@@ -639,6 +639,17 @@ def _modules_where(predicate) -> set[str]:
     }
 
 
+def _calls(*names):
+    """AST predicate: a call of one of names, as a bare name or an attribute."""
+    def predicate(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names
+
+    return predicate
+
+
 class TestCodecTable:
     def test_table_covers_every_type(self, samples):
         assert set(harness._CODECS) == set(MsgType) == set(samples)
@@ -661,38 +672,17 @@ class TestCodecTable:
     def test_only_the_base_ot_calls_the_oracles(self):
         # every pad comes from base_ot's mask, which takes the oracle as an
         # argument: the other modules pass hash_H or hash_G along
-        def calls_oracle(node) -> bool:
-            if not isinstance(node, ast.Call):
-                return False
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            return name in ("hash_H", "hash_G")
-
-        assert _modules_where(calls_oracle) <= {"base_ot"}
+        assert _modules_where(_calls("hash_H", "hash_G")) <= {"base_ot"}
 
     def test_only_the_base_ot_calls_its_mask(self):
         # the dq and duq senders mask through base_ot.mask_messages, the one
         # loop over (message, power) pairs
-        def calls_mask(node) -> bool:
-            if not isinstance(node, ast.Call):
-                return False
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            return name == "_mask"
-
-        assert _modules_where(calls_mask) == {"base_ot"}
+        assert _modules_where(_calls("_mask")) == {"base_ot"}
 
     def test_only_paillier_and_the_laws_scale_or_add_ciphertexts(self):
         # every product of a selector entry and a plaintext is made inside
         # paillier.select; laws checks hscale and hadd directly
-        def calls_hom(node) -> bool:
-            if not isinstance(node, ast.Call):
-                return False
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            return name in ("hscale", "hadd")
-
-        assert _modules_where(calls_hom) == {"paillier", "laws"}
+        assert _modules_where(_calls("hscale", "hadd")) == {"paillier", "laws"}
 
     def test_only_groupmath_raises_element_out_of_range(self):
         # groupmath.check_elements is the one home of the [1, P) rule
