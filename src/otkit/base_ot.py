@@ -96,8 +96,9 @@ def np_gen_res(
 def _mask(
     m: ByteString, power: Power, pk: GroupParams, rng: RandomSource, oracle: Oracle
 ) -> ResponseElement:
-    """(g^y, m xor oracle(power(y))) for a fresh y."""
-    y = rand_scalar(pk, rng)
+    """(g^y, m xor oracle(power(y))) for a fresh nonzero y: y = 0 sends the
+    head 1, whose pad anyone strips."""
+    y = rand_scalar(pk, rng, nonzero=True)
     pad = oracle(elem_to_bytes(power(y), pk), 8 * len(m))
     return modexp(pk.g, y, pk), xor_bytes(pad, m)
 

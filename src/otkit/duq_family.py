@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 from .base_ot import NpResponse, ResponseElement, mask_messages, unmask_element
 from .dq_family import FinalQueryPair, query_powers, retrieval_exponent
-from .errors import (
-    AmbiguousTag,
-    KeyTooSmall,
-    NoTagMatch,
-    ShapeMismatch,
-    UsageError,
-)
+from .errors import AmbiguousTag, NoTagMatch, ShapeMismatch, UsageError
 from .groupmath import GroupParams, Scalar, rand_scalar
 from .paillier import (
     Ciphertext,
@@ -129,25 +123,15 @@ def duq_r_retrieve(
     return _tag_match(res, x, tag, pk)
 
 
-def embedding_min_bits(pk: GroupParams, sigma_bits: int, lambda_bits: int) -> int:
-    """Smallest homomorphic modulus length that fits every component."""
-    return max(pk.P.bit_length(), sigma_bits + lambda_bits) + 8
+def embedding_min_bits(p_bits: int, sigma_bits: int, lambda_bits: int) -> int:
+    """Modulus length P1's filter must exceed: its widest component (a head
+    below P, or a tagged mask) plus slack."""
+    return max(p_bits, sigma_bits + lambda_bits) + 8
 
 
-def duqmr_r_setup(
-    bits: int,
-    rng: RandomSource,
-    group: GroupParams,
-    sigma_bits: int,
-    lambda_bits: int,
-) -> tuple[PaillierPublicKey, PaillierSecretKey]:
-    """Receiver's homomorphic keypair, refused unless it can embed every
-    component of the session's group, messages and tags."""
-    needed = embedding_min_bits(group, sigma_bits, lambda_bits)
-    if bits <= needed:
-        raise KeyTooSmall(
-            f"{bits}-bit modulus cannot embed components, need > {needed}"
-        )
+def duqmr_r_setup(bits: int, rng: RandomSource) -> tuple[PaillierPublicKey, PaillierSecretKey]:
+    """Receiver's homomorphic keypair; the session engine checked its size
+    against embedding_min_bits."""
     return kgen(bits, rng)
 
 
@@ -159,8 +143,8 @@ def duqmr_t_setup(
 
 
 def _embed(component: int | ByteString, pk_j: PaillierPublicKey) -> int:
-    """A component as a plaintext; duqmr_r_setup sized the key for every
-    honest one, so one that does not fit came from the sender."""
+    """A component as a plaintext; the session engine refuses a key too small
+    for every honest one, so one that does not fit came from the sender."""
     value = (
         component
         if isinstance(component, int)

@@ -55,15 +55,10 @@ from .duq_family import (
     embedding_min_bits,
 )
 from .errors import (
-    DecodeError,
-    ProtocolError,
-    TruncatedFrame,
-    UnknownRole,
-    UnknownTag,
-    UsageError,
+    DecodeError, KeyTooSmall, ProtocolError, TruncatedFrame, UnknownRole, UnknownTag, UsageError
 )
-from .groupmath import PINNED_G, PINNED_SAFE_PRIMES, GroupParams, gen_group
-from .ot_compiler import comp_gen_query, comp_gen_res, comp_retrieve
+from .groupmath import PINNED_G, PINNED_SAFE_PRIMES, gen_group
+from .ot_compiler import comp_gen_query, comp_gen_res, comp_retrieve, compressed_min_bits
 from .paillier import kgen
 from .rng import SeededSource, SystemSource
 from .wire import Reader, encode_bytes, encode_uint
@@ -435,6 +430,8 @@ class _phase:
 # the largest message (sigma) and tag (lambda) a session takes, 1 MiB: sixteen
 # times pad-bulk's records, and a bound on what the CLI pads hex fields to
 SIGMA_MAX_BITS = 8 << 20
+# the largest Paillier key a session generates: kgen's time grows steeply past it
+PAILLIER_MAX_BITS = 4096
 
 
 def check_bits(name: str, bits: int) -> None:
@@ -478,24 +475,29 @@ def _validate(cfg: SessionConfig) -> None:
     if cfg.group_bits not in PINNED_SAFE_PRIMES and (
             cfg.group_bits is not None or cfg.protocol != "supersonic"):
         raise UsageError(f"group_bits must be one of {sorted(PINNED_SAFE_PRIMES)}")
-    if cfg.paillier_bits is not None and not 16 <= cfg.paillier_bits <= PAILLIER_MAX_BITS:
-        raise UsageError(f"paillier_bits must be at least 16, at most the "
-                         f"maximum paillier_bits of {PAILLIER_MAX_BITS}")
+    # comp-np and duq-mr embed components in Paillier plaintexts
+    embeds = cfg.protocol in ("comp-np", "duq-mr")
+    bits = _paillier_bits(cfg) if embeds else cfg.paillier_bits
+    if bits is not None and not 16 <= bits <= PAILLIER_MAX_BITS:
+        raise UsageError(f"a {bits}-bit Paillier key is under 16 bits or over "
+                         f"the maximum paillier_bits of {PAILLIER_MAX_BITS}")
+    if embeds:
+        p_bits = PINNED_SAFE_PRIMES[cfg.group_bits].bit_length()
+        needed = (compressed_min_bits(p_bits, cfg.sigma_bits) if cfg.protocol == "comp-np"
+                  else embedding_min_bits(p_bits, cfg.sigma_bits, cfg.lambda_bits))
+        if bits <= needed:
+            raise KeyTooSmall(f"a {bits}-bit Paillier key cannot embed the session's "
+                              f"components, need over {needed} bits")
 
 
-# the largest Paillier key a session generates: kgen's time grows steeply past it
-PAILLIER_MAX_BITS = 4096
-
-
-def _paillier_bits(cfg: SessionConfig, params: GroupParams) -> int:
-    bits = cfg.paillier_bits
-    if bits is None:
-        needed = embedding_min_bits(params, cfg.sigma_bits, cfg.lambda_bits)
-        bits = max(256, (needed // 64 + 2) * 64)
-    if bits > PAILLIER_MAX_BITS:  # sigma can push the derived size past it
-        raise UsageError(f"a {bits}-bit Paillier key exceeds the maximum "
-                         f"paillier_bits of {PAILLIER_MAX_BITS}")
-    return bits
+def _paillier_bits(cfg: SessionConfig) -> int:
+    """The given size, else a multiple of 64, at least 256, over duq-mr's need
+    by 65 to 128 bits: comp-np's too, lambda included, so that its
+    transcripts stay byte-identical."""
+    if cfg.paillier_bits is not None:
+        return cfg.paillier_bits
+    p_bits = PINNED_SAFE_PRIMES[cfg.group_bits].bit_length()
+    return max(256, (embedding_min_bits(p_bits, cfg.sigma_bits, cfg.lambda_bits) // 64 + 2) * 64)
 
 
 def run_session(config: SessionConfig) -> SessionTranscript:
@@ -529,11 +531,10 @@ def _run_np(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     with _phase(t, "init", Role.RECEIVER):
         params = gen_group(cfg.group_bits, rng)
         if comp:
-            pk_R, sk_R = kgen(_paillier_bits(cfg, params), rng)
+            pk_R, sk_R = kgen(_paillier_bits(cfg), rng)
     with _phase(t, "gen_query", Role.RECEIVER):
         if comp:
-            query, secret, selector = comp_gen_query(suite, params, 2, cfg.s, sk_R, rng,
-                component_bits=max(params.P.bit_length(), cfg.sigma_bits))
+            query, secret, selector = comp_gen_query(suite, params, 2, cfg.s, sk_R, rng)
         else:
             query, secret = np_gen_query(params, cfg.s, rng)
         q_rx = _hop(t, Role.RECEIVER, Role.SENDER, MsgType.NP_QUERY, query)
@@ -563,10 +564,7 @@ def _run_delegated(cfg: SessionConfig, rng, t: SessionTranscript) -> bytes:
     with _phase(t, "init", Role.RECEIVER):
         params = gen_group(cfg.group_bits, rng)
         if issuer and multi:
-            pk_j, sk_j = duqmr_r_setup(
-                _paillier_bits(cfg, params), rng, group=params,
-                sigma_bits=cfg.sigma_bits, lambda_bits=cfg.lambda_bits,
-            )
+            pk_j, sk_j = duqmr_r_setup(_paillier_bits(cfg), rng)
     if issuer and multi:
         with _phase(t, "compress_vector", Role.ISSUER):
             w = duqmr_t_setup(len(cfg.db), cfg.v, pk_j, rng)

@@ -239,7 +239,7 @@ def compiler_equivalence(params, key, trials: int, seed: int) -> tuple[int, int]
 def one_out_of_n(params, sizes, seed: int) -> int:
     """In np-ot's suite at each n in sizes and every choice s, the receiver's
     secret opens element s alone. Not for the toy group, where two of the
-    C_i, or a sender's y of 0, coincide with probability about 1/11."""
+    C_i coincide with probability about 1/11."""
     suite = np_suite()
     for k, (n, s) in enumerate((n, s) for n in sizes for s in range(n)):
         rng = SeededSource(seed + k)

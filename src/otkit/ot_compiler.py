@@ -17,10 +17,8 @@ which keeps decoding unambiguous after decryption.
 """
 
 from .base_ot import ConventionalOtSuite
-from .errors import DecodeError, EmbeddingOverflow, KeyTooSmall, ShapeMismatch
-from .paillier import (
-    Ciphertext, Key, PaillierPublicKey, PaillierSecretKey, dec, one_hot, public, select
-)
+from .errors import DecodeError, EmbeddingOverflow, ShapeMismatch
+from .paillier import Ciphertext, Key, PaillierPublicKey, PaillierSecretKey, dec, one_hot, select
 from .primitives import ByteString
 from .rng import RandomSource
 
@@ -32,6 +30,12 @@ def _component_bytes(component) -> bytes:
     if isinstance(component, int):
         return component.to_bytes((component.bit_length() + 7) // 8, "big")
     return bytes(component)
+
+
+def compressed_min_bits(p_bits: int, sigma_bits: int) -> int:
+    """Modulus length np-ot's suite must exceed: its widest component (a
+    group element, or a mask) plus header and slack."""
+    return max(p_bits, sigma_bits) + 8 * HEADER_BYTES + 8
 
 
 def embed_component(component, pk_R: PaillierPublicKey) -> int:
@@ -65,24 +69,10 @@ def unembed_component(value: int, kind: str):
 
 
 def comp_gen_query(
-    suite: ConventionalOtSuite,
-    pk_base,
-    n: int,
-    s: int,
-    key_R: Key,
-    rng: RandomSource,
-    component_bits: int | None = None,
+    suite: ConventionalOtSuite, pk_base, n: int, s: int, key_R: Key, rng: RandomSource
 ):
     """Base query plus a fresh encrypted one-hot selector at s, by CRT when
-    key_R is the receiver's secret key.
-
-    component_bits, when known at query time, is the widest component the
-    base suite will produce; the key must clear it plus header and slack.
-    """
-    if component_bits is not None:
-        needed = component_bits + 8 * HEADER_BYTES + 8
-        if public(key_R).bits() <= needed:
-            raise KeyTooSmall(f"need a modulus over {needed} bits")
+    key_R is the receiver's secret key."""
     base_query, base_secret = suite.gen_query(pk_base, s, rng, n)
     return base_query, base_secret, one_hot(key_R, n, s, rng)
 

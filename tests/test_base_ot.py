@@ -16,6 +16,7 @@ from otkit.base_ot import (
 )
 from otkit.errors import IndexOutOfRange, LengthMismatch
 from otkit.groupmath import PINNED_SAFE_PRIMES, elem_div, gen_group, modexp
+from otkit.harness import _CODECS, MsgType, SessionConfig, run_session
 from otkit.primitives import hash_H
 from otkit.rng import SeededSource
 
@@ -91,6 +92,19 @@ class TestEndToEnd:
         res = np_gen_res((m0, m1), group512, query, rng)
         # the receiver's blind unmasks element 0 only; element 1 under r is noise
         assert unmask_element(res[1], secret.r, group512, hash_H) != m1
+
+    def test_no_response_head_is_one(self):
+        # y = 0 would send the head g^0 = 1, whose pad anyone can strip; with y
+        # drawn from [0, q), 46 of these 400 heads were 1
+        _, decode = _CODECS[MsgType.RESPONSE]
+        heads = []
+        for seed in range(200):
+            cfg = SessionConfig(protocol="np-ot", group_bits=4, sigma_bits=64, seed=seed,
+                                s=0, m0=bytes(8), m1=bytes(8))
+            for e in run_session(cfg).events:
+                if e.msg_type is MsgType.RESPONSE:
+                    heads += [head for head, _ in decode(e.payload)]
+        assert len(heads) == 400 and 1 not in heads
 
     def test_length_mismatch(self, toy, rng):
         query, _ = np_gen_query(toy, 0, rng)

@@ -5,6 +5,7 @@ import ast
 import gc
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -131,6 +132,22 @@ class TestRun:
         assert time.perf_counter() - started < 2.0
         assert rc == 2
         assert "maximum paillier_bits of 4096" in capsys.readouterr().err
+
+    # refused by the engine's one size rule before any key is generated, in
+    # the same words for both protocols that embed components in Paillier plaintexts
+    def test_paillier_key_too_small(self, capsys, db_file):
+        forms = set()
+        for protocol, inputs in (("comp-np", ["--m0", "00", "--m1", "ff"]),
+                                 ("duq-mr", ["--db", db_file, "--v", "0"])):
+            started = time.perf_counter()
+            rc = main(["run", protocol, "--s", "0", "--seed", "1", "--sigma", "32",
+                       "--group-bits", "2048", "--paillier-bits", "2050", *inputs])
+            assert time.perf_counter() - started < 0.25
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "2050-bit Paillier key cannot embed" in err
+            forms.add(re.sub(r"\d+", "#", err))
+        assert len(forms) == 1
 
     # a size the protocol does not use is refused all the same, by the one
     # rule that run and bench share

@@ -20,7 +20,6 @@ from otkit.duq_family import (
 from otkit.errors import (
     AmbiguousTag,
     IndexOutOfRange,
-    KeyTooSmall,
     LengthMismatch,
     NoTagMatch,
     ShapeMismatch,
@@ -137,16 +136,12 @@ class TestTaggedTransfer:
 
 class TestEmbeddingBounds:
     def test_min_bits_formula(self, toy, group512):
-        assert embedding_min_bits(toy, 64, 64) == 136
-        assert embedding_min_bits(toy, 0, 0) == toy.P.bit_length() + 8
-        assert embedding_min_bits(group512, 64, 64) == 521
+        assert embedding_min_bits(toy.P.bit_length(), 64, 64) == 136
+        assert embedding_min_bits(toy.P.bit_length(), 0, 0) == toy.P.bit_length() + 8
+        assert embedding_min_bits(group512.P.bit_length(), 64, 64) == 521
 
-    def test_setup_rejects_small_key(self, group512, rng):
-        with pytest.raises(KeyTooSmall):
-            duqmr_r_setup(512, rng, group=group512, sigma_bits=64, lambda_bits=64)
-
-    def test_setup_sized_generates(self, toy, rng):
-        pk_j, _ = duqmr_r_setup(160, rng, group=toy, sigma_bits=64, lambda_bits=64)
+    def test_setup_sized_generates(self, rng):
+        pk_j, _ = duqmr_r_setup(160, rng)
         assert pk_j.n.bit_length() == 160
 
 
@@ -171,7 +166,7 @@ class TestCompression:
 
     def test_oversized_component_rejected(self, group512, rng):
         # a 16-bit homomorphic modulus cannot hold 513-bit group elements;
-        # duqmr_r_setup sizes the key, so at P1 only a peer can cause this
+        # the session engine refuses such a key, so at P1 only a peer can cause this
         tiny_pk, _ = kgen(16, SeededSource(5))
         db = ((b"\x01", b"\x02"),)
         final = _assemble(group512, 0, 0, 5, 6)

@@ -12,6 +12,7 @@ from otkit import cli, duq_family, errors, harness, laws, supersonic
 from otkit.base_ot import NpResponse
 from otkit.errors import (
     DecodeError,
+    KeyTooSmall,
     MalformedCiphertext,
     ProtocolError,
     TruncatedFrame,
@@ -650,6 +651,17 @@ def _calls(*names):
     return predicate
 
 
+def _raises(name):
+    """AST predicate: a raise of the exception class name."""
+    def predicate(node) -> bool:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return (exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)) == name
+
+    return predicate
+
+
 class TestCodecTable:
     def test_table_covers_every_type(self, samples):
         assert set(harness._CODECS) == set(MsgType) == set(samples)
@@ -686,14 +698,11 @@ class TestCodecTable:
 
     def test_only_groupmath_raises_element_out_of_range(self):
         # groupmath.check_elements is the one home of the [1, P) rule
-        def raises_range(node) -> bool:
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                return False
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
-            return name == "ElementOutOfRange"
+        assert _modules_where(_raises("ElementOutOfRange")) == {"groupmath"}
 
-        assert _modules_where(raises_range) == {"groupmath"}
+    def test_only_the_engine_raises_key_too_small(self):
+        # harness._validate is the one home of the Paillier size rule
+        assert _modules_where(_raises("KeyTooSmall")) == {"harness"}
 
     def test_full_width_ciphertext_keeps_its_zero_bytes(self, comp_np_key):
         # compressed ciphertexts travel at the width of n^2, not minimally
@@ -793,6 +802,61 @@ class TestValidation:
         with pytest.raises(UsageError):
             run_session(cfg)
         run_session(_config("supersonic", group_bits=None))
+
+
+def _sized(protocol, group_bits, sigma, lam, paillier_bits):
+    """A _config session at these sizes, with sigma-bit messages."""
+    cfg = _config(protocol, group_bits=group_bits, sigma_bits=sigma, lambda_bits=lam,
+                  paillier_bits=paillier_bits)
+    blank = bytes(sigma // 8)
+    if cfg.db:
+        cfg.db = ((blank, blank),) * len(cfg.db)
+    else:
+        cfg.m0 = cfg.m1 = blank
+    return cfg
+
+
+class TestKeySize:
+    """comp-np and duq-mr refuse a Paillier key at or below their embedding
+    need in harness._validate, before the session draws anything or makes a
+    group or a key."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_made(self, monkeypatch):
+        def made(*args):
+            raise AssertionError("a source, group or key was made before the size check")
+
+        for name in ("SeededSource", "SystemSource", "gen_group", "kgen"):
+            monkeypatch.setattr(harness, name, made)
+
+    @pytest.mark.parametrize("lam", [64, 128])
+    @pytest.mark.parametrize("sigma", [8, 64, 1024])
+    @pytest.mark.parametrize("group_bits", [4, 512, 1024])
+    @pytest.mark.parametrize("protocol", ["comp-np", "duq-mr"])
+    def test_smallest_accepted_key(self, protocol, group_bits, sigma, lam):
+        # the widest component (an element, or a mask; duq-mr's carries the tag)
+        # plus one slack byte; comp-np's adds its two header bytes
+        p_bits = PINNED_SAFE_PRIMES[group_bits].bit_length()
+        smallest = (max(p_bits, sigma) + 25 if protocol == "comp-np"
+                    else max(p_bits, sigma + lam) + 9)
+        with pytest.raises(KeyTooSmall, match=f"need over {smallest - 1} bits"):
+            run_session(_sized(protocol, group_bits, sigma, lam, smallest - 1))
+        harness._validate(_sized(protocol, group_bits, sigma, lam, smallest))
+        harness._validate(_sized(protocol, group_bits, sigma, lam, None))  # derived
+
+    @pytest.mark.parametrize("protocol, paillier_bits, accepted", [
+        pytest.param("duq-mr", 512, False, id="setup_rejects_small_key"),
+        pytest.param("comp-np", 512, False, id="key_size_guard"),
+        pytest.param("comp-np", 1024, True, id="key_size_guard_passes_when_wide"),
+    ])
+    def test_key_size_case(self, protocol, paillier_bits, accepted):
+        # the 512-bit group's 513-bit elements need headroom past a 512-bit modulus
+        cfg = _sized(protocol, 512, 64, 64, paillier_bits)
+        if accepted:
+            harness._validate(cfg)
+        else:
+            with pytest.raises(KeyTooSmall):
+                run_session(cfg)
 
 
 PROTOCOL_ERRORS = {

@@ -10,7 +10,6 @@ from otkit.errors import (
     DecodeError,
     EmbeddingOverflow,
     IndexOutOfRange,
-    KeyTooSmall,
     ShapeMismatch,
 )
 from otkit.harness import _CODECS, MsgType, SessionConfig, run_session
@@ -117,30 +116,6 @@ class TestCompiledSession:
     def test_choice_out_of_range(self, toy, paillier512, rng):
         with pytest.raises(IndexOutOfRange):
             comp_gen_query(np_suite(), toy, 4, 4, paillier512[0], rng)
-
-    def test_key_size_guard(self, group512, paillier512, rng):
-        # 513-bit components need headroom past a 512-bit modulus
-        with pytest.raises(KeyTooSmall):
-            comp_gen_query(
-                np_suite(),
-                group512,
-                2,
-                0,
-                paillier512[0],
-                rng,
-                component_bits=group512.P.bit_length(),
-            )
-
-    def test_key_size_guard_passes_when_wide(self, group512, paillier1024, rng):
-        comp_gen_query(
-            np_suite(),
-            group512,
-            2,
-            0,
-            paillier1024[0],
-            rng,
-            component_bits=group512.P.bit_length(),
-        )
 
     def test_selector_arity_checked(self, toy, paillier512, rng):
         suite = np_suite()

@@ -34,13 +34,13 @@ def _digest(cfg):
 
 # (protocol, group, s) -> digest of the run seeded 4000 + s
 GOLDEN_DIGESTS = {
-    ("np-ot", "toy", 0): "819304b5c01e454f26b57ef32c87b1ce3131469e77d16b194fed3b7f06987350",
+    ("np-ot", "toy", 0): "c0fa73d1e84d82325a18045012f92391156ece4e978d0afe10ba69722e642af4",
     ("np-ot", "toy", 1): "0d913814f7c44d3b43a639bdc61b31083e65794513129bc0c2ffa4467cd23406",
-    ("dq-ot", "toy", 0): "ec76e7cd630a77b579b8cdcbb5701df0bcbbc5bed3e9898795681332798e1c16",
+    ("dq-ot", "toy", 0): "cad72d9e53528b2583a4f7489b7458da34d32bca5e03103ae6e1aa3cc5a93f28",
     ("dq-ot", "toy", 1): "1c279bcdc200ae972f9a50f6140397f95741141b82e49a069abaf8be1b803f83",
     ("duq-ot", "toy", 0): "4a7479e7cf090850f07de30d31de8833858f756e64421c07ab7d188cb93d120e",
     ("duq-ot", "toy", 1): "cdefa6335befe6bb8334c22adb4caa775ab01896532740390291bfb5c2249438",
-    ("dq-mr", "toy", 0): "82962102f3d5ed036f54b7d907338f424b1974536d6140bf9e6eacc4fc69aa25",
+    ("dq-mr", "toy", 0): "a2807fc7d098645739b4e6dbc587d209a426a182d8767081ce471037ed62595a",
     ("dq-mr", "toy", 1): "bf02a8a187301d19f2642df505908c3304840221be6edcf5a2bc6a9ed79220fd",
     ("duq-mr", "toy", 0): "1b4dab239e9b823b9a7ecc40bb8151d56255d1937de7a911860f8860649b02bc",
     ("duq-mr", "toy", 1): "5cfd4d716f15d79886e83d7119fc24f8daa8d3cf0a0861c7cac635c6e5fae8af",
