@@ -26,10 +26,15 @@ exact and repeat from run to run; the times are one run's and are not.
 --micro also times the session engine's per-message steps in a fresh process
 that imports the checkout's src/otkit: building an `Envelope`, framing it
 (`encode_envelope`), parsing it (`decode_envelope`) and one `_hop` of a SUP_Q1
-bit, each the best of MICRO_REPEAT timings of MICRO_NUMBER calls, in µs per
-call, under the record's `micro` key. With --append, each keeps the lower of
-the old and the new reading, so alternating runs give each side the best over
-all of its runs.
+bit, each the best of MICRO_REPEAT timings of MICRO_NUMBER calls. In the same
+process it times the Paillier layer's kernels at a 1152-bit key, each the
+best of MICRO_REPEAT timings of its own call count (KERNEL_CALLS):
+`is_probable_prime` on a 576-bit composite that trial division lets through
+and on a multiple of 9973, `enc` under the secret and the public key,
+`select` of one duq-mr-shaped row, and `kgen(1152)` from a fixed seed. All
+are in µs per call, under the record's `micro` key. With --append, each
+keeps the lower of the old and the new reading, so alternating runs give
+each side the best over all of its runs.
 
 --diff prints each file's commit and source size, then each workload's failed
 and attempted sessions in each file, summed over its runs, then, for each
@@ -62,6 +67,16 @@ DEFAULT_SEEDS = (901, 902, 903)
 # what a run keeps of each `# protocol: ...` line, and which way is better
 PROTOCOL_FIELDS = {"sessions": "higher", "p10_ms": "lower", "median_ms": "lower"}
 MICRO_NUMBER, MICRO_REPEAT = 20000, 7
+# calls per timing of each kernel row, for about 0.1-0.5 s a timing
+KERNEL_CALLS = {
+    "numth.is_probable_prime.survivor576": 200,
+    "numth.is_probable_prime.mult9973": 5000,
+    "paillier.enc.sk1152": 50,
+    "paillier.enc.pk1152": 20,
+    "paillier.select.duq_mr_row": 20,
+    "paillier.kgen.1152": 1,
+}
+KERNEL_SEED = 1152
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -151,11 +166,48 @@ def micro_timings(number: int = MICRO_NUMBER, repeat: int = MICRO_REPEAT) -> dic
     return out
 
 
+def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict[str, float]:
+    """µs per call, best of repeat timings of each row's KERNEL_CALLS calls
+    (or of `calls` calls, when given), of the Paillier layer's kernels at a
+    1152-bit key. Only functions that every recorded version of otkit has."""
+    import math
+    import random
+
+    from otkit.numth import SMALL_PRIMES, is_probable_prime
+    from otkit.paillier import enc, kgen, one_hot, select
+    from otkit.rng import SeededSource
+
+    pk, sk = kgen(1152, SeededSource(KERNEL_SEED))
+    r = random.Random(KERNEL_SEED)
+    small = math.prod(SMALL_PRIMES)
+    survivor = next(n for n in iter(lambda: r.getrandbits(576) | 1 << 575 | 1, None)
+                    if math.gcd(n, small) == 1 and not is_probable_prime(n))
+    selector = one_hot(pk, 1, 0, SeededSource(KERNEL_SEED))
+    row = [r.getrandbits(1024), r.getrandbits(256), r.getrandbits(1024), r.getrandbits(256)]
+    rng = SeededSource(KERNEL_SEED)
+    steps = {
+        "numth.is_probable_prime.survivor576": lambda: is_probable_prime(survivor),
+        "numth.is_probable_prime.mult9973": lambda: is_probable_prime(9973 * sk.p),
+        "paillier.enc.sk1152": lambda: enc(sk, 5, rng),
+        "paillier.enc.pk1152": lambda: enc(pk, 5, rng),
+        "paillier.select.duq_mr_row": lambda: select(pk, selector, [row]),
+        "paillier.kgen.1152": lambda: kgen(1152, SeededSource(KERNEL_SEED)),
+    }
+    out = {}
+    for name, step in steps.items():
+        number = calls or KERNEL_CALLS[name]
+        best = min(timeit.timeit(step, number=number) for _ in range(repeat))
+        out[name] = best / number * 1e6
+    return out
+
+
 def micro_run(checkout: Path) -> dict[str, float]:
-    """micro_timings in a fresh process that imports the checkout's otkit."""
+    """micro_timings and kernel_timings in a fresh process that imports the
+    checkout's otkit."""
     code = (f"import json, sys; sys.path[:0] = [{str(checkout / 'src')!r}, "
             f"{str(HERE / 'scripts')!r}]; import bench_record; "
-            "print(json.dumps(bench_record.micro_timings()))")
+            "print(json.dumps({**bench_record.micro_timings(), "
+            "**bench_record.kernel_timings()}))")
     cmd = [SPEC["command"][0], "-c", code]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:

@@ -27,22 +27,28 @@ takes 3.5 ms against 21 ms for pow() and 4.7 ms for the 10-row
 one-dimensional comb (1.36x; 1.33x at 1024 bits; Python 3.11). Tables are
 built on first use and kept for the last COMB_GROUPS distinct (g, P).
 
-One other base raised to many exponents in a session gets a comb of its own,
-for that session only, when it pays: the multi-receiver senders raise b0 and
-b1 to z exponents below q each (base_powers), and paillier.select raises
-each selector ciphertext to one exponent per column mod n^2.
-comb_powers(base, modulus, exponents) decides both and builds the comb for
-the longest exponent, in the shape within COMB_ENTRIES entries that builds
-and makes them all in the fewest products: building costs about k squarings
-and v * 2^h products for k-bit exponents, and each exponent b + v * b
-products. It pays when that count is below POW_PRODUCTS_PER_BIT times the
-sum of the exponents' bit lengths, the products of one pow() per exponent;
-pow() on a short exponent is cheap while a comb evaluation costs the same
-for any. v = 1 is among the shapes, so by this count no choice costs more
-than the one-dimensional comb. One exponent never builds a table, and
-neither do exponents under SHARED_MIN_BITS bits, where interpreter overhead
-outweighs the products saved (so the toy group never does). Without a table,
-the power is pow() (modexp for a group base).
+One other base raised to several exponents in a session gets shared heads
+of its own, for that session only, when they pay: the multi-receiver
+senders raise b0 and b1 to z exponents below q each (base_powers), and
+paillier.select raises each selector ciphertext to one exponent per column
+mod n^2. shared_powers(base, modulus, exponents) decides both. It builds
+the heads base^(2^(w*i)) for the longest exponent's w-bit digits, about k
+squarings for k bits, and then makes each exponent from its own digits:
+each digit multiplies its head into one of 2^w - 1 buckets, and a running
+product joins the buckets in 2 * (2^w - 1) products (Brickell, Gordon,
+McCurley and Wilson, EUROCRYPT '92). An exponent thus costs products for
+its own length, not the longest one's. w is the width with the fewest
+products for the exponents' lengths, and the heads pay when that count is
+below POW_PRODUCTS_PER_BIT times the sum of the lengths, the products of one
+pow() per exponent. One exponent never builds heads, and neither do
+exponents under SHARED_MIN_BITS bits, where interpreter overhead outweighs
+the products saved (so the toy group never does). Without heads, the power
+is pow() (modexp for a group base). A duq-mr row at a 1152-bit key (two
+~1024-bit and two 256-bit exponents) takes 25 ms by shared heads, 28 ms by
+a per-session comb sized for the longest exponent and 45 ms by four pow()
+calls (Python 3.11, 2 cores of a shared host). The comb was faster only for
+many exponents of one length (a duq-mr sender's 32 at 1024 bits: 28 ms
+against 32 ms), so g's process-wide table is the only comb.
 """
 
 from dataclasses import dataclass
@@ -214,41 +220,80 @@ def modexp(base: GroupElement, e: Scalar, params: GroupParams) -> GroupElement:
     return powmod(base, e, params.P)
 
 
-@lru_cache
-def _cheapest_comb(bits: int, uses: int) -> tuple[tuple[int, int], int]:
-    """The (rows, blocks) comb that builds and makes `uses` exponents below
-    2^bits in the fewest products, and that count. Kept per (bits, uses):
-    the search weighs about two thousand shapes."""
-
-    def products(shape: tuple[int, int]) -> int:
-        build, each = _comb_cost(bits, *shape)
-        return build + uses * each
-
-    shape = min(_comb_shapes(bits), key=products)
-    return shape, products(shape)
+def _heads_products(lengths: list[int], width: int) -> int:
+    """Products that shared heads of `width` bits spend on exponents of these
+    bit lengths: (heads - 1) * width squarings to build the heads for the
+    longest, then per exponent one product per digit and 2 * (2^width - 1)
+    to join its buckets."""
+    digits = [-(-bits // width) for bits in lengths]
+    return (max(digits) - 1) * width + sum(digits) + len(lengths) * 2 * ((1 << width) - 1)
 
 
-def comb_powers(base: int, modulus: int, exponents: list[int]) -> Callable[[int], int] | None:
-    """e -> base^e mod modulus for these exponents, through one comb of base
-    when it pays by their own lengths, else None."""
+def _heads_width(lengths: list[int]) -> int:
+    """The digit width, below the longest length's own bit length, whose
+    shared heads make exponents of these bit lengths in the fewest products."""
+    widths = range(1, max(lengths).bit_length())
+    return min(widths, key=lambda width: _heads_products(lengths, width))
+
+
+def _heads_build(base: int, modulus: int, bits: int, width: int) -> list[int]:
+    """base^(2^(width * i)) mod modulus for every width-bit digit i of an
+    exponent below 2^bits."""
+    heads = [base % modulus]
+    for _ in range(-(-bits // width) - 1):
+        head = heads[-1]
+        for _ in range(width):
+            head = head * head % modulus
+        heads.append(head)
+    return heads
+
+
+def _heads_eval(heads: list[int], width: int, e: int, modulus: int) -> int:
+    """base^e mod modulus for 0 <= e < 2^(width * len(heads)), from base's heads.
+
+    Bucket d holds the product of the heads whose digit of e is d, so base^e
+    is the product of bucket d to the d-th power over d. From the top bucket
+    down, each bucket joins a running product and the running product joins
+    the result, so bucket d is multiplied in d times, in 2 products per
+    bucket."""
+    mask = (1 << width) - 1
+    buckets = [1] * (mask + 1)
+    for head in heads:
+        if not e:
+            break
+        digit = e & mask
+        if digit:
+            buckets[digit] = buckets[digit] * head % modulus
+        e >>= width
+    acc = run = 1
+    for bucket in reversed(buckets[1:]):
+        run = run * bucket % modulus
+        acc = acc * run % modulus
+    return acc
+
+
+def shared_powers(base: int, modulus: int, exponents: list[int]) -> Callable[[int], int] | None:
+    """e -> base^e mod modulus for these exponents, through shared heads of
+    base when they pay by the exponents' own lengths, else None."""
     if len(exponents) < 2 or min(exponents) < 0:
         return None
-    bits = max(exponents).bit_length()
+    lengths = [e.bit_length() for e in exponents]
+    bits = max(lengths)
     if bits < SHARED_MIN_BITS:
         return None
-    shape, products = _cheapest_comb(bits, len(exponents))
-    if products >= POW_PRODUCTS_PER_BIT * sum(e.bit_length() for e in exponents):
+    width = _heads_width(lengths)
+    if _heads_products(lengths, width) >= POW_PRODUCTS_PER_BIT * sum(lengths):
         return None
-    comb = _comb_build(base, modulus, bits, *shape)
-    return lambda e: _comb_eval(comb, e, modulus)
+    heads = _heads_build(base, modulus, bits, width)
+    return lambda e: _heads_eval(heads, width, e, modulus)
 
 
 def base_powers(base: GroupElement, params: GroupParams, uses: int) -> Power:
-    """e -> base^(e mod q) mod P, for about `uses` exponents: through one comb
-    of base when comb_powers says it pays for that many below q, else
-    through modexp."""
+    """e -> base^(e mod q) mod P, for about `uses` exponents: through shared
+    heads of base when shared_powers says they pay for that many below q,
+    else through modexp."""
     q = params.q
-    power = comb_powers(base, params.P, [q - 1] * uses)
+    power = shared_powers(base, params.P, [q - 1] * uses)
     if power is None:
         return lambda e: modexp(base, e, params)
     return lambda e: power(e % q)

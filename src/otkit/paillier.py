@@ -8,21 +8,25 @@ once: one_hot encrypts a selector that is 1 at one index and 0 elsewhere,
 and select, the protocols' one caller of hscale and hadd, takes its inner
 product with z rows of plaintexts, one ciphertext per column. select refuses
 a selector entry, and dec a ciphertext, outside [1, n^2) or sharing a factor
-with n. select raises entry i to the exponents of row i through one Lim-Lee
-comb of it mod n^2 when groupmath.comb_powers says that pays: duq-mr's rows
-of two ~1024-bit heads and two 256-bit bodies at a 1152-bit key take the
-comb (1.5x faster than a pow() per scaling; Python 3.11), and
-comp-np's rows of a 1032-bit and a 133-bit exponent keep pow(). The secret
-key keeps the primes p and q, and decryption works mod p^2 and q^2 apart and
-joins the halves by CRT (Paillier, EUROCRYPT '99, section 7): two
-exponentiations with half-size moduli and exponents, about 3x faster than
-the single L(c^lambda mod n^2) * mu route they agree with, so the key keeps
-neither lambda nor mu. With g = n + 1 no key constant needs an
+with n. select raises entry i to the exponents of row i through shared heads
+of it mod n^2 when groupmath.shared_powers says they pay: duq-mr's rows of
+two ~1024-bit and two 256-bit exponents at a 1152-bit key take them (25 ms
+a row against 45 ms by pow(); Python 3.11), and comp-np's rows of a
+1032-bit and a 133-bit exponent sit at the break-even point, where either
+path costs about the same.
+
+The secret key keeps the primes p and q, and decryption works mod p^2 and
+q^2 apart and joins the halves by CRT (Paillier, EUROCRYPT '99, section 7):
+two exponentiations with half-size moduli and exponents, about 3x faster
+than the single L(c^lambda mod n^2) * mu route they agree with, so the key
+keeps neither lambda nor mu. With g = n + 1 no key constant needs an
 exponentiation: (n+1)^k = 1 + kn (mod n^2), so
 h_p = L_p((n+1)^(p-1) mod p^2)^-1 = (-q)^-1 mod p, h_q likewise. The key
-holder encrypts by CRT too: enc and one_hot given the secret key raise rho
-to n mod p(p-1) mod p^2 and to n mod q(q-1) mod q^2 and join the two, the
-same rho^n mod n^2 (1.6x faster at 1024 and 1152 bits).
+holder encrypts by CRT too, with one more step: since (x + kp)^p = x^p
+(mod p^2), rho^n = (rho^q)^p = (rho^(q mod (p-1)) mod p)^p (mod p^2), so
+enc and one_hot given the secret key raise rho to a half-size exponent mod
+p, that to p mod p^2, likewise mod q^2, and join the two into the same
+rho^n mod n^2 that the public key computes.
 """
 
 import math
@@ -32,8 +36,8 @@ from typing import Callable
 from .errors import (
     IndexOutOfRange, MalformedCiphertext, PlaintextOutOfRange, ShapeMismatch
 )
-from .groupmath import comb_powers
-from .numth import PRETEST_ROUNDS, gen_prime, is_probable_prime, powmod
+from .groupmath import shared_powers
+from .numth import PRETEST_ROUNDS, certify, gen_prime, powmod
 from .rng import RandomSource
 
 
@@ -68,16 +72,23 @@ def public(key: Key) -> PaillierPublicKey:
 
 
 def kgen(bits: int, rng: RandomSource) -> tuple[PaillierPublicKey, PaillierSecretKey]:
-    """Keypair with an n of exactly the requested bit length."""
+    """Keypair with an n of exactly the requested bit length.
+
+    Both primes have exactly half the bits, so their product falls one bit
+    short with probability 2 ln 2 - 1, about 0.39, and then both are drawn
+    again. Drawing with the top two bits set would avoid that, but it would
+    change every key, and with it every comp-np and duq-mr transcript, so
+    the draw stays. Candidates are pretested with PRETEST_ROUNDS rounds, and
+    a pair is certified (numth.certify) only once it makes an n of full
+    length; a pair that fails is dropped like a short n."""
     if bits < 16:
         raise ValueError("modulus below 16 bits cannot embed anything useful")
     half = bits // 2
     while True:
         p = gen_prime(half, rng, PRETEST_ROUNDS)
         r = gen_prime(bits - half, rng, PRETEST_ROUNDS)
-        # only a kept pair is certified; one that fails is dropped like a short n
         if (p != r and (p * r).bit_length() == bits
-                and is_probable_prime(p) and is_probable_prime(r)):
+                and certify(p) and certify(r)):
             break
     n = p * r
     pk = PaillierPublicKey(n=n, n_squared=n * n)
@@ -101,10 +112,11 @@ def enc(key: Key, m: int, rng: RandomSource) -> Ciphertext:
             break
     if key is pk:
         blind = powmod(rho, pk.n, pk.n_squared)
-    else:  # the groups mod p^2 and q^2 have orders p(p-1) and q(q-1)
-        p2, q2 = key.p * key.p, key.q * key.q
-        b_p = powmod(rho, pk.n % (p2 - key.p), p2)
-        b_q = powmod(rho, pk.n % (q2 - key.q), q2)
+    else:  # (x + kp)^p = x^p mod p^2, so rho^n = (rho^q mod p)^p mod p^2
+        p, q = key.p, key.q
+        p2, q2 = p * p, q * q
+        b_p = powmod(powmod(rho, q % (p - 1), p), p, p2)
+        b_q = powmod(powmod(rho, p % (q - 1), q), q, q2)
         blind = b_q + q2 * ((b_p - b_q) * pow(q2, -1, p2) % p2)
     # (n+1)^m = 1 + n*m mod n^2, so the generator power needs no exponentiation
     return (1 + pk.n * m) % pk.n_squared * blind % pk.n_squared
@@ -158,9 +170,9 @@ def select(
     and an entry outside [1, n^2) or sharing a factor with n is a
     MalformedCiphertext, refused before any scaling.
 
-    Row i is scaled by entry i through one comb of it when comb_powers says
-    that pays, and folded into the column products in row order, so one comb
-    is alive at a time. hscale and hadd are looked up as module globals, so a
+    Row i is scaled by entry i through shared heads of it when shared_powers
+    says they pay, and folded into the column products in row order, so one
+    set of heads is alive at a time. hscale and hadd are looked up as module globals, so a
     tracer that rebinds them counts every call."""
     if not rows or len(rows) != len(selector):
         raise ShapeMismatch(f"{len(rows)} rows against {len(selector)} selector entries")
@@ -168,7 +180,7 @@ def select(
         raise MalformedCiphertext("selector entry outside [1, n^2) or not invertible mod n")
     columns = None
     for c, row in zip(selector, rows):
-        power = comb_powers(c, pk.n_squared, row)
+        power = shared_powers(c, pk.n_squared, row)
         terms = [hscale(pk, c, k, power) for k in row]
         columns = terms if columns is None else [
             hadd(pk, acc, term) for acc, term in zip(columns, terms)

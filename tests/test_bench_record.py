@@ -265,6 +265,19 @@ def test_micro_timings_cover_each_step_of_a_hop():
     assert all(0 < us < 1e4 for us in timings.values())
 
 
+def test_kernel_timings_cover_each_changed_kernel():
+    timings = bench_record.kernel_timings(repeat=1, calls=1)
+    assert list(timings) == list(bench_record.KERNEL_CALLS) == [
+        "numth.is_probable_prime.survivor576", "numth.is_probable_prime.mult9973",
+        "paillier.enc.sk1152", "paillier.enc.pk1152", "paillier.select.duq_mr_row",
+        "paillier.kgen.1152",
+    ]
+    assert all(0 < us < 1e8 for us in timings.values())
+    # each row keeps its own call count; the engine rows stay at MICRO_NUMBER
+    assert bench_record.KERNEL_CALLS["paillier.kgen.1152"] == 1
+    assert bench_record.MICRO_NUMBER == 20000
+
+
 def test_micro_keeps_the_best_reading_and_diff_prints_it(tmp_path, monkeypatch, capsys):
     readings = iter([
         {"harness.Envelope": 1.5, "harness._hop.SUP_Q1": 4.0},

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import math
 import random
 from pathlib import Path
 
@@ -251,13 +252,27 @@ class TestFixedBase:
 
 USES = (1, 2, 4, 32)
 
-# (bits of q, uses) -> (rows, blocks) of the shared-base table; None means modexp
-SHARED_SHAPES = {
+# (bits of q, uses) -> digit width of the shared heads; None means modexp
+SHARED_WIDTHS = {
     (4, 1): None, (4, 2): None, (4, 4): None, (4, 32): None,
-    (512, 1): None, (512, 2): (6, 1), (512, 4): (6, 2), (512, 32): (7, 5),
-    (1024, 1): None, (1024, 2): (6, 2), (1024, 4): (6, 3), (1024, 32): (8, 4),
-    (2048, 1): None, (2048, 2): (6, 2), (2048, 4): (7, 3), (2048, 32): (9, 4),
+    (512, 1): None, (512, 2): 4, (512, 4): 4, (512, 32): 4,
+    (1024, 1): None, (1024, 2): 5, (1024, 4): 5, (1024, 32): 5,
+    (2048, 1): None, (2048, 2): 6, (2048, 4): 6, (2048, 32): 6,
 }
+
+
+def _head_seam_powers(base, modulus, bits, width):
+    """{e: base^e mod modulus} for the exponents below 2^bits at every seam
+    between two heads of the given digit width, and one either side. Each
+    head's power comes from the one before by pow(), so no seam needs a
+    pow() of its own length; base must be invertible."""
+    out, top, inverse = {}, base, pow(base, -1, modulus)
+    for i in range(1, -(-bits // width)):
+        top = pow(top, 1 << width, modulus)
+        for d, factor in ((-1, inverse), (0, 1), (1, base)):
+            if (e := (1 << (width * i)) + d) < 1 << bits:
+                out[e] = top * factor % modulus
+    return out
 
 
 @pytest.fixture(scope="module", params=["toy", 512, 1024, 2048])
@@ -280,48 +295,69 @@ class TestSharedBase:
         ]
         expected = {}  # the pow() oracle, once per exponent
         for uses in USES:
-            shape = SHARED_SHAPES[(bits, uses)]
-            seams = _seams(*shape, groupmath._comb_width(bits, *shape)) if shape else []
+            width = SHARED_WIDTHS[(bits, uses)]
+            # base = C has order q, so base^e = base^(e mod q) at a seam too
+            seams = _head_seam_powers(base, P, bits, width) if width else {}
+            expected.update(seams)
             power = base_powers(base, shared_group, uses)
-            for e in common + seams:
+            for e in common + list(seams):
                 if e not in expected:
                     expected[e] = pow(base, e % q, P)
                 assert power(e) == expected[e], (uses, e)
 
     def test_pinned_paths(self, shared_group, monkeypatch):
         built = []
-        build = groupmath._comb_build
+        build = groupmath._heads_build
         monkeypatch.setattr(
-            groupmath, "_comb_build", lambda *args: built.append(args[3:]) or build(*args)
+            groupmath, "_heads_build", lambda *args: built.append(args[2:]) or build(*args)
         )
         bits = shared_group.q.bit_length()
         for uses in USES:
             built.clear()
             base_powers(shared_group.C, shared_group, uses)
-            shape = SHARED_SHAPES[(bits, uses)]
-            assert built == ([shape] if shape else [])
-            if shape:
-                assert groupmath._cheapest_comb(bits, uses)[0] == shape
+            width = SHARED_WIDTHS[(bits, uses)]
+            assert built == ([(bits, width)] if width else [])
 
     def test_entry_cap_and_single_use(self):
         for bits in (4, 64, 511, 512, 1024, 2048, 4096, 8192):
             top = (1 << bits) - 1
-            assert groupmath.comb_powers(3, top + 2, [top]) is None
+            assert groupmath.shared_powers(3, top + 2, [top]) is None
             for uses in (2, 3, 8, 100, 10_000):
-                shape, products = groupmath._cheapest_comb(bits, uses)
-                rows, blocks = shape
-                assert 1 <= rows and 1 <= blocks and blocks << rows <= COMB_ENTRIES
-
-                def cost(rows, blocks):
-                    build, each = groupmath._comb_cost(bits, rows, blocks)
-                    return build + uses * each
-
-                # one block stays in the search, so no table costs more than a 1-D one
-                assert products == cost(*shape) <= min(
-                    cost(r, 1) for r in range(1, COMB_ENTRIES.bit_length())
-                )
+                for lengths in ([bits] * uses, [bits] + [bits // 4 + 1] * (uses - 1)):
+                    width = groupmath._heads_width(lengths)
+                    # at most 2^width - 1 buckets, fewer than the exponent has bits
+                    assert 1 <= width and 1 << width <= bits
+                    assert groupmath._heads_products(lengths, width) == min(
+                        groupmath._heads_products(lengths, w)
+                        for w in range(1, bits.bit_length())
+                    )
             if bits < groupmath.SHARED_MIN_BITS:
-                assert groupmath.comb_powers(3, top + 2, [top] * 8) is None
+                assert groupmath.shared_powers(3, top + 2, [top] * 8) is None
+
+    @pytest.mark.parametrize("bits", [512, 640, 1024, 1152, 2048])
+    def test_heads_match_pow_at_every_seam(self, bits):
+        # exponents up to n - 1 for an odd n of `bits` bits, taken mod n: the
+        # seams depend on the exponents' digits, not on the modulus
+        r = random.Random(bits)
+        n = r.getrandbits(bits) | 1 << (bits - 1) | 1
+        base = next(b for b in iter(lambda: r.randrange(2, n), None) if math.gcd(b, n) == 1)
+        quarter = lambda: r.getrandbits(bits // 4)  # noqa: E731
+        rows = [  # mixed lengths, each through the heads its lengths pick
+            [n - 1, n - 1, 0, 1],
+            [n - 1, quarter(), n - 1, quarter()],
+            [quarter(), n - 1, 1, r.randrange(n), 1 << (bits - 1)],
+        ]
+        for row in rows:
+            power = groupmath.shared_powers(base, n, row)
+            assert power is not None, row
+            assert [power(e) for e in row] == [pow(base, e, n) for e in row]
+        width = groupmath._heads_width([bits] * 4)
+        heads = groupmath._heads_build(base, n, bits, width)
+        assert len(heads) == -(-bits // width)
+        for e in (0, 1, n - 1, (1 << bits) - 1):
+            assert groupmath._heads_eval(heads, width, e, n) == pow(base, e, n)
+        for e, expected in _head_seam_powers(base, n, bits, width).items():
+            assert groupmath._heads_eval(heads, width, e, n) == expected, e
 
     @pytest.mark.parametrize("protocol", ["dq-mr", "duq-mr"])
     @pytest.mark.parametrize("z", [1, 4])
@@ -336,12 +372,12 @@ class TestSharedBase:
             return hashlib.sha256(export_transcript(t).encode()).hexdigest()
 
         shared = digest()
-        monkeypatch.setattr(groupmath, "comb_powers", lambda base, modulus, exponents: None)
+        monkeypatch.setattr(groupmath, "shared_powers", lambda base, modulus, exponents: None)
         assert digest() == shared
 
     def test_one_comb_policy(self):
-        # _comb_table builds g's comb and comb_powers every other one, so no
-        # second rule for when a comb pays can come back beside them
+        # _comb_table builds g's comb and shared_powers every other base's
+        # heads, so no second rule for when a table pays can come back
         def names(tree):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
@@ -351,21 +387,25 @@ class TestSharedBase:
                 elif isinstance(node, ast.alias):
                     yield node.name
 
-        comb_names = {"_comb_build", "_comb_eval"}
+        table_names = {"_comb_build", "_comb_eval", "_heads_build", "_heads_eval"}
         source = Path(groupmath.__file__)
         namers = {
             path.stem
             for path in source.parent.glob("*.py")
-            if comb_names & set(names(ast.parse(path.read_text())))
+            if table_names & set(names(ast.parse(path.read_text())))
         }
         assert namers == {"groupmath"}
-        builders = {
-            getattr(top, "name", None)
-            for top in ast.parse(source.read_text()).body
-            for node in ast.walk(top)
-            if isinstance(node, ast.Call) and "_comb_build" in names(node.func)
-        }
-        assert builders == {"_comb_table", "comb_powers"}
+
+        def callers(name):
+            return {
+                getattr(top, "name", None)
+                for top in ast.parse(source.read_text()).body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and name in names(node.func)
+            }
+
+        assert callers("_comb_build") == {"_comb_table"}
+        assert callers("_heads_build") == {"shared_powers"}
 
 
 class TestSerialization:

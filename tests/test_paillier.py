@@ -71,14 +71,17 @@ class TestDeferredCertification:
     def test_a_pair_that_fails_certification_is_dropped(self, monkeypatch):
         # the pretest admits the first composite it sees; seed 1 pairs it
         # with a prime into an n of full length, so only certification stops it
+        # certification resumes at round PRETEST_ROUNDS of the same test
         backend, admitted, refused = numth._miller_rabin, [], []
 
-        def lenient(n, rounds):
-            prime = backend(n, rounds)
+        def lenient(n, rounds, start=0):
+            prime = backend(n, rounds, start)
             if rounds == numth.PRETEST_ROUNDS and not prime and not admitted:
+                assert start == 0
                 admitted.append(n)
                 return True
             if rounds == numth.MR_ROUNDS and not prime:
+                assert start == numth.PRETEST_ROUNDS
                 refused.append(n)
             return prime
 
@@ -259,6 +262,17 @@ def _reference(pk, selector, rows):
     )
 
 
+class _Blind:
+    """A random source whose every draw below a bound is rho - 1, so enc
+    blinds with rho."""
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def randbelow(self, bound):
+        return self.rho - 1
+
+
 class TestCrtEncryption:
     """The key holder's enc raises rho to n mod p^2 and mod q^2 and joins
     the two: the ciphertext the public key gives, from the same draws."""
@@ -270,19 +284,27 @@ class TestCrtEncryption:
             assert enc(sk, m, rng) == enc(pk, m, pk_rng)
             assert rng.randbytes(16) == pk_rng.randbytes(16)
         assert one_hot(sk, 3, 1, SeededSource(4)) == one_hot(pk, 3, 1, SeededSource(4))
+        n, n_sq = pk.n, pk.n_squared
+        for rho in (1, 2, n - 1):
+            for m in (0, 1, n - 1):
+                expected = (1 + n * m) * pow(rho, n, n_sq) % n_sq
+                assert enc(sk, m, _Blind(rho)) == enc(pk, m, _Blind(rho)) == expected
 
     def test_powers_are_half_size(self, select_key, monkeypatch):
+        # each half raises rho to q mod p - 1 mod p, then that to p mod p^2
         pk, sk = select_key
-        moduli = []
+        p, q = sk.p, sk.q
+        calls = []
         monkeypatch.setattr(paillier, "powmod",
-                            lambda *args: moduli.append(args[2]) or pow(*args))
+                            lambda *args: calls.append(args[1:]) or pow(*args))
         enc(sk, 5, SeededSource(6))
-        assert moduli == [sk.p ** 2, sk.q ** 2]
+        assert calls == [(q % (p - 1), p), (p, p * p), (p % (q - 1), q), (q, q * q)]
+        assert max(e.bit_length() for e, _ in calls) <= (pk.bits() + 1) // 2
 
 
 class TestSelectComb:
-    """select scales a selector entry through one comb of it mod n^2 when
-    that pays; its ciphertexts must equal pow() and products exactly."""
+    """select scales a selector entry through shared heads of it mod n^2
+    when they pay; its ciphertexts must equal pow() and products exactly."""
 
     def test_edges_and_mixed_rows(self, select_key, rng):
         pk, _ = select_key
@@ -299,38 +321,45 @@ class TestSelectComb:
         assert select(pk, selector, rows) == _reference(pk, selector, rows)
 
     def test_comb_seams(self, select_key, rng, monkeypatch):
-        # each row holds one seam exponent beside n - 1 twice and 1, so its
-        # comb is the one for 4 exponents of n - 1's length
+        # each row holds n - 1 twice, 1, and one exponent at a seam between
+        # two heads of the width that the row's lengths pick, so its heads
+        # are the ones for n - 1's length at that width. The first two and
+        # last two seams of each width and three between (every seam is in
+        # test_groupmath's TestSharedBase, mod n)
         pk, _ = select_key
         n, n_sq = pk.n, pk.n_squared
         bits = (n - 1).bit_length()
         built = []
-        build = groupmath._comb_build
+        build = groupmath._heads_build
         monkeypatch.setattr(
-            groupmath, "_comb_build", lambda *args: built.append(args[3:]) or build(*args)
+            groupmath, "_heads_build", lambda *args: built.append(args[2:]) or build(*args)
         )
         seams = []
-        shape = None
         if bits >= groupmath.SHARED_MIN_BITS:
-            shape = groupmath._cheapest_comb(bits, 4)[0]
-            width = groupmath._comb_width(bits, *shape)
-            seams = [
-                e for t in range(1, shape[0] * shape[1]) for d in (-1, 0, 1)
-                if (e := (1 << (t * width)) + d) < 1 << bits
-            ]
+            for width in range(1, bits.bit_length()):
+                last = -(-bits // width) - 1
+                seams += [
+                    (e, width)
+                    for i in sorted({1, 2, last // 4, last // 2, 3 * last // 4, last - 1, last})
+                    for d in (-1, 0, 1)
+                    if (e := (1 << (i * width)) + d) < 1 << bits
+                    and groupmath._heads_width([e.bit_length(), bits, bits, 1]) == width
+                ]
+            assert seams
         c = enc(pk, n // 3, rng)
         top = pow(c, n - 1, n_sq)
-        for e in seams:
+        for e, _ in seams:
             assert select(pk, (c,), [[e, n - 1, n - 1, 1]]) == (pow(c, e, n_sq), top, top, c)
-        assert built == [shape] * len(seams)
+        assert built == [(bits, width) for _, width in seams]
 
 
 class TestSelectPowers:
     """Which scalings of one select at 1152 bits call powmod: none of a
     duq-mr-shaped selection (two ~1024-bit heads and two 256-bit bodies per
-    row), all four of a comp-np-shaped one (1032- and 133-bit exponents,
-    two uses per entry), whose comb would cost more than pow() on those
-    lengths."""
+    row), nor of a comp-np-shaped one (1032- and 133-bit exponents, two uses
+    per entry), whose shared heads count 1380 products against 1398 for
+    pow() on those lengths; all four when the short exponent is 16 bits,
+    where the heads would count 1350 against 1258."""
 
     def test_powmod_calls(self, monkeypatch):
         pk, _ = _key(1152)
@@ -345,4 +374,8 @@ class TestSelectPowers:
         assert len(calls) == 0
         calls.clear()
         assert select(pk, comp_sel, comp_rows) == _reference(pk, comp_sel, comp_rows)
+        assert len(calls) == 0
+        assert groupmath._heads_products([1032, 133], 4) == 1380
+        short_rows = [[r.getrandbits(1032), r.getrandbits(16)] for _ in comp_sel]
+        assert select(pk, comp_sel, short_rows) == _reference(pk, comp_sel, short_rows)
         assert len(calls) == 4
