@@ -8,10 +8,13 @@ Recording runs BENCHMARK.json's command once per workload and seed, for its
 run_seconds, each in a fresh process in the checkout (this one unless
 --checkout names another), and writes BENCH_<tag>.json beside
 BENCHMARK.json. The file holds every run's end-to-end metrics, their median
-and quartiles per workload, the interpreter's version, the checkout's git
-commit (with `dirty` set when src/ or perfbench/ differ from it), and the
-line and byte counts of its src/otkit/*.py: the pad workloads' `setup_s`
-follows the size of the source that each benchmark process byte-compiles.
+and quartiles per workload, the interpreter's version, its OpenSSL version
+(`ssl.OPENSSL_VERSION`), the exponentiation kernel that the checkout's
+`numth.powmod` runs on (`numth.kernel()`: "libcrypto" or "pow"; "pow" for a
+checkout that predates it), the checkout's git commit (with `dirty` set
+when src/ or perfbench/ differ from it), and the line and byte counts of
+its src/otkit/*.py: the pad workloads' `setup_s` follows the size of the
+source that each benchmark process byte-compiles.
 Each run also keeps, under `protocols`, every protocol's sessions, p10_ms
 and median_ms from the `# protocol: ...` lines the command prints before its
 result: `session_ms` is a geometric mean over a workload's protocols, and
@@ -31,12 +34,16 @@ process it times the Paillier layer's kernels at a 1152-bit key, each the
 best of MICRO_REPEAT timings of its own call count (KERNEL_CALLS):
 `is_probable_prime` on a 576-bit composite that trial division lets through
 and on a multiple of 9973, `enc` under the secret and the public key,
-`select` of one duq-mr-shaped row, and `kgen(1152)` from a fixed seed. All
-are in µs per call, under the record's `micro` key. With --append, each
+`select` of one duq-mr-shaped row, `kgen(1152)` from a fixed seed, and
+`numth.powmod` at three shapes (modulus/exponent bits): 2048/2047, a power
+of the 2048-bit group; 2304/1152, rho^n mod n^2 at the 1152-bit key; and
+576/575, one Miller-Rabin round on one of its primes. All are in µs per
+call, under the record's `micro` key. With --append, each
 keeps the lower of the old and the new reading, so alternating runs give
 each side the best over all of its runs.
 
---diff prints each file's commit and source size, then each workload's failed
+--diff prints each file's commit and source size, then both files' kernel
+and OpenSSL version ("?" for a record made before they were kept), then each workload's failed
 and attempted sessions in each file, summed over its runs, then, for each
 workload and metric in both files, both medians, their ratio B/A, A's
 interquartile range, and the pair wins: the seeds present in both where B's
@@ -75,6 +82,9 @@ KERNEL_CALLS = {
     "paillier.enc.pk1152": 20,
     "paillier.select.duq_mr_row": 20,
     "paillier.kgen.1152": 1,
+    "numth.powmod.2048_2047": 20,
+    "numth.powmod.2304_1152": 20,
+    "numth.powmod.576_575": 200,
 }
 KERNEL_SEED = 1152
 
@@ -91,13 +101,19 @@ def source_size(checkout: Path) -> tuple[int, int]:
 
 
 def environment(checkout: Path) -> dict:
-    """Interpreter, git commit and source size that a record's runs share."""
-    probe = "import platform; print(platform.python_version())"
-    python = subprocess.run([SPEC["command"][0], "-c", probe], capture_output=True,
-                            text=True, check=True).stdout.strip()
+    """Interpreter, OpenSSL, exponentiation kernel, git commit and source
+    size that a record's runs share."""
+    probe = (f"import json, platform, ssl, sys; sys.path.insert(0, {str(checkout / 'src')!r}); "
+             "from otkit import numth; print(json.dumps([platform.python_version(), "
+             "ssl.OPENSSL_VERSION, getattr(numth, 'kernel', lambda: 'pow')()]))")
+    python, openssl, kernel = json.loads(subprocess.run(
+        [SPEC["command"][0], "-c", probe], capture_output=True, text=True, check=True
+    ).stdout.splitlines()[-1])
     lines, size = source_size(checkout)
     return {
         "python": python,
+        "openssl": openssl,
+        "kernel": kernel,
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
         "src_lines": lines,
@@ -169,11 +185,12 @@ def micro_timings(number: int = MICRO_NUMBER, repeat: int = MICRO_REPEAT) -> dic
 def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict[str, float]:
     """µs per call, best of repeat timings of each row's KERNEL_CALLS calls
     (or of `calls` calls, when given), of the Paillier layer's kernels at a
-    1152-bit key. Only functions that every recorded version of otkit has."""
+    1152-bit key and of numth.powmod at three shapes. Only functions that
+    every recorded version of otkit has."""
     import math
     import random
 
-    from otkit.numth import SMALL_PRIMES, is_probable_prime
+    from otkit.numth import SMALL_PRIMES, is_probable_prime, powmod
     from otkit.paillier import enc, kgen, one_hot, select
     from otkit.rng import SeededSource
 
@@ -185,6 +202,10 @@ def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict
     selector = one_hot(pk, 1, 0, SeededSource(KERNEL_SEED))
     row = [r.getrandbits(1024), r.getrandbits(256), r.getrandbits(1024), r.getrandbits(256)]
     rng = SeededSource(KERNEL_SEED)
+    m2048 = r.getrandbits(2047) | 1 << 2047 | 1
+    g2048, e2048 = r.randrange(m2048), r.getrandbits(2046) | 1 << 2046
+    rho = r.randrange(pk.n)
+    a576, d576 = r.randrange(2, sk.p - 1), (sk.p - 1) >> 1
     steps = {
         "numth.is_probable_prime.survivor576": lambda: is_probable_prime(survivor),
         "numth.is_probable_prime.mult9973": lambda: is_probable_prime(9973 * sk.p),
@@ -192,6 +213,9 @@ def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict
         "paillier.enc.pk1152": lambda: enc(pk, 5, rng),
         "paillier.select.duq_mr_row": lambda: select(pk, selector, [row]),
         "paillier.kgen.1152": lambda: kgen(1152, SeededSource(KERNEL_SEED)),
+        "numth.powmod.2048_2047": lambda: powmod(g2048, e2048, m2048),
+        "numth.powmod.2304_1152": lambda: powmod(rho, pk.n, pk.n_squared),
+        "numth.powmod.576_575": lambda: powmod(a576, d576, sk.p),
     }
     out = {}
     for name, step in steps.items():
@@ -319,6 +343,9 @@ def print_diff(path_a: Path, path_b: Path) -> None:
         print(f"{name} = {path} ({rec['commit'][:12]}{'+' if rec['dirty'] else ''}; "
               f"src/otkit {rec.get('src_lines', '?')} lines, "
               f"{rec.get('src_bytes', '?')} bytes)")
+    print(f"{'kernel':<12} " + "  ".join(
+        f"{name} {rec.get('kernel', '?')} ({rec.get('openssl', '?')})"
+        for name, rec in (("A", a), ("B", b))))
     fa, fb = failures(a), failures(b)
     for workload in {**fa, **fb}:
         shown = ["/".join(map(str, f[workload])) if workload in f else "-"
@@ -358,7 +385,7 @@ def record(args) -> None:
     if args.append and out.exists():
         old = json.loads(out.read_text())
         if {k: old.get(k) for k in env} != env:
-            raise SystemExit(f"{out} was recorded from another checkout or interpreter")
+            raise SystemExit(f"{out} was recorded from another checkout, interpreter or kernel")
         runs, traced, traced_ms = old["runs"], old.get("traced", {}), old.get("traced_ms", {})
         micro = old.get("micro", {})
     if args.micro:

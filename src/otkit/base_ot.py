@@ -26,9 +26,7 @@ from .errors import IndexOutOfRange, LengthMismatch, ShapeMismatch
 from .groupmath import (
     GroupElement,
     GroupParams,
-    Power,
     Scalar,
-    base_powers,
     check_elements,
     elem_div,
     elem_to_bytes,
@@ -90,29 +88,29 @@ def np_gen_res(
     under C_i / b0."""
     check_elements(pk, query)
     bases = [query] + [elem_div(public_element(pk, i), query, pk) for i in range(1, len(msgs))]
-    return mask_messages(msgs, [base_powers(b, pk, 1) for b in bases], pk, rng, hash_H)
+    return mask_messages(msgs, bases, pk, rng, hash_H)
 
 
 def _mask(
-    m: ByteString, power: Power, pk: GroupParams, rng: RandomSource, oracle: Oracle
+    m: ByteString, base: GroupElement, pk: GroupParams, rng: RandomSource, oracle: Oracle
 ) -> ResponseElement:
-    """(g^y, m xor oracle(power(y))) for a fresh nonzero y: y = 0 sends the
+    """(g^y, m xor oracle(base^y)) for a fresh nonzero y: y = 0 sends the
     head 1, whose pad anyone strips."""
     y = rand_scalar(pk, rng, nonzero=True)
-    pad = oracle(elem_to_bytes(power(y), pk), 8 * len(m))
+    pad = oracle(elem_to_bytes(modexp(base, y, pk), pk), 8 * len(m))
     return modexp(pk.g, y, pk), xor_bytes(pad, m)
 
 
 def mask_messages(
-    msgs: Sequence[ByteString], powers: Sequence[Power], pk: GroupParams,
+    msgs: Sequence[ByteString], bases: Sequence[GroupElement], pk: GroupParams,
     rng: RandomSource, oracle: Oracle,
 ) -> tuple[ResponseElement, ...]:
-    """Mask msgs[i] against powers[i], in order, each under a fresh y. The
-    caller vouches for the powers: np_gen_res builds them from the public
-    elements, the dq and duq senders from a pair multiplying to C."""
+    """Mask msgs[i] against bases[i], in order, each under a fresh y. The
+    caller vouches for the bases: np_gen_res derives them from the public
+    elements, the dq and duq senders take a pair multiplying to C."""
     if len({len(m) for m in msgs}) > 1:
         raise LengthMismatch("messages must share the session length")
-    return tuple(_mask(m, power, pk, rng, oracle) for m, power in zip(msgs, powers, strict=True))
+    return tuple(_mask(m, base, pk, rng, oracle) for m, base in zip(msgs, bases, strict=True))
 
 
 def unmask_element(

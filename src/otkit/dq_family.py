@@ -20,9 +20,7 @@ from .errors import ConsistencyAbort, IndexOutOfRange, ShapeMismatch
 from .groupmath import (
     GroupElement,
     GroupParams,
-    Power,
     Scalar,
-    base_powers,
     check_elements,
     elem_div,
     elem_mul,
@@ -88,25 +86,16 @@ def check_consistency(query: FinalQueryPair, pk: GroupParams) -> None:
         raise ConsistencyAbort("query pair does not multiply to C")
 
 
-def query_powers(
-    query: FinalQueryPair, pk: GroupParams, uses: int
-) -> tuple[Power, Power]:
-    """Power functions of b0 and b1, each for `uses` exponents; abort unless
-    the pair passes check_consistency."""
-    check_consistency(query, pk)
-    return base_powers(query.b0, pk, uses), base_powers(query.b1, pk, uses)
-
-
 def dqmr_s_gen_res_multi(
     db: tuple[tuple[ByteString, ByteString], ...],
     pk: GroupParams,
     query: FinalQueryPair,
     rng: RandomSource,
 ) -> list[NpResponse]:
-    """One independent response pair per database entry, all against one
-    pair of power functions built for z = len(db) exponents each."""
-    powers = query_powers(query, pk, len(db))
-    return [NpResponse(*mask_messages((m0, m1), powers, pk, rng, hash_H)) for m0, m1 in db]
+    """One independent response pair per database entry, each masked
+    against b0 and b1 of a pair that passes check_consistency."""
+    check_consistency(query, pk)
+    return [NpResponse(*mask_messages((m0, m1), query, pk, rng, hash_H)) for m0, m1 in db]
 
 
 def dq_s_gen_res(

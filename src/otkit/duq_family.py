@@ -20,7 +20,7 @@ so the receiver gets four ciphertexts regardless of the database size.
 from dataclasses import dataclass
 
 from .base_ot import NpResponse, ResponseElement, mask_messages, unmask_element
-from .dq_family import FinalQueryPair, query_powers, retrieval_exponent
+from .dq_family import FinalQueryPair, check_consistency, retrieval_exponent
 from .errors import AmbiguousTag, NoTagMatch, ShapeMismatch, UsageError
 from .groupmath import GroupParams, Scalar, rand_scalar
 from .paillier import (
@@ -79,12 +79,12 @@ def duqmr_s_gen_res_multi(
     tag: ByteString,
     rng: RandomSource,
 ) -> list[NpResponse]:
-    """One independently masked and permuted tagged pair per entry, all
-    against one pair of power functions built for z = len(db) exponents each."""
-    powers = query_powers(query, pk, len(db))
+    """One independently masked and permuted tagged pair per entry, each
+    against b0 and b1 of a pair that passes check_consistency."""
+    check_consistency(query, pk)
     responses = []
     for m0, m1 in db:
-        pair = mask_messages((m0 + tag, m1 + tag), powers, pk, rng, hash_G)
+        pair = mask_messages((m0 + tag, m1 + tag), query, pk, rng, hash_G)
         responses.append(NpResponse(*random_permute_pair(pair, rng)))
     return responses
 

@@ -8,12 +8,10 @@ once: one_hot encrypts a selector that is 1 at one index and 0 elsewhere,
 and select, the protocols' one caller of hscale and hadd, takes its inner
 product with z rows of plaintexts, one ciphertext per column. select refuses
 a selector entry, and dec a ciphertext, outside [1, n^2) or sharing a factor
-with n. select raises entry i to the exponents of row i through shared heads
-of it mod n^2 when groupmath.shared_powers says they pay: duq-mr's rows of
-two ~1024-bit and two 256-bit exponents at a 1152-bit key take them (25 ms
-a row against 45 ms by pow(); Python 3.11), and comp-np's rows of a
-1032-bit and a 133-bit exponent sit at the break-even point, where either
-path costs about the same.
+with n. Every power is one numth.powmod call, libcrypto's BN_mod_exp where
+it loads: select scales entry i by each exponent of row i with hscale, so a
+duq-mr row at a 1152-bit key (two ~1024-bit and two 256-bit exponents mod
+n^2) is four kernel calls, about 4.3 ms.
 
 The secret key keeps the primes p and q, and decryption works mod p^2 and
 q^2 apart and joins the halves by CRT (Paillier, EUROCRYPT '99, section 7):
@@ -31,12 +29,10 @@ rho^n mod n^2 that the public key computes.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import (
     IndexOutOfRange, MalformedCiphertext, PlaintextOutOfRange, ShapeMismatch
 )
-from .groupmath import shared_powers
 from .numth import PRETEST_ROUNDS, certify, gen_prime, powmod
 from .rng import RandomSource
 
@@ -144,12 +140,9 @@ def hadd(pk: PaillierPublicKey, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     return c1 * c2 % pk.n_squared
 
 
-def hscale(
-    pk: PaillierPublicKey, c: Ciphertext, k: int, power: Callable[[int], int] | None = None
-) -> Ciphertext:
-    """Ciphertext of m * k mod n: c^k mod n^2, by power (e -> c^e mod n^2)
-    when given, else by powmod."""
-    return power(k) if power else powmod(c, k, pk.n_squared)
+def hscale(pk: PaillierPublicKey, c: Ciphertext, k: int) -> Ciphertext:
+    """Ciphertext of m * k mod n: c^k mod n^2."""
+    return powmod(c, k, pk.n_squared)
 
 
 def one_hot(
@@ -170,18 +163,16 @@ def select(
     and an entry outside [1, n^2) or sharing a factor with n is a
     MalformedCiphertext, refused before any scaling.
 
-    Row i is scaled by entry i through shared heads of it when shared_powers
-    says they pay, and folded into the column products in row order, so one
-    set of heads is alive at a time. hscale and hadd are looked up as module globals, so a
-    tracer that rebinds them counts every call."""
+    Row i is scaled by entry i, one hscale per exponent, and folded into
+    the column products in row order. hscale and hadd are looked up as
+    module globals, so a tracer that rebinds them counts every call."""
     if not rows or len(rows) != len(selector):
         raise ShapeMismatch(f"{len(rows)} rows against {len(selector)} selector entries")
     if not all(_is_ciphertext(pk, c) for c in selector):
         raise MalformedCiphertext("selector entry outside [1, n^2) or not invertible mod n")
     columns = None
     for c, row in zip(selector, rows):
-        power = shared_powers(c, pk.n_squared, row)
-        terms = [hscale(pk, c, k, power) for k in row]
+        terms = [hscale(pk, c, k) for k in row]
         columns = terms if columns is None else [
             hadd(pk, acc, term) for acc, term in zip(columns, terms)
         ]

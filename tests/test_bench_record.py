@@ -2,9 +2,12 @@
 
 import importlib.util
 import json
+import ssl
 from pathlib import Path
 
 import pytest
+
+from otkit import numth
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
@@ -270,7 +273,8 @@ def test_kernel_timings_cover_each_changed_kernel():
     assert list(timings) == list(bench_record.KERNEL_CALLS) == [
         "numth.is_probable_prime.survivor576", "numth.is_probable_prime.mult9973",
         "paillier.enc.sk1152", "paillier.enc.pk1152", "paillier.select.duq_mr_row",
-        "paillier.kgen.1152",
+        "paillier.kgen.1152", "numth.powmod.2048_2047", "numth.powmod.2304_1152",
+        "numth.powmod.576_575",
     ]
     assert all(0 < us < 1e8 for us in timings.values())
     # each row keeps its own call count; the engine rows stay at MICRO_NUMBER
@@ -322,3 +326,41 @@ def test_micro_keeps_the_best_reading_and_diff_prints_it(tmp_path, monkeypatch, 
         ["harness.Envelope", "1.2", "0.6", "0.500"],
         ["harness._hop.SUP_Q1", "4", "3", "0.750"],
     ]
+
+
+def test_environment_keeps_openssl_and_the_kernel():
+    env = bench_record.environment(bench_record.HERE)
+    assert env["openssl"] == ssl.OPENSSL_VERSION
+    # the checkout's kernel, as a fresh process that imports it picks it
+    assert env["kernel"] == numth.kernel() in ("libcrypto", "pow")
+
+
+def test_diff_prints_each_record_kernel_and_append_refuses_another(tmp_path, monkeypatch,
+                                                                   capsys):
+    a = _record("w", {1: {"session_ms": 1.0}})
+    b = {**_record("w", {1: {"session_ms": 1.0}}), "kernel": "libcrypto",
+         "openssl": "OpenSSL 3.0.19 27 Jan 2026"}
+    paths = []
+    for name, rec in (("A", a), ("B", b)):
+        path = tmp_path / f"BENCH_{name}.json"
+        path.write_text(json.dumps(rec))
+        paths.append(str(path))
+    assert bench_record.main(["--diff", *paths]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "kernel       A ? (?)  B libcrypto (OpenSSL 3.0.19 27 Jan 2026)"
+
+    def fake_run(cmd, cwd, capture_output, text):
+        line = json.dumps({"correct": True, "attempted": 8, "failed": 0, "metrics": {}})
+        return type("Done", (), {"returncode": 0, "stdout": line + "\n", "stderr": ""})
+
+    env = {"python": "3", "openssl": "OpenSSL 3", "kernel": "libcrypto", "commit": "c" * 40,
+           "dirty": False}
+    monkeypatch.setattr(bench_record, "HERE", tmp_path)
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record, "environment", lambda checkout: env)
+    args = ["--tag", "K", "--workloads", "dh-2048", "--seeds", "951"]
+    assert bench_record.main(args) == 0
+    assert json.loads((tmp_path / "BENCH_K.json").read_text())["kernel"] == "libcrypto"
+    env = {**env, "kernel": "pow"}
+    with pytest.raises(SystemExit, match="another checkout, interpreter or kernel"):
+        bench_record.main(args + ["--append"])

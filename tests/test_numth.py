@@ -1,14 +1,178 @@
-"""Primality: trial division by two gcds and certification that resumes
-after the pretest, each against the loop or the test it stands in for."""
+"""The exponentiation kernel against pow(), and primality: trial division by
+two gcds and certification that resumes after the pretest, each against the
+loop or the test it stands in for."""
 
+import hashlib
+import importlib.util
 import random
+import subprocess
+import sys
+import threading
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otkit import numth
-from otkit.numth import MR_ROUNDS, PRETEST_ROUNDS, SMALL_PRIMES, certify, is_probable_prime
+from otkit.groupmath import PINNED_SAFE_PRIMES
+from otkit.harness import export_transcript, run_session
+from otkit.numth import MR_ROUNDS, PRETEST_ROUNDS, SMALL_PRIMES, certify, is_probable_prime, powmod
 from otkit.paillier import kgen
 from otkit.rng import SeededSource
+
+_spec = importlib.util.spec_from_file_location(
+    "golden", Path(__file__).with_name("test_transcript_golden.py"))
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+SRC = Path(numth.__file__).resolve().parent.parent
+KEY_BITS = (16, 64, 512, 640, 1024, 1152, 4096)
+
+
+@lru_cache
+def _key(bits):
+    return kgen(bits, SeededSource(bits))[0]
+
+
+def _moduli():
+    """(id, m): every pinned P, n and n^2 of the fixture keys, even moduli,
+    m = 2, and a modulus whose top byte is 0x01."""
+    r = random.Random(2)
+    out = [(f"P{bits}", P) for bits, P in PINNED_SAFE_PRIMES.items()]
+    out += [(f"{name}{bits}", lambda bits=bits, square=square: _key(bits).n ** (1 + square))
+            for bits in KEY_BITS for name, square in (("n", 0), ("n2_", 1))]
+    out += [("m2", 2), ("even64", r.getrandbits(64) << 1 | 1 << 64),
+            ("even1024", r.getrandbits(1023) << 1 | 1 << 1023),
+            ("top01", 1 << 1032 | r.getrandbits(1024))]
+    return out
+
+
+@pytest.fixture(scope="module")
+def libcrypto():
+    """BN_mod_exp behind pow()'s signature; the tests that need it skip on a
+    host where libcrypto does not open."""
+    kernel = numth._libcrypto_powmod()
+    if kernel is None:
+        pytest.skip("libcrypto does not open on this host")
+    return kernel
+
+
+class TestKernel:
+    """powmod is pow(): every power equals pow()'s, whichever kernel takes it."""
+
+    @pytest.mark.parametrize("name, modulus", _moduli(), ids=[n for n, _ in _moduli()])
+    def test_edges(self, libcrypto, name, modulus):
+        m = modulus() if callable(modulus) else modulus
+        k = m.bit_length()
+        for base in (0, 1, m - 1, m, m + 1, 2 * m + 3, -5):
+            for exp in (0, 1, 2, m - 1, (1 << k) - 1, 1 << k):
+                assert libcrypto(base, exp, m) == pow(base, exp, m), (base, exp)
+
+    @given(base=st.integers(-(1 << 600), 1 << 600), exp=st.integers(0, 1 << 600),
+           mod=st.integers(1, 1 << 600))
+    @settings(max_examples=300, deadline=None)
+    def test_random_triples(self, libcrypto, base, exp, mod):
+        assert libcrypto(base, exp, mod) == pow(base, exp, mod)
+        assert powmod(base, exp, mod) == pow(base, exp, mod)
+
+    def test_negative_exponent_and_modulus_are_pow(self, libcrypto):
+        assert libcrypto(3, -1, 23) == pow(3, -1, 23) == 8
+        assert libcrypto(3, 5, -23) == pow(3, 5, -23)
+        with pytest.raises(ValueError):
+            libcrypto(3, 5, 0)
+
+    @pytest.mark.parametrize("key", [k for k in golden.GOLDEN_DIGESTS
+                                     if k[0] in ("np-ot", "dq-mr", "duq-mr", "comp-np")], ids=str)
+    def test_golden_digests_by_pow(self, key, monkeypatch):
+        monkeypatch.setattr(numth, "_kernel", pow)
+        protocol, group, s = key
+        cfg = golden._config(protocol, group, s, 4000 + s)
+        digest = hashlib.sha256(export_transcript(run_session(cfg)).encode()).hexdigest()
+        assert digest == golden.GOLDEN_DIGESTS[key]
+
+    def test_two_threads(self, libcrypto):
+        r = random.Random(512)
+        m = r.getrandbits(512) | 1 << 511 | 1
+        work = [[(r.getrandbits(512), r.getrandbits(512)) for _ in range(2000)] for _ in range(2)]
+        results = [None, None]
+
+        def run(i):
+            results[i] = [libcrypto(b, e, m) for b, e in work[i]]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for i in range(2):
+            assert results[i] == [pow(b, e, m) for b, e in work[i]]
+
+    def test_calls_do_not_grow_memory(self, libcrypto):
+        # 20 000 calls at 512 bits grow a fresh process by at most 1 MB; one
+        # BIGNUM left unfreed per call would take 2 MB. The process reads its
+        # resident size, since its ru_maxrss starts at the pytest process's peak
+        if not Path("/proc/self/statm").exists():
+            pytest.skip("no /proc/self/statm on this host")
+        code = (
+            "import os, random\n"
+            "from otkit import numth\n"
+            "def rss():\n"
+            "    pages = int(open('/proc/self/statm').read().split()[1])\n"
+            "    return pages * os.sysconf('SC_PAGESIZE')\n"
+            "kernel = numth._libcrypto_powmod()\n"
+            "r = random.Random(1)\n"
+            "m = r.getrandbits(512) | 1 << 511 | 1\n"
+            "b, e = r.getrandbits(512), r.getrandbits(512)\n"
+            "for _ in range(1000): kernel(b, e, m)\n"
+            "before = rss()\n"
+            "for _ in range(20000): kernel(b, e, m)\n"
+            "print(rss() - before)\n"
+        )
+        assert int(_python(code)) <= 1 << 20
+
+    def test_lazy_load(self):
+        # a session that takes no power never imports ctypes; one that does
+        # loads the kernel
+        code = (
+            "import sys\n"
+            "import otkit\n"
+            "from otkit import numth\n"
+            "cfg = dict(sigma_bits=64, lambda_bits=64, seed=1, s=1, m0=b'a' * 8, m1=b'b' * 8)\n"
+            "otkit.run_session(otkit.SessionConfig(protocol='supersonic', **cfg))\n"
+            "print('ctypes' in sys.modules, numth._kernel is numth._load)\n"
+            "otkit.run_session(otkit.SessionConfig(protocol='np-ot', group_bits=512, **cfg))\n"
+            "print('ctypes' in sys.modules, numth._kernel is numth._load, numth.kernel())\n"
+        )
+        first, second = _python(code).splitlines()
+        assert first == "False True"
+        assert second in ("True False libcrypto", "False False pow")
+
+    def test_fallback_when_the_library_does_not_open(self, monkeypatch):
+        # no such library, or one without the BN symbols: powmod is pow()
+        for sonames in (("libotkit-absent.so",), ("libc.so.6",)):
+            monkeypatch.setattr(numth, "LIBCRYPTO_SONAMES", sonames)
+            monkeypatch.setattr(numth, "_kernel", numth._load)
+            assert numth._libcrypto_powmod() is None
+            assert powmod(3, 5, 23) == pow(3, 5, 23)
+            assert numth._kernel is pow and numth.kernel() == "pow"
+
+    def test_rounds_bypass_powmod(self, count_calls):
+        # Miller-Rabin takes its powers by the kernel, not through powmod, so
+        # a tracer that wraps powmod does not count a key search's rounds
+        counts = count_calls(numth.powmod, numth._miller_rabin)
+        kgen(512, SeededSource(5))
+        assert counts["_miller_rabin"] > 0
+        assert counts["powmod"] == 0
+
+
+def _python(code):
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return proc.stdout.strip()
 
 MILLER_RABIN = object()  # what a stub _miller_rabin returns: n got past trial division
 

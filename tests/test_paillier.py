@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import groupmath, numth, paillier
+from otkit import numth, paillier
 from otkit.errors import (
     IndexOutOfRange,
     MalformedCiphertext,
@@ -303,8 +303,8 @@ class TestCrtEncryption:
 
 
 class TestSelectComb:
-    """select scales a selector entry through shared heads of it mod n^2
-    when they pay; its ciphertexts must equal pow() and products exactly."""
+    """select scales each selector entry by one powmod per exponent mod
+    n^2; its ciphertexts must equal pow() and products exactly."""
 
     def test_edges_and_mixed_rows(self, select_key, rng):
         pk, _ = select_key
@@ -320,46 +320,24 @@ class TestSelectComb:
         ]
         assert select(pk, selector, rows) == _reference(pk, selector, rows)
 
-    def test_comb_seams(self, select_key, rng, monkeypatch):
-        # each row holds n - 1 twice, 1, and one exponent at a seam between
-        # two heads of the width that the row's lengths pick, so its heads
-        # are the ones for n - 1's length at that width. The first two and
-        # last two seams of each width and three between (every seam is in
-        # test_groupmath's TestSharedBase, mod n)
+    def test_comb_seams(self, select_key, rng):
+        # each row holds n - 1 twice, 1, and one exponent at a byte seam of
+        # the kernel's conversion, a power of two and one either side
         pk, _ = select_key
         n, n_sq = pk.n, pk.n_squared
         bits = (n - 1).bit_length()
-        built = []
-        build = groupmath._heads_build
-        monkeypatch.setattr(
-            groupmath, "_heads_build", lambda *args: built.append(args[2:]) or build(*args)
-        )
-        seams = []
-        if bits >= groupmath.SHARED_MIN_BITS:
-            for width in range(1, bits.bit_length()):
-                last = -(-bits // width) - 1
-                seams += [
-                    (e, width)
-                    for i in sorted({1, 2, last // 4, last // 2, 3 * last // 4, last - 1, last})
-                    for d in (-1, 0, 1)
-                    if (e := (1 << (i * width)) + d) < 1 << bits
-                    and groupmath._heads_width([e.bit_length(), bits, bits, 1]) == width
-                ]
-            assert seams
         c = enc(pk, n // 3, rng)
         top = pow(c, n - 1, n_sq)
-        for e, _ in seams:
+        seams = [(1 << k) + d for k in range(8, bits, 8) for d in (-1, 0, 1)]
+        for e in seams[:6] + seams[len(seams) // 2:][:3] + seams[-3:]:
             assert select(pk, (c,), [[e, n - 1, n - 1, 1]]) == (pow(c, e, n_sq), top, top, c)
-        assert built == [(bits, width) for _, width in seams]
 
 
 class TestSelectPowers:
-    """Which scalings of one select at 1152 bits call powmod: none of a
-    duq-mr-shaped selection (two ~1024-bit heads and two 256-bit bodies per
-    row), nor of a comp-np-shaped one (1032- and 133-bit exponents, two uses
-    per entry), whose shared heads count 1380 products against 1398 for
-    pow() on those lengths; all four when the short exponent is 16 bits,
-    where the heads would count 1350 against 1258."""
+    """Every scaling of a select is one hscale call, and every hscale call
+    one powmod call mod n^2: a duq-mr-shaped selection at 1152 bits (two
+    ~1024-bit heads and two 256-bit bodies per row) and a comp-np-shaped
+    one (1032- and 133-bit exponents) alike."""
 
     def test_powmod_calls(self, monkeypatch):
         pk, _ = _key(1152)
@@ -368,14 +346,15 @@ class TestSelectPowers:
         head, body = lambda: r.getrandbits(1024), lambda: r.getrandbits(256)
         duq_rows = [[head(), body(), head(), body()] for _ in duq_sel]
         comp_rows = [[r.getrandbits(1032), r.getrandbits(133)] for _ in comp_sel]
-        calls = []
+        scaled, calls = [], []
+        hscale = paillier.hscale
+        monkeypatch.setattr(paillier, "hscale",
+                            lambda *args: scaled.append(args[1:]) or hscale(*args))
         monkeypatch.setattr(paillier, "powmod", lambda *args: calls.append(args) or pow(*args))
-        assert select(pk, duq_sel, duq_rows) == _reference(pk, duq_sel, duq_rows)
-        assert len(calls) == 0
-        calls.clear()
-        assert select(pk, comp_sel, comp_rows) == _reference(pk, comp_sel, comp_rows)
-        assert len(calls) == 0
-        assert groupmath._heads_products([1032, 133], 4) == 1380
-        short_rows = [[r.getrandbits(1032), r.getrandbits(16)] for _ in comp_sel]
-        assert select(pk, comp_sel, short_rows) == _reference(pk, comp_sel, short_rows)
-        assert len(calls) == 4
+        for selector, rows in ((duq_sel, duq_rows), (comp_sel, comp_rows)):
+            scaled.clear()
+            calls.clear()
+            assert select(pk, selector, rows) == _reference(pk, selector, rows)
+            expected = [(c, k) for c, row in zip(selector, rows) for k in row]
+            assert scaled == expected
+            assert calls == [(c, k, pk.n_squared) for c, k in expected]
