@@ -35,19 +35,19 @@ best of MICRO_REPEAT timings of its own call count (KERNEL_CALLS):
 `is_probable_prime` on a 576-bit composite that trial division lets through
 and on a multiple of 9973, `enc` under the secret and the public key,
 `select` of one duq-mr-shaped row, `kgen(1152)` from a fixed seed, and
-`numth.powmod` at three shapes (modulus/exponent bits): 2048/2047, a power
-of the 2048-bit group; 2304/1152, rho^n mod n^2 at the 1152-bit key; and
-576/575, one Miller-Rabin round on one of its primes. All are in µs per
-call, under the record's `micro` key. With --append, each
-keeps the lower of the old and the new reading, so alternating runs give
-each side the best over all of its runs.
+`numth.powmod` at three shapes (modulus/exponent bits): 2048/2047, the size
+of a power in the 2048-bit group; 2304/1152, rho^n mod n^2 at the 1152-bit
+key; and 576/575, one Miller-Rabin round on one of its primes. All are in
+µs per call, under the record's `micro` key. With --append, each keeps the
+lower of the old and the new reading, so alternating runs give each side
+the best over all of its runs.
 
 --diff prints each file's commit and source size, then both files' kernel
-and OpenSSL version ("?" for a record made before they were kept), then each workload's failed
-and attempted sessions in each file, summed over its runs, then, for each
-workload and metric in both files, both medians, their ratio B/A, A's
-interquartile range, and the pair wins: the seeds present in both where B's
-run was better than A's. A row ends in "OVER BOUND" when its metric is
+and OpenSSL version ("?" for a record made before they were kept), then
+each workload's failed and attempted sessions in each file, summed over its
+runs, then, for each workload and metric in both files, both medians, their
+ratio B/A, A's interquartile range, and the pair wins: the seeds present in
+both where B's run was better than A's. A row ends in "OVER BOUND" when its metric is
 end-to-end and B's median is worse than A's by more than the metric's
 `bound` in BENCHMARK.json, a fraction of A's median. The per-protocol times
 follow in the same columns, as `protocol.field` rows (more sessions is

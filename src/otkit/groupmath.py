@@ -13,10 +13,10 @@ search in scripts/gen_pinned_groups.py and verified by the test suite. No
 session searches for a prime; C is still freshly sampled per session.
 
 Every power, of g or of any other base, is one numth.powmod call. Where
-libcrypto loads, g^e at 2048 bits takes about 2 ms, less than a fixed-base
-comb of g evaluated in Python (3.5 ms) or shared squarings of one base, so
-no base keeps a table. Without libcrypto each power is one pow() call
-(about 25 ms at 2048 bits).
+libcrypto loads, a power at 2048 bits takes about 2.5 ms, less than a
+fixed-base comb of g evaluated in Python (3.5 ms) or shared squarings of
+one base, so no base keeps a table. Without libcrypto each power is one
+pow() call (about 27 ms at 2048 bits).
 """
 
 from dataclasses import dataclass

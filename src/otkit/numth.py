@@ -5,8 +5,9 @@ power a session takes. On the first power it opens OpenSSL's libcrypto
 (libcrypto.so.3, else libcrypto.so.1.1), the library that Python's own
 hashlib already uses, and from then on takes each power with a non-negative
 exponent by BN_mod_exp through ctypes: Montgomery multiplication
-(Math. Comp. 1985), 8-14x faster than pow() from 512 to 2304 bits (2.05 ms
-against 25.6 ms at 2048 bits, Python 3.11, OpenSSL 3.0). The ints cross as
+(Math. Comp. 1985), about 10x faster than pow() from 576 to 2304 bits
+(2.45 ms against 27.5 ms at 2048 bits; Python 3.11.7, OpenSSL 3.0.19, 2
+cores of a shared host, `--micro` in BENCH_pr25*.json). The ints cross as
 big-endian bytes, and every BIGNUM and BN_CTX is made and freed within the
 call, so calls from several threads share nothing. A host where the library
 does not open, or lacks a symbol, takes every power by pow(), with the same

@@ -11,7 +11,7 @@ a selector entry, and dec a ciphertext, outside [1, n^2) or sharing a factor
 with n. Every power is one numth.powmod call, libcrypto's BN_mod_exp where
 it loads: select scales entry i by each exponent of row i with hscale, so a
 duq-mr row at a 1152-bit key (two ~1024-bit and two 256-bit exponents mod
-n^2) is four kernel calls, about 4.3 ms.
+n^2) is four kernel calls, about 5.3 ms.
 
 The secret key keeps the primes p and q, and decryption works mod p^2 and
 q^2 apart and joins the halves by CRT (Paillier, EUROCRYPT '99, section 7):
