@@ -18,7 +18,7 @@ from otkit.dq_family import (
     dq_p2_gen_query,
     retrieval_exponent,
 )
-from otkit.groupmath import elem_mul, modexp, toy_group
+from otkit.groupmath import PINNED_G, TOY_P, TOY_Q, GroupParams, elem_mul, modexp
 
 
 def main() -> int:
@@ -27,9 +27,11 @@ def main() -> int:
     ap.add_argument("--r1", type=int, default=2, help="P1 blind")
     ap.add_argument("--r2", type=int, default=3, help="P2 blind")
     args = ap.parse_args()
+    if not 1 <= args.a < TOY_Q:
+        ap.error(f"--a must be in [1, {TOY_Q})")
 
-    pk = toy_group(a=args.a, retain_dlog=True)
-    print(f"P={pk.P} q={pk.q} g={pk.g} C=g^{pk.a}={pk.C} "
+    pk = GroupParams(P=TOY_P, q=TOY_Q, g=PINNED_G, C=pow(PINNED_G, args.a, TOY_P))
+    print(f"P={pk.P} q={pk.q} g={pk.g} C=g^{args.a}={pk.C} "
           f"r1={args.r1} r2={args.r2}\n")
     print(f"{'s1':>2} {'s2':>2} {'(d0,d1)':>10} {'(b0,b1)':>10} "
           f"{'b0*b1':>5} {'x':>3}  g^x=b_s")

@@ -33,7 +33,7 @@ from .errors import (
     UnknownTag,
     UsageError,
 )
-from .groupmath import GroupParams, gen_group, toy_group
+from .groupmath import GroupParams, gen_group
 from .harness import (
     Envelope,
     MsgType,
@@ -80,5 +80,4 @@ __all__ = [
     "gen_group",
     "project_view",
     "run_session",
-    "toy_group",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import laws
 from .errors import UsageError
-from .groupmath import gen_group, toy_group
+from .groupmath import gen_group
 from .harness import (_HEADER, PROTOCOLS, TAMPERS, Role, SessionConfig, check_bits,
                       export_transcript, run_session)
 from .paillier import kgen
@@ -138,9 +138,9 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     toy = args.toy
     rng = SeededSource(100)
-    toy_dbg = gen_group(4, rng, retain_dlog=True)
-    big = gen_group(512, rng, retain_dlog=True)
-    groups = lambda toy_n, big_n: [(toy_dbg, toy_n)] + ([] if toy else [(big, big_n)])
+    small = gen_group(4, rng)
+    big = gen_group(512, rng)
+    groups = lambda toy_n, big_n: [(small, toy_n)] + ([] if toy else [(big, big_n)])
     key = lambda bits, seed: kgen(bits, SeededSource(seed, b"key"))
     checks = [
         ("closed-form-identities", lambda: laws.closed_forms(groups(50, 10), 101)),
@@ -149,13 +149,13 @@ def cmd_verify(args) -> int:
         ("duq-tag-match", lambda: laws.tag_selection(
             big, 150 if toy else 300, 30 if toy else 50, 104)),
         ("mr-filter-exactness", lambda: laws.multi_receiver(
-            toy_group(), big, key(big.P.bit_length() + 72, 105), 4, 2, 105)),
+            small, big, key(big.P.bit_length() + 72, 105), 4, 2, 105)),
         ("compiler-equivalence", lambda: laws.compiler_equivalence(
-            toy_group(), key(256 if toy else 512, 106), 10, 106)),
+            small, key(256 if toy else 512, 106), 10, 106)),
         ("np-one-of-n", lambda: laws.one_out_of_n(big, (3, 4, 8), 110)),
         ("paillier-homomorphism", lambda: laws.homomorphic_laws(
             key(256 if toy else 512, 107), 30 if toy else 100, 107)),
-        ("abort-on-tamper", lambda: laws.tamper_aborts(toy_group(), 40, 108)),
+        ("abort-on-tamper", lambda: laws.tamper_aborts(small, 40, 108)),
         ("session-determinism", lambda: laws.session_determinism(99)),
         ("envelope-roundtrip", lambda: laws.envelope_roundtrip(200, 109)),
     ]

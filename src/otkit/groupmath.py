@@ -3,8 +3,8 @@
 The group is the order-q subgroup of quadratic residues mod a safe prime
 P = 2q + 1. Elements are plain ints in [1, P-1] with x^q = 1 mod P; scalars
 (exponents) are plain ints reduced mod q. The public element C is sampled as
-g^a with a discarded, except in debug groups that retain a so the query-pair
-exponent identities can be checked directly.
+g^a with a discarded: the delegated-query transfers stay private only while
+no party knows log_g C.
 
 P and g are fixed: every group comes from one pinned table keyed by the
 bits of q, with g = 4. The sizes are 4, the toy group P = 23, q = 11 that
@@ -31,22 +31,18 @@ Scalar = int
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Subgroup description (P, q, g) plus the public random element C.
-
-    a is normally None; a debug group retains the discrete log of C.
-    """
+    """Subgroup description (P, q, g) plus the public random element C."""
 
     P: int
     q: int
     g: int
     C: int
-    a: int | None = None
 
     def elem_bytes(self) -> int:
         return (self.P.bit_length() + 7) // 8
 
 
-TOY_P, TOY_Q, TOY_G = 23, 11, 4
+TOY_P, TOY_Q = 23, 11
 
 # Safe primes with q of exactly the keyed bit length; g = 4 = 2^2 is a square,
 # so it generates the order-q subgroup in each.
@@ -59,29 +55,15 @@ PINNED_SAFE_PRIMES: dict[int, int] = {
 PINNED_G = 4
 
 
-def toy_group(a: int = 8, retain_dlog: bool = False) -> GroupParams:
-    """The toy group P=23, q=11, g=4 at a fixed dlog a (C = 4^a, default 9)."""
-    if not 1 <= a < TOY_Q:
-        raise UsageError("toy dlog must be in [1, q)")
-    return GroupParams(
-        P=TOY_P,
-        q=TOY_Q,
-        g=TOY_G,
-        C=powmod(TOY_G, a, TOY_P),
-        a=a if retain_dlog else None,
-    )
-
-
-def gen_group(bits: int, rng: RandomSource, retain_dlog: bool = False) -> GroupParams:
+def gen_group(bits: int, rng: RandomSource) -> GroupParams:
     """The pinned group whose q has the given bit length, with a fresh C = g^a;
     a size that is not in PINNED_SAFE_PRIMES raises UsageError."""
     if bits not in PINNED_SAFE_PRIMES:
         raise UsageError(f"bits must be a pinned size, one of {sorted(PINNED_SAFE_PRIMES)}")
     P = PINNED_SAFE_PRIMES[bits]
     q = (P - 1) // 2
-    a = 1 + rng.randbelow(q - 1)
-    C = powmod(PINNED_G, a, P)
-    return GroupParams(P=P, q=q, g=PINNED_G, C=C, a=a if retain_dlog else None)
+    C = powmod(PINNED_G, 1 + rng.randbelow(q - 1), P)
+    return GroupParams(P=P, q=q, g=PINNED_G, C=C)
 
 
 def modexp(base: GroupElement, e: Scalar, params: GroupParams) -> GroupElement:

@@ -79,13 +79,14 @@ def _session_config(protocol: str, seed: int, z: int = 4, **fields) -> SessionCo
 def closed_forms(groups, seed: int) -> int:
     """delta and beta follow their closed forms as powers of g, b0 * b1 = C
     and g^x = beta_{s1 xor s2}, in all four share cells. groups holds
-    (params, n) pairs, params with its dlog a; run i of a group checks
-    every cell with one draw of r1 and r2."""
-    for params, n in groups:
-        a = params.a
-        pow_g = lambda exps: tuple(modexp(params.g, e % params.q, params) for e in exps)
+    (group, n) pairs; run i of a group draws a dlog a, sets C = g^a in a
+    copy of the group, and checks every cell with one draw of r1 and r2."""
+    for group, n in groups:
+        pow_g = lambda exps: tuple(modexp(group.g, e, group) for e in exps)
         for i in range(n):
             rng = SeededSource(seed + i)
+            a = 1 + rng.randbelow(group.q - 1)
+            params = dataclasses.replace(group, C=modexp(group.g, a, group))
             r1, r2 = rand_scalar(params, rng), rand_scalar(params, rng)
             for s1, s2 in CELLS:
                 _, _, partial, final = _query(params, s1, r1, s2, r2)

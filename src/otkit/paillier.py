@@ -42,9 +42,6 @@ class PaillierPublicKey:
     n: int
     n_squared: int
 
-    def bits(self) -> int:
-        return self.n.bit_length()
-
 
 @dataclass(frozen=True)
 class PaillierSecretKey:

@@ -3,14 +3,40 @@
 Every randomized operation in the toolkit takes an explicit source so that
 protocol runs are reproducible under a fixed seed. SeededSource is a
 SHAKE-256 counter stream; SystemSource draws from the OS CSPRNG and is the
-production default.
+production default. Both draw integers by the one sampler of RandomSource.
 """
 
 import secrets
 from hashlib import shake_256
 
 
-class SeededSource:
+class RandomSource:
+    """Integer draws over a byte stream that each subclass's randbytes gives."""
+
+    def randbytes(self, n: int) -> bytes:
+        raise NotImplementedError
+
+    def randbits(self, k: int) -> int:
+        if k <= 0:
+            return 0
+        nbytes = (k + 7) // 8
+        v = int.from_bytes(self.randbytes(nbytes), "big")
+        return v >> (8 * nbytes - k)
+
+    def randbelow(self, bound: int) -> int:
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        k = bound.bit_length()
+        while True:
+            v = self.randbits(k)
+            if v < bound:
+                return v
+
+    def randbit(self) -> int:
+        return self.randbits(1)
+
+
+class SeededSource(RandomSource):
     """Deterministic byte stream keyed by a 64-bit seed and an optional label."""
 
     def __init__(self, seed: int, label: bytes = b""):
@@ -36,43 +62,9 @@ class SeededSource:
         out, self._buf = buf[:n], buf[n:]
         return out
 
-    def randbits(self, k: int) -> int:
-        if k <= 0:
-            return 0
-        nbytes = (k + 7) // 8
-        v = int.from_bytes(self.randbytes(nbytes), "big")
-        return v >> (8 * nbytes - k)
 
-    def randbelow(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        k = bound.bit_length()
-        while True:
-            v = self.randbits(k)
-            if v < bound:
-                return v
-
-    def randbit(self) -> int:
-        return self.randbits(1)
-
-
-class SystemSource:
-    """OS-CSPRNG-backed source with the same interface as SeededSource."""
+class SystemSource(RandomSource):
+    """OS-CSPRNG-backed source."""
 
     def randbytes(self, n: int) -> bytes:
         return secrets.token_bytes(n)
-
-    def randbits(self, k: int) -> int:
-        return secrets.randbits(k) if k > 0 else 0
-
-    def randbelow(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return secrets.randbelow(bound)
-
-    def randbit(self) -> int:
-        return secrets.randbits(1)
-
-
-# Either class above satisfies this; annotations use the alias for clarity.
-RandomSource = SeededSource | SystemSource

@@ -2,8 +2,9 @@
 counter.
 
 Key generation is the slow part, so anything reusable is session-scoped.
-The 512-bit group uses the pinned modulus; only the discrete log a is drawn
-from the fixed seed, so every test session sees the same parameters.
+The toy group has C = 4^8 = 9, so the hand-checked vectors stay fixed. The
+512-bit group uses the pinned modulus; only the discrete log of C is drawn,
+from a fixed seed, so every test session sees the same parameters.
 """
 
 import sys
@@ -11,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from otkit.groupmath import gen_group, toy_group
+from otkit.groupmath import GroupParams, gen_group
 from otkit.paillier import kgen
 from otkit.rng import SeededSource
 
@@ -23,17 +24,12 @@ def rng():
 
 @pytest.fixture(scope="session")
 def toy():
-    return toy_group()
-
-
-@pytest.fixture(scope="session")
-def toy_dbg():
-    return toy_group(retain_dlog=True)
+    return GroupParams(P=23, q=11, g=4, C=9)
 
 
 @pytest.fixture(scope="session")
 def group512():
-    return gen_group(512, SeededSource(512), retain_dlog=True)
+    return gen_group(512, SeededSource(512))
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,10 @@ def _report(n: int, text: str) -> None:
     print(f"criterion {n:02d} pass: {text}")
 
 
-def test_criterion_01_query_pair_closed_forms(toy_dbg, group512):
+def test_criterion_01_query_pair_closed_forms(toy, group512):
     """Both query pairs follow their closed forms in every share cell."""
     started = time.perf_counter()
-    assert laws.closed_forms(((toy_dbg, 50), (group512, 50)), seed=1000) == 400
+    assert laws.closed_forms(((toy, 50), (group512, 50)), seed=1000) == 400
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(1, f"closed forms, 2 groups x 4 cells x 50 seeds [{elapsed:.1f}s]")

@@ -60,13 +60,10 @@ class TestQuery:
 
     @given(s=st.integers(0, 1), seed=st.integers(0, 2**32))
     @settings(max_examples=100)
-    def test_chosen_slot_is_known_exponent(self, s, seed):
-        from otkit.groupmath import toy_group
-
-        pk = toy_group()
-        b0, secret = np_gen_query(pk, s, SeededSource(seed))
-        pair = (b0, elem_div(pk.C, b0, pk))
-        assert pair[s] == modexp(pk.g, secret.r, pk)
+    def test_chosen_slot_is_known_exponent(self, toy, s, seed):
+        b0, secret = np_gen_query(toy, s, SeededSource(seed))
+        pair = (b0, elem_div(toy.C, b0, toy))
+        assert pair[s] == modexp(toy.g, secret.r, toy)
         assert secret.r != 0
 
 
@@ -113,15 +110,12 @@ class TestEndToEnd:
 
     @given(s=st.integers(0, 1), seed=st.integers(0, 2**32))
     @settings(max_examples=150)
-    def test_round_trip_property(self, s, seed):
-        from otkit.groupmath import toy_group
-
-        pk = toy_group()
+    def test_round_trip_property(self, toy, s, seed):
         rng = SeededSource(seed)
         m0, m1 = rng.randbytes(8), rng.randbytes(8)
-        query, secret = np_gen_query(pk, s, rng)
-        res = np_gen_res((m0, m1), pk, query, rng)
-        assert np_retrieve(res, secret, pk, 64) == (m0, m1)[s]
+        query, secret = np_gen_query(toy, s, rng)
+        res = np_gen_res((m0, m1), toy, query, rng)
+        assert np_retrieve(res, secret, toy, 64) == (m0, m1)[s]
 
 
 class TestSuiteContract:

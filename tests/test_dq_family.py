@@ -18,7 +18,7 @@ from otkit.dq_family import (
     retrieval_exponent,
 )
 from otkit.errors import ConsistencyAbort, IndexOutOfRange, ShapeMismatch, UsageError
-from otkit.groupmath import elem_mul, modexp, toy_group
+from otkit.groupmath import elem_mul, modexp
 from otkit.rng import SeededSource
 
 
@@ -33,11 +33,10 @@ def _cell_queries(pk, s1, s2, r1, r2):
 class TestRequest:
     @given(s=st.integers(0, 1), seed=st.integers(0, 2**32))
     @settings(max_examples=100)
-    def test_shares_recombine(self, s, seed):
-        pk = toy_group()
-        req1, req2 = dq_r_request(s, pk, SeededSource(seed))
+    def test_shares_recombine(self, toy, s, seed):
+        req1, req2 = dq_r_request(s, toy, SeededSource(seed))
         assert req1.share ^ req2.share == s
-        assert 0 <= req1.blind < pk.q and 0 <= req2.blind < pk.q
+        assert 0 <= req1.blind < toy.q and 0 <= req2.blind < toy.q
 
     def test_choice_bit_checked(self, toy, rng):
         with pytest.raises(UsageError):
@@ -56,12 +55,11 @@ class TestPartialQuery:
 
     @given(s2=st.integers(0, 1), r2=st.integers(0, 10))
     @settings(max_examples=50)
-    def test_pair_structure(self, s2, r2):
-        pk = toy_group()
-        partial = dq_p2_gen_query(DelegationRequest(share=s2, blind=r2), pk)
+    def test_pair_structure(self, toy, s2, r2):
+        partial = dq_p2_gen_query(DelegationRequest(share=s2, blind=r2), toy)
         pair = (partial.d0, partial.d1)
-        assert pair[s2] == modexp(pk.g, r2, pk)
-        assert elem_mul(partial.d0, partial.d1, pk) == pk.C
+        assert pair[s2] == modexp(toy.g, r2, toy)
+        assert elem_mul(partial.d0, partial.d1, toy) == toy.C
 
 
 class TestFinalQuery:
@@ -77,16 +75,15 @@ class TestFinalQuery:
         r2=st.integers(0, 10),
     )
     @settings(max_examples=200)
-    def test_closed_forms(self, s1, s2, r1, r2):
-        pk = toy_group()
-        _, _, partial, final = _cell_queries(pk, s1, s2, r1, r2)
+    def test_closed_forms(self, toy, s1, s2, r1, r2):
+        _, _, partial, final = _cell_queries(toy, s1, s2, r1, r2)
         b = (final.b0, final.b1)
         d = (partial.d0, partial.d1)
-        assert b[s1] == elem_mul(d[0], modexp(pk.g, r1, pk), pk)
-        assert elem_mul(final.b0, final.b1, pk) == pk.C
+        assert b[s1] == elem_mul(d[0], modexp(toy.g, r1, toy), toy)
+        assert elem_mul(final.b0, final.b1, toy) == toy.C
         # the slot for the recombined bit holds g^x with x the retrieval exponent
-        x = retrieval_exponent(r1, r2, s2, pk)
-        assert b[s1 ^ s2] == modexp(pk.g, x, pk)
+        x = retrieval_exponent(r1, r2, s2, toy)
+        assert b[s1 ^ s2] == modexp(toy.g, x, toy)
 
     def test_exponent_reduction(self, toy):
         # share2=1 flips the sign: x = r2 - r1 mod q
@@ -126,14 +123,13 @@ class TestEndToEnd:
 
     @given(s=st.integers(0, 1), seed=st.integers(0, 2**32))
     @settings(max_examples=150)
-    def test_delegated_round_trip(self, s, seed):
-        pk = toy_group()
+    def test_delegated_round_trip(self, toy, s, seed):
         rng = SeededSource(seed)
         m0, m1 = rng.randbytes(8), rng.randbytes(8)
-        req1, req2 = dq_r_request(s, pk, rng)
-        final = dq_p1_gen_query(req1, dq_p2_gen_query(req2, pk), pk)
-        res = dq_s_gen_res(m0, m1, pk, final, rng)
-        assert dq_r_retrieve(res, req1, req2, s, pk, 64) == (m0, m1)[s]
+        req1, req2 = dq_r_request(s, toy, rng)
+        final = dq_p1_gen_query(req1, dq_p2_gen_query(req2, toy), toy)
+        res = dq_s_gen_res(m0, m1, toy, final, rng)
+        assert dq_r_retrieve(res, req1, req2, s, toy, 64) == (m0, m1)[s]
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_round_trip_512(self, group512, rng, s):

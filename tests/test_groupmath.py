@@ -1,6 +1,7 @@
 """Group arithmetic over the order-q subgroup mod a safe prime."""
 
 import ast
+import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from otkit import groupmath, numth
 from otkit.errors import UsageError
 from otkit.groupmath import (
+    PINNED_G,
     PINNED_SAFE_PRIMES,
     GroupParams,
-    TOY_G,
     TOY_P,
     TOY_Q,
     elem_div,
@@ -24,7 +25,6 @@ from otkit.groupmath import (
     in_subgroup,
     modexp,
     rand_scalar,
-    toy_group,
 )
 from otkit.harness import PROTOCOLS, SessionConfig, export_transcript, run_session
 from otkit.numth import is_probable_prime, powmod
@@ -34,21 +34,9 @@ scalars = st.integers(min_value=0, max_value=10 * TOY_Q)
 
 
 class TestToyGroup:
-    def test_constants(self):
-        params = toy_group()
-        assert (params.P, params.q, params.g) == (23, 11, 4)
-        assert params.C == 9  # 4^8 mod 23
-        assert params.a is None
-
-    def test_retained_dlog(self):
-        assert toy_group(retain_dlog=True).a == 8
-        assert toy_group(a=3, retain_dlog=True).C == pow(4, 3, 23)
-
-    def test_dlog_range(self):
-        with pytest.raises(UsageError):
-            toy_group(a=0)
-        with pytest.raises(UsageError):
-            toy_group(a=11)
+    def test_constants(self, toy):
+        assert (toy.P, toy.q, toy.g) == (23, 11, 4)
+        assert toy.C == 9  # 4^8 mod 23
 
     def test_frozen_modexp(self, toy):
         assert modexp(4, 3, toy) == 18
@@ -71,25 +59,22 @@ class TestToyGroup:
 class TestGroupLaws:
     @given(a=scalars, b=scalars)
     @settings(max_examples=200)
-    def test_exponent_addition(self, a, b):
-        params = toy_group()
-        lhs = modexp(params.g, a + b, params)
-        rhs = elem_mul(modexp(params.g, a, params), modexp(params.g, b, params), params)
+    def test_exponent_addition(self, toy, a, b):
+        lhs = modexp(toy.g, a + b, toy)
+        rhs = elem_mul(modexp(toy.g, a, toy), modexp(toy.g, b, toy), toy)
         assert lhs == rhs
 
     @given(a=scalars, b=scalars)
     @settings(max_examples=200)
-    def test_mul_div_cancel(self, a, b):
-        params = toy_group()
-        x = modexp(params.g, a, params)
-        y = modexp(params.g, b, params)
-        assert elem_div(elem_mul(x, y, params), y, params) == x
+    def test_mul_div_cancel(self, toy, a, b):
+        x = modexp(toy.g, a, toy)
+        y = modexp(toy.g, b, toy)
+        assert elem_div(elem_mul(x, y, toy), y, toy) == x
 
     @given(a=scalars)
     @settings(max_examples=100)
-    def test_order_q(self, a):
-        params = toy_group()
-        assert modexp(modexp(params.g, a, params), params.q, params) == 1
+    def test_order_q(self, toy, a):
+        assert modexp(modexp(toy.g, a, toy), toy.q, toy) == 1
 
 
 class TestGenGroup:
@@ -104,14 +89,13 @@ class TestGenGroup:
         # the 4-bit row is the toy group, with a drawn by one randbelow
         for seed in range(20):
             rng, expected_rng = SeededSource(seed), SeededSource(seed)
-            expected = toy_group(a=1 + expected_rng.randbelow(TOY_Q - 1))
-            assert gen_group(4, rng) == expected
+            C = pow(PINNED_G, 1 + expected_rng.randbelow(TOY_Q - 1), TOY_P)
+            assert gen_group(4, rng) == GroupParams(P=TOY_P, q=TOY_Q, g=PINNED_G, C=C)
             assert rng.randbytes(16) == expected_rng.randbytes(16)
 
-    def test_toy_row_retains_dlog(self):
-        params = gen_group(4, SeededSource(7), retain_dlog=True)
-        assert params.a == 1 + SeededSource(7).randbelow(TOY_Q - 1)
-        assert params.C == pow(TOY_G, params.a, TOY_P)
+    def test_fields_hold_no_dlog(self):
+        # no party may know log_g C, so a group holds only its public values
+        assert [f.name for f in dataclasses.fields(GroupParams)] == ["P", "q", "g", "C"]
 
     def test_pinned_are_safe_primes(self):
         # full check at 512; the larger ones are spot checks on q only
@@ -125,17 +109,11 @@ class TestGenGroup:
         assert params.P.bit_length() == 2049
         assert params.q.bit_length() == 2048
 
-    def test_retained_dlog_consistent(self, group512):
-        assert group512.a is not None
-        assert modexp(group512.g, group512.a, group512) == group512.C
-        assert in_subgroup(group512.C, group512)
-
     def test_c_varies_with_rng(self):
         a = gen_group(512, SeededSource(1))
         b = gen_group(512, SeededSource(2))
         assert a.P == b.P and a.g == b.g
         assert a.C != b.C
-        assert a.a is None
 
     def test_tiny_lambda_rejected(self):
         with pytest.raises(UsageError):
@@ -156,9 +134,8 @@ class TestGenGroup:
 
 @pytest.fixture(scope="module", params=["toy", 512, 1024, 2048])
 def any_group(request):
-    if request.param == "toy":
-        return toy_group(retain_dlog=True)
-    return gen_group(request.param, SeededSource(request.param), retain_dlog=True)
+    bits = 4 if request.param == "toy" else request.param
+    return gen_group(bits, SeededSource(bits))
 
 
 def _byte_seams(bits):
@@ -192,7 +169,11 @@ class TestFixedBase:
             assert modexp(g, e, any_group) == pow(g, e % q, P), e
 
     def test_public_element_is_g_to_a(self, any_group):
-        assert any_group.C == pow(any_group.g, any_group.a, any_group.P)
+        # a is gen_group's one draw from its source, and C lies in the subgroup
+        P, q, g = any_group.P, any_group.q, any_group.g
+        a = 1 + SeededSource(q.bit_length()).randbelow(q - 1)
+        assert any_group.C == pow(g, a, P)
+        assert in_subgroup(any_group.C, any_group)
 
     def test_exponents_outside_table_width(self, group512):
         # exponents at and past P's bit length, and a negative one
@@ -229,7 +210,7 @@ class TestFixedBase:
 @pytest.fixture(scope="module", params=["toy", 512, 1024, 2048])
 def shared_group(request):
     if request.param == "toy":
-        return toy_group()
+        return request.getfixturevalue("toy")
     return gen_group(request.param, SeededSource(request.param))
 
 

@@ -30,7 +30,7 @@ from otkit.rng import SeededSource
 class TestKeygen:
     def test_modulus_width_exact(self, paillier512):
         pk, sk = paillier512
-        assert pk.bits() == 512
+        assert pk.n.bit_length() == 512
         assert pk.n_squared == pk.n * pk.n
         assert sk.pk is pk
 
@@ -89,7 +89,7 @@ class TestDeferredCertification:
         pk, sk = kgen(512, SeededSource(1))
         monkeypatch.undo()
         assert len(admitted) == 1 and refused == admitted
-        assert pk.bits() == 512 and sk.p * sk.q == pk.n
+        assert pk.n.bit_length() == 512 and sk.p * sk.q == pk.n
         assert numth.is_probable_prime(sk.p) and numth.is_probable_prime(sk.q)
 
 
@@ -299,7 +299,7 @@ class TestCrtEncryption:
                             lambda *args: calls.append(args[1:]) or pow(*args))
         enc(sk, 5, SeededSource(6))
         assert calls == [(q % (p - 1), p), (p, p * p), (p % (q - 1), q), (q, q * q)]
-        assert max(e.bit_length() for e, _ in calls) <= (pk.bits() + 1) // 2
+        assert max(e.bit_length() for e, _ in calls) <= (pk.n.bit_length() + 1) // 2
 
 
 class TestSelectComb:

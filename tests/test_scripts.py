@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from otkit.numth import is_probable_prime
 from otkit.rng import SeededSource
 
@@ -20,10 +22,24 @@ def _run(tmp_path, script, *args) -> str:
     return done.stdout
 
 
-def test_enumerate_toy_cells(tmp_path):
-    rows = _run(tmp_path, "enumerate_toy_cells.py").splitlines()[3:]
+@pytest.mark.parametrize("a", [8, 3])
+def test_enumerate_toy_cells(tmp_path, a):
+    lines = _run(tmp_path, "enumerate_toy_cells.py", "--a", str(a)).splitlines()
+    assert lines[0].startswith(f"P=23 q=11 g=4 C=g^{a}={pow(4, a, 23)} ")
+    rows = lines[3:]
     assert len(rows) == 4
     assert all(row.endswith("yes") for row in rows)
+
+
+@pytest.mark.parametrize("a", [0, 11])
+def test_enumerate_toy_cells_refuses_a_outside_range(tmp_path, a):
+    # log_g C must be in [1, q); the script builds the group from it
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "enumerate_toy_cells.py"), "--a", str(a)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode != 0
+    assert "--a must be in [1, 11)" in done.stderr
 
 
 def test_gen_pinned_groups(tmp_path):
