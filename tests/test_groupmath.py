@@ -93,6 +93,12 @@ class TestGenGroup:
             assert gen_group(4, rng) == GroupParams(P=TOY_P, q=TOY_Q, g=PINNED_G, C=C)
             assert rng.randbytes(16) == expected_rng.randbytes(16)
 
+    def test_toy_row_retains_dlog(self):
+        # the group holds no log_g C, but the seeded source it came from does
+        params = gen_group(4, SeededSource(7))
+        a = 1 + SeededSource(7).randbelow(TOY_Q - 1)
+        assert params.C == pow(PINNED_G, a, TOY_P)
+
     def test_fields_hold_no_dlog(self):
         # no party may know log_g C, so a group holds only its public values
         assert [f.name for f in dataclasses.fields(GroupParams)] == ["P", "q", "g", "C"]
@@ -108,6 +114,12 @@ class TestGenGroup:
         params = gen_group(2048, SeededSource(1))
         assert params.P.bit_length() == 2049
         assert params.q.bit_length() == 2048
+
+    def test_retained_dlog_consistent(self, group512):
+        # log_g C is recomputed from the fixture's seed, not read off the group
+        a = 1 + SeededSource(512).randbelow(group512.q - 1)
+        assert modexp(group512.g, a, group512) == group512.C
+        assert in_subgroup(group512.C, group512)
 
     def test_c_varies_with_rng(self):
         a = gen_group(512, SeededSource(1))
