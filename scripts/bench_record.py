@@ -34,11 +34,13 @@ process it times the Paillier layer's kernels at a 1152-bit key, each the
 best of MICRO_REPEAT timings of its own call count (KERNEL_CALLS):
 `is_probable_prime` on a 576-bit composite that trial division lets through
 and on a multiple of 9973, `enc` under the secret and the public key,
-`select` of one duq-mr-shaped row, `kgen(1152)` from a fixed seed, and
+`select` of one duq-mr-shaped row, `kgen(1152)` from a fixed seed,
 `numth.powmod` at three shapes (modulus/exponent bits): 2048/2047, the size
 of a power in the 2048-bit group; 2304/1152, rho^n mod n^2 at the 1152-bit
-key; and 576/575, one Miller-Rabin round on one of its primes. All are in
-µs per call, under the record's `micro` key. With --append, each keeps the
+key; and 576/575, one Miller-Rabin round on one of its primes;
+`numth.certify` of the key's p, the 62 rounds after the pretest; and `dec`
+of one ciphertext under the secret key. All are in µs per call, under the
+record's `micro` key. With --append, each keeps the
 lower of the old and the new reading, so alternating runs give each side
 the best over all of its runs.
 
@@ -85,6 +87,8 @@ KERNEL_CALLS = {
     "numth.powmod.2048_2047": 20,
     "numth.powmod.2304_1152": 20,
     "numth.powmod.576_575": 200,
+    "numth.certify.576": 20,
+    "paillier.dec.sk1152": 200,
 }
 KERNEL_SEED = 1152
 
@@ -185,13 +189,14 @@ def micro_timings(number: int = MICRO_NUMBER, repeat: int = MICRO_REPEAT) -> dic
 def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict[str, float]:
     """µs per call, best of repeat timings of each row's KERNEL_CALLS calls
     (or of `calls` calls, when given), of the Paillier layer's kernels at a
-    1152-bit key and of numth.powmod at three shapes. Only functions that
-    every recorded version of otkit has."""
+    1152-bit key, of numth.powmod at three shapes, and of certifying one of
+    the key's 576-bit primes. Only functions that otkit has had since
+    `numth.certify` came in, so that older checkouts time the same rows."""
     import math
     import random
 
-    from otkit.numth import SMALL_PRIMES, is_probable_prime, powmod
-    from otkit.paillier import enc, kgen, one_hot, select
+    from otkit.numth import SMALL_PRIMES, certify, is_probable_prime, powmod
+    from otkit.paillier import dec, enc, kgen, one_hot, select
     from otkit.rng import SeededSource
 
     pk, sk = kgen(1152, SeededSource(KERNEL_SEED))
@@ -206,6 +211,7 @@ def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict
     g2048, e2048 = r.randrange(m2048), r.getrandbits(2046) | 1 << 2046
     rho = r.randrange(pk.n)
     a576, d576 = r.randrange(2, sk.p - 1), (sk.p - 1) >> 1
+    c1152 = enc(pk, r.randrange(pk.n), SeededSource(KERNEL_SEED))
     steps = {
         "numth.is_probable_prime.survivor576": lambda: is_probable_prime(survivor),
         "numth.is_probable_prime.mult9973": lambda: is_probable_prime(9973 * sk.p),
@@ -216,6 +222,8 @@ def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict
         "numth.powmod.2048_2047": lambda: powmod(g2048, e2048, m2048),
         "numth.powmod.2304_1152": lambda: powmod(rho, pk.n, pk.n_squared),
         "numth.powmod.576_575": lambda: powmod(a576, d576, sk.p),
+        "numth.certify.576": lambda: certify(sk.p),
+        "paillier.dec.sk1152": lambda: dec(sk, c1152),
     }
     out = {}
     for name, step in steps.items():

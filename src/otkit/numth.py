@@ -19,11 +19,19 @@ Miller-Rabin with 64 rounds, which is the certification level the toolkit
 promises (no deterministic proofs). Trial division is two gcds, not a loop:
 one with the remainder of n by W = 2 * 3 * ... * 23, a one-digit int, and
 one with R, the product of the other 1220 primes; a number at or below 9973
-is looked up instead. The rounds take their powers by the same kernel, but
-not through powmod, so a tracer that wraps powmod counts a session's powers
-and not the hundreds of rounds of its prime search. The rounds' bases come
-from SHAKE-256 of the candidate, so a test of fewer rounds is a prefix of the
-64-round test: paillier.kgen pretests each candidate with PRETEST_ROUNDS
+is looked up instead. The rounds take their powers from the same library,
+but not through powmod, so a tracer that wraps powmod counts a session's
+powers and not the hundreds of rounds of its prime search. A round's base is
+2 plus a 64-bit hash value mod n - 3, one machine word, and BN_mod_exp hands
+a one-word base to BN_mod_exp_mont_word, which at 576 bits is slower than
+the windowed Montgomery path that a full-width base takes. So the rounds on
+one candidate call BN_mod_exp_mont themselves, through the kernel's powers:
+one BN_CTX, one BN_MONT_CTX and one BIGNUM each for the exponent and n,
+made once per candidate, shared by its rounds and freed when its test ends.
+Where powmod runs on pow(), so do the rounds. powmod keeps BN_mod_exp, whose
+one-word path is as fast or faster for g = 4 at 2048 bits. The rounds' bases
+come from SHAKE-256 of the candidate, so a test of fewer rounds is a prefix
+of the 64-round test: paillier.kgen pretests each candidate with PRETEST_ROUNDS
 rounds and certifies only the primes it keeps, with certify, which runs
 the remaining rounds and no second trial division. That finds the same keys
 as 64 rounds on every candidate.
@@ -31,6 +39,7 @@ as 64 rounds on every candidate.
 
 import hashlib
 import math
+from contextlib import closing
 
 from .errors import PrimeSearchExhausted
 
@@ -54,6 +63,9 @@ def _libcrypto_powmod():
             ctx_new, ctx_free = lib.BN_CTX_new, lib.BN_CTX_free
             bn_new, bn_free, bn_clear_free = lib.BN_new, lib.BN_free, lib.BN_clear_free
             bin2bn, bn2binpad, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp
+            mont_new, mont_set, mont_free = (lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_set,
+                                             lib.BN_MONT_CTX_free)
+            mod_exp_mont = lib.BN_mod_exp_mont
         except (OSError, AttributeError):
             continue
         break
@@ -64,7 +76,8 @@ def _libcrypto_powmod():
         (ctx_new, [], ptr), (ctx_free, [ptr], None), (bn_new, [], ptr),
         (bn_free, [ptr], None), (bn_clear_free, [ptr], None),
         (bin2bn, [buf, c_int, ptr], ptr), (bn2binpad, [ptr, buf, c_int], c_int),
-        (mod_exp, [ptr] * 5, c_int),
+        (mod_exp, [ptr] * 5, c_int), (mont_new, [], ptr), (mont_set, [ptr] * 3, c_int),
+        (mont_free, [ptr], None), (mod_exp_mont, [ptr] * 6, c_int),
     ):
         fn.argtypes, fn.restype = argtypes, restype
 
@@ -92,6 +105,39 @@ def _libcrypto_powmod():
             bn_free(r)
             ctx_free(ctx)
 
+    def bn_powers(bases, exp: int, mod: int):
+        """pow(a, exp, mod) for each a in bases, lazily, for exp >= 0 and an
+        odd mod > 1, by BN_mod_exp_mont: one BN_CTX, one BN_MONT_CTX and one
+        BIGNUM each for exp and mod, made on the first value and freed when
+        the generator ends or is closed."""
+        if exp < 0 or mod < 3 or not mod & 1:
+            raise ValueError("bn_powers needs exp >= 0 and an odd modulus above 1")
+        width = (mod.bit_length() + 7) // 8
+        out = ctypes.create_string_buffer(width)
+        ctx = mont = a = e = m = r = None
+        try:
+            ctx, mont, a, r = ctx_new(), mont_new(), bn_new(), bn_new()
+            e, m = to_bn(exp), to_bn(mod)
+            if not (ctx and mont and a and e and m and r):
+                raise MemoryError("libcrypto could not allocate a BIGNUM")
+            if not mont_set(mont, m, ctx):
+                raise ArithmeticError("BN_MONT_CTX_set failed")
+            for base in bases:
+                raw = (base % mod).to_bytes(width, "big")
+                if not bin2bn(raw, width, a):
+                    raise ArithmeticError("BN_bin2bn failed")
+                if not mod_exp_mont(r, a, e, m, ctx, mont) or bn2binpad(r, out, width) != width:
+                    raise ArithmeticError("BN_mod_exp_mont failed")
+                yield int.from_bytes(out.raw, "big")
+        finally:
+            bn_free(a)
+            bn_clear_free(e)
+            bn_free(m)
+            bn_free(r)
+            mont_free(mont)
+            ctx_free(ctx)
+
+    bn_powmod.powers = bn_powers
     return bn_powmod
 
 
@@ -143,17 +189,21 @@ def _miller_rabin(n: int, rounds: int, start: int = 0) -> bool:
     # bases drawn from a hash of n: deterministic per candidate, spread out
     stream = hashlib.shake_256(b"mr" + n.to_bytes((n.bit_length() + 7) // 8, "big"))
     raw = stream.digest(8 * rounds)
-    for i in range(start, rounds):
-        a = 2 + int.from_bytes(raw[8 * i : 8 * i + 8], "big") % (n - 3)
-        x = _kernel(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+    bases = (2 + int.from_bytes(raw[8 * i : 8 * i + 8], "big") % (n - 3)
+             for i in range(start, rounds))
+    if _kernel is _load:
+        kernel()
+    powers = getattr(_kernel, "powers", None)
+    with closing(powers(bases, d, n) if powers else (pow(a, d, n) for a in bases)) as xs:
+        for x in xs:
+            if x in (1, n - 1):
+                continue
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
     return True
 
 

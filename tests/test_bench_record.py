@@ -274,9 +274,12 @@ def test_kernel_timings_cover_each_changed_kernel():
         "numth.is_probable_prime.survivor576", "numth.is_probable_prime.mult9973",
         "paillier.enc.sk1152", "paillier.enc.pk1152", "paillier.select.duq_mr_row",
         "paillier.kgen.1152", "numth.powmod.2048_2047", "numth.powmod.2304_1152",
-        "numth.powmod.576_575",
+        "numth.powmod.576_575", "numth.certify.576", "paillier.dec.sk1152",
     ]
     assert all(0 < us < 1e8 for us in timings.values())
+    # certification is the 62 rounds after the pretest, each about one
+    # 576-bit power
+    assert timings["numth.certify.576"] > 10 * timings["numth.powmod.576_575"]
     # each row keeps its own call count; the engine rows stay at MICRO_NUMBER
     assert bench_record.KERNEL_CALLS["paillier.kgen.1152"] == 1
     assert bench_record.MICRO_NUMBER == 20000

@@ -4,10 +4,12 @@ loop or the test it stands in for."""
 
 import hashlib
 import importlib.util
+import os
 import random
 import subprocess
 import sys
 import threading
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -32,8 +34,12 @@ KEY_BITS = (16, 64, 512, 640, 1024, 1152, 4096)
 
 
 @lru_cache
+def _keypair(bits):
+    return kgen(bits, SeededSource(bits))
+
+
 def _key(bits):
-    return kgen(bits, SeededSource(bits))[0]
+    return _keypair(bits)[0]
 
 
 def _moduli():
@@ -47,6 +53,23 @@ def _moduli():
             ("even1024", r.getrandbits(1023) << 1 | 1 << 1023),
             ("top01", 1 << 1032 | r.getrandbits(1024))]
     return out
+
+
+def _odd_moduli():
+    """(id, m): the odd moduli of _moduli(), and the 576-bit primes of the
+    1152-bit fixture key, the size of kgen(1152)'s Miller-Rabin rounds."""
+    out = [(name, m) for name, m in _moduli() if callable(m) or m & 1]
+    return out + [(f"{half}576", lambda half=half: getattr(_keypair(1152)[1], half))
+                  for half in ("p", "q")]
+
+
+def _round_exponents(m):
+    """0, 1 and the odd part of m - 1, Miller-Rabin's exponent, cut to its
+    top 512 bits above 2304 bits, where pow() takes seconds a power."""
+    d = m - 1
+    while d % 2 == 0:
+        d //= 2
+    return 0, 1, d >> max(0, d.bit_length() - 512) if m.bit_length() > 2304 else d
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +182,144 @@ class TestKernel:
             assert powmod(3, 5, 23) == pow(3, 5, 23)
             assert numth._kernel is pow and numth.kernel() == "pow"
 
+    @pytest.mark.parametrize("name, modulus", _odd_moduli(), ids=[n for n, _ in _odd_moduli()])
+    def test_round_powers(self, libcrypto, name, modulus):
+        m = modulus() if callable(modulus) else modulus
+        bases = (2, 3, 1 << 32, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 64) + 1,
+                 m - 2, m - 1, m, m + 1)
+        for exp in _round_exponents(m):
+            assert list(libcrypto.powers(iter(bases), exp, m)) == [pow(a, exp, m) for a in bases]
+
+    def test_round_powers_are_lazy(self, libcrypto):
+        # a composite that fails its first round costs one power
+        p = _keypair(1152)[1].p
+        drawn = []
+
+        def bases():
+            for a in (2, 3, 5):
+                drawn.append(a)
+                yield a
+
+        powers = libcrypto.powers(bases(), p >> 1, p)
+        assert drawn == []
+        assert next(powers) == pow(2, p >> 1, p) and drawn == [2]
+        powers.close()
+        assert drawn == [2]
+        with pytest.raises(StopIteration):
+            next(powers)
+
+    def test_round_powers_refuse_what_montgomery_cannot_take(self, libcrypto):
+        for exp, mod in ((5, 24), (5, 1), (5, -7), (-1, 23)):
+            with pytest.raises(ValueError):
+                next(libcrypto.powers(iter([3]), exp, mod))
+
+    def test_round_powers_in_two_threads(self, libcrypto):
+        r = random.Random(576)
+        moduli = [r.getrandbits(576) | 1 << 575 | 1 for _ in range(2)]
+        work = [[r.getrandbits(64) for _ in range(500)] for _ in range(2)]
+        results = [None, None]
+
+        def run(i):
+            results[i] = list(libcrypto.powers(iter(work[i]), moduli[i] >> 1, moduli[i]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for i in range(2):
+            assert results[i] == [pow(a, moduli[i] >> 1, moduli[i]) for a in work[i]]
+
+    def test_round_powers_do_not_grow_memory(self, libcrypto):
+        # 20 000 rounds, one per sequence, grow a fresh process by at most
+        # 1 MB: a third run to their end, a third are closed after their
+        # first value and a third end in an error from their bases. A
+        # BN_CTX, a BN_MONT_CTX or the 1024-bit exponent left unfreed per
+        # sequence would take 2 MB or more
+        if not Path("/proc/self/statm").exists():
+            pytest.skip("no /proc/self/statm on this host")
+        code = (
+            "import os, random\n"
+            "from otkit import numth\n"
+            "def rss():\n"
+            "    pages = int(open('/proc/self/statm').read().split()[1])\n"
+            "    return pages * os.sysconf('SC_PAGESIZE')\n"
+            "powers = numth._libcrypto_powmod().powers\n"
+            "r = random.Random(1)\n"
+            "m = r.getrandbits(256) | 1 << 255 | 1\n"
+            "e = r.getrandbits(1024)\n"
+            "def failing():\n"
+            "    yield 2\n"
+            "    raise KeyError\n"
+            "def sequences(count):\n"
+            "    for _ in range(count):\n"
+            "        list(powers(iter([2]), e, m))\n"
+            "        xs = powers(iter([2, 3]), e, m)\n"
+            "        next(xs)\n"
+            "        xs.close()\n"
+            "        try:\n"
+            "            list(powers(failing(), e, m))\n"
+            "        except KeyError:\n"
+            "            pass\n"
+            "sequences(250)\n"
+            "before = rss()\n"
+            "sequences(6667)\n"
+            "print(rss() - before)\n"
+        )
+        assert int(_python(code)) <= 1 << 20
+
+    def test_round_powers_free_what_they_allocate(self, monkeypatch):
+        # every BIGNUM and context a sequence allocates is freed once, on
+        # every way a sequence can end, and the exponent by BN_clear_free
+        import ctypes
+
+        live, cleared = Counter(), []
+
+        class Logged:
+            def __init__(self, name, fn):
+                self.__dict__.update(name=name, fn=fn)
+
+            def __setattr__(self, attr, value):  # argtypes and restype
+                setattr(self.fn, attr, value)
+
+            def __call__(self, *args):
+                out = self.fn(*args)
+                if self.name.endswith("_new") or self.name == "BN_bin2bn" and args[2] is None:
+                    live[out] += 1
+                elif self.name.endswith("_free") and args[0]:
+                    live[args[0]] -= 1
+                    if self.name == "BN_clear_free":
+                        cleared.append(args[0])
+                return out
+
+        class Library:
+            def __init__(self, soname):
+                self.lib = real(soname)
+
+            def __getattr__(self, name):
+                return Logged(name, getattr(self.lib, name))
+
+        real = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", Library)
+        powers = numth._libcrypto_powmod().powers
+        monkeypatch.undo()
+
+        def failing():
+            yield 2
+            raise KeyError
+
+        p = _keypair(1152)[1].p
+        assert list(powers(iter([2, 3]), p >> 1, p)) == [pow(a, p >> 1, p) for a in (2, 3)]
+        xs = powers(iter([2, 3]), p >> 1, p)
+        next(xs)
+        xs.close()
+        with pytest.raises(KeyError):
+            list(powers(failing(), p >> 1, p))
+        powers(iter([2]), p >> 1, p).close()  # never started: allocates nothing
+        assert not +live and not -live
+        assert len(live) >= 6 and len(cleared) == 3
+
     def test_rounds_bypass_powmod(self, count_calls):
         # Miller-Rabin takes its powers by the kernel, not through powmod, so
         # a tracer that wraps powmod does not count a key search's rounds
@@ -169,10 +330,18 @@ class TestKernel:
 
 
 def _python(code):
-    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+    """stdout of a fresh interpreter that imports this checkout's otkit and
+    writes bytecode only if this one does, so a test run leaves no cache
+    that a later benchmark of the checkout would load."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    flags = ["-B"] if sys.dont_write_bytecode else []
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
     return proc.stdout.strip()
+
+
+def test_children_keep_the_bytecode_setting():
+    assert _python("import sys; print(sys.dont_write_bytecode)") == str(sys.dont_write_bytecode)
 
 
 MILLER_RABIN = object()  # what a stub _miller_rabin returns: n got past trial division
