@@ -28,10 +28,12 @@ the windowed Montgomery path that a full-width base takes. So the rounds on
 one candidate call BN_mod_exp_mont themselves, through the kernel's powers:
 one BN_CTX, one BN_MONT_CTX and one BIGNUM each for the exponent and n,
 made once per candidate, shared by its rounds and freed when its test ends.
-Where powmod runs on pow(), so do the rounds. powmod keeps BN_mod_exp, whose
-one-word path is as fast or faster for g = 4 at 2048 bits. The rounds' bases
-come from SHAKE-256 of the candidate, so a test of fewer rounds is a prefix
-of the 64-round test: paillier.kgen pretests each candidate with PRETEST_ROUNDS
+Certifying a 576-bit prime, the 62 rounds after the pretest, so takes
+5.75 ms against 8.19 ms by BN_mod_exp, and kgen(1152) 24.0 ms against 28.6
+ms (`--micro` in BENCH_pr27*.json, same host as above). Where powmod runs on
+pow(), so do the rounds. powmod keeps BN_mod_exp, whose one-word path is as
+fast or faster for g = 4 at 2048 bits. The rounds' bases come from SHAKE-256
+of the candidate, so a test of fewer rounds is a prefix of the 64-round test: paillier.kgen pretests each candidate with PRETEST_ROUNDS
 rounds and certifies only the primes it keeps, with certify, which runs
 the remaining rounds and no second trial division. That finds the same keys
 as 64 rounds on every candidate.
