@@ -110,8 +110,8 @@ def _libcrypto_powmod():
     def bn_powers(bases, exp: int, mod: int):
         """pow(a, exp, mod) for each a in bases, lazily, for exp >= 0 and an
         odd mod > 1, by BN_mod_exp_mont: one BN_CTX, one BN_MONT_CTX and one
-        BIGNUM each for exp and mod, made on the first value and freed when
-        the generator ends or is closed."""
+        BIGNUM each for exp, mod, the base and the result, made on the first
+        value and freed when the generator ends, fails or is closed."""
         if exp < 0 or mod < 3 or not mod & 1:
             raise ValueError("bn_powers needs exp >= 0 and an odd modulus above 1")
         width = (mod.bit_length() + 7) // 8
