@@ -32,14 +32,17 @@ that imports the checkout's src/otkit: building an `Envelope`, framing it
 bit, each the best of MICRO_REPEAT timings of MICRO_NUMBER calls. In the same
 process it times the Paillier layer's kernels at a 1152-bit key, each the
 best of MICRO_REPEAT timings of its own call count (KERNEL_CALLS):
-`is_probable_prime` on a 576-bit composite that trial division lets through
-and on a multiple of 9973, `enc` under the secret and the public key,
-`select` of one duq-mr-shaped row, `kgen(1152)` from a fixed seed,
+`is_probable_prime` cycling over SURVIVORS fixed 576-bit composites that
+trial division lets through (ten passes a timing, three times the
+repeats) and on a multiple of 9973, `enc` under the secret and the public
+key, `select` of one duq-mr-shaped row, `kgen(1152)` from a fixed seed,
 `numth.powmod` at three shapes (modulus/exponent bits): 2048/2047, the size
 of a power in the 2048-bit group; 2304/1152, rho^n mod n^2 at the 1152-bit
-key; and 576/575, one Miller-Rabin round on one of its primes;
-`numth.certify` of the key's p, the 62 rounds after the pretest; and `dec`
-of one ciphertext under the secret key. All are in µs per call, under the
+key; and 576/575, one Miller-Rabin round on one of its primes; a power of
+g through `groupmath.modexp` in the pinned 2048- and 1024-bit groups;
+`numth.certify` of the key's p, the 62 rounds after the pretest; `dec` of
+one ciphertext under the secret key; a 64 KiB `SeededSource.randbytes`; and
+`xor_bytes` of two 64 KiB strings. All are in µs per call, under the
 record's `micro` key. With --append, each keeps the
 lower of the old and the new reading, so alternating runs give each side
 the best over all of its runs.
@@ -76,20 +79,27 @@ DEFAULT_SEEDS = (901, 902, 903)
 # what a run keeps of each `# protocol: ...` line, and which way is better
 PROTOCOL_FIELDS = {"sessions": "higher", "p10_ms": "lower", "median_ms": "lower"}
 MICRO_NUMBER, MICRO_REPEAT = 20000, 7
+SURVIVORS = 50  # 576-bit composites that trial division lets through
 # calls per timing of each kernel row, for about 0.1-0.5 s a timing
 KERNEL_CALLS = {
-    "numth.is_probable_prime.survivor576": 200,
+    "numth.is_probable_prime.survivor576": 10 * SURVIVORS,
     "numth.is_probable_prime.mult9973": 5000,
     "paillier.enc.sk1152": 50,
     "paillier.enc.pk1152": 20,
     "paillier.select.duq_mr_row": 20,
     "paillier.kgen.1152": 1,
     "numth.powmod.2048_2047": 20,
+    "groupmath.modexp_g.2048": 20,
+    "groupmath.modexp_g.1024": 100,
     "numth.powmod.2304_1152": 20,
     "numth.powmod.576_575": 200,
     "numth.certify.576": 20,
     "paillier.dec.sk1152": 200,
+    "rng.randbytes.65536": 100,
+    "primitives.xor_bytes.65536": 2000,
 }
+# rows whose timings are repeated this many times more than the others
+KERNEL_REPEAT = {"numth.is_probable_prime.survivor576": 3}
 KERNEL_SEED = 1152
 
 
@@ -187,23 +197,30 @@ def micro_timings(number: int = MICRO_NUMBER, repeat: int = MICRO_REPEAT) -> dic
 
 
 def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict[str, float]:
-    """µs per call, best of repeat timings of each row's KERNEL_CALLS calls
-    (or of `calls` calls, when given), of the Paillier layer's kernels at a
-    1152-bit key, of numth.powmod at three shapes, and of certifying one of
-    the key's 576-bit primes. Only functions that otkit has had since
-    `numth.certify` came in, so that older checkouts time the same rows."""
+    """µs per call, best of repeat timings (times KERNEL_REPEAT's factor)
+    of each row's KERNEL_CALLS calls (or of `calls` calls, when given), of
+    the Paillier layer's kernels at a 1152-bit key, of numth.powmod at three
+    shapes, of a power of g through groupmath.modexp at 2048 and 1024 bits,
+    of certifying one of the key's 576-bit primes, and of a 64 KiB pad and
+    XOR. Only functions that otkit has had since `numth.certify` came in, so
+    that older checkouts time the same rows."""
+    import itertools
     import math
     import random
 
+    from otkit.groupmath import gen_group, modexp
     from otkit.numth import SMALL_PRIMES, certify, is_probable_prime, powmod
     from otkit.paillier import dec, enc, kgen, one_hot, select
+    from otkit.primitives import xor_bytes
     from otkit.rng import SeededSource
 
     pk, sk = kgen(1152, SeededSource(KERNEL_SEED))
     r = random.Random(KERNEL_SEED)
     small = math.prod(SMALL_PRIMES)
-    survivor = next(n for n in iter(lambda: r.getrandbits(576) | 1 << 575 | 1, None)
-                    if math.gcd(n, small) == 1 and not is_probable_prime(n))
+    odd576 = iter(lambda: r.getrandbits(576) | 1 << 575 | 1, None)
+    survivors = itertools.cycle(list(itertools.islice(
+        (n for n in odd576 if math.gcd(n, small) == 1 and not is_probable_prime(n)),
+        SURVIVORS)))
     selector = one_hot(pk, 1, 0, SeededSource(KERNEL_SEED))
     row = [r.getrandbits(1024), r.getrandbits(256), r.getrandbits(1024), r.getrandbits(256)]
     rng = SeededSource(KERNEL_SEED)
@@ -212,23 +229,31 @@ def kernel_timings(repeat: int = MICRO_REPEAT, calls: int | None = None) -> dict
     rho = r.randrange(pk.n)
     a576, d576 = r.randrange(2, sk.p - 1), (sk.p - 1) >> 1
     c1152 = enc(pk, r.randrange(pk.n), SeededSource(KERNEL_SEED))
+    groups = {bits: gen_group(bits, SeededSource(KERNEL_SEED)) for bits in (2048, 1024)}
+    e_g = {bits: r.randrange(params.q) for bits, params in groups.items()}
+    pad, xs, ys = SeededSource(KERNEL_SEED), r.randbytes(65536), r.randbytes(65536)
     steps = {
-        "numth.is_probable_prime.survivor576": lambda: is_probable_prime(survivor),
+        "numth.is_probable_prime.survivor576": lambda: is_probable_prime(next(survivors)),
         "numth.is_probable_prime.mult9973": lambda: is_probable_prime(9973 * sk.p),
         "paillier.enc.sk1152": lambda: enc(sk, 5, rng),
         "paillier.enc.pk1152": lambda: enc(pk, 5, rng),
         "paillier.select.duq_mr_row": lambda: select(pk, selector, [row]),
         "paillier.kgen.1152": lambda: kgen(1152, SeededSource(KERNEL_SEED)),
         "numth.powmod.2048_2047": lambda: powmod(g2048, e2048, m2048),
+        "groupmath.modexp_g.2048": lambda: modexp(groups[2048].g, e_g[2048], groups[2048]),
+        "groupmath.modexp_g.1024": lambda: modexp(groups[1024].g, e_g[1024], groups[1024]),
         "numth.powmod.2304_1152": lambda: powmod(rho, pk.n, pk.n_squared),
         "numth.powmod.576_575": lambda: powmod(a576, d576, sk.p),
         "numth.certify.576": lambda: certify(sk.p),
         "paillier.dec.sk1152": lambda: dec(sk, c1152),
+        "rng.randbytes.65536": lambda: pad.randbytes(65536),
+        "primitives.xor_bytes.65536": lambda: xor_bytes(xs, ys),
     }
     out = {}
     for name, step in steps.items():
         number = calls or KERNEL_CALLS[name]
-        best = min(timeit.timeit(step, number=number) for _ in range(repeat))
+        best = min(timeit.timeit(step, number=number)
+                   for _ in range(repeat * KERNEL_REPEAT.get(name, 1)))
         out[name] = best / number * 1e6
     return out
 

@@ -1,13 +1,21 @@
 """Number-theory helpers: modular exponentiation and probabilistic primes.
 
-powmod(base, exp, mod) is pow(base, exp, mod), by one kernel for every
-power a session takes. On the first power it opens OpenSSL's libcrypto
-(libcrypto.so.3, else libcrypto.so.1.1), the library that Python's own
-hashlib already uses, and from then on takes each power with a non-negative
-exponent by BN_mod_exp through ctypes: Montgomery multiplication
-(Math. Comp. 1985), about 10x faster than pow() from 576 to 2304 bits
-(2.45 ms against 27.5 ms at 2048 bits; Python 3.11.7, OpenSSL 3.0.19, 2
-cores of a shared host, `--micro` in BENCH_pr25*.json). The ints cross as
+powmod(base, exp, mod) is pow(base, exp, mod), and powmod2(a1, e1, a2, e2,
+mod) is a1^e1 * a2^e2 mod mod; one kernel takes every power a session takes.
+On the first power it opens OpenSSL's libcrypto (libcrypto.so.3, else
+libcrypto.so.1.1), the library that Python's own hashlib already uses, and
+from then on takes each power with a non-negative exponent by BN_mod_exp
+through ctypes: Montgomery multiplication (Math. Comp. 1985), about 10x
+faster than pow() from 576 to 2304 bits (2.45 ms against 27.5 ms at 2048
+bits; Python 3.11.7, OpenSSL 3.0.19, 2 cores of a shared host, `--micro` in
+BENCH_pr25*.json). powmod2 takes BN_mod_exp2_mont, which shares one chain
+of squarings between its two powers (Straus 1964, "Shamir's trick"), when
+both exponents are non-negative, the modulus is odd and at least 3, and
+neither base is 0 mod it (the call gives 0 for a zero base whatever its
+exponent); otherwise it multiplies two pow() results. groupmath takes every
+power of the pinned g so, over g and g^(2^k) with two half-length
+exponents: 2.67 ms against 3.86 ms by BN_mod_exp at 2048 bits, 0.45 ms
+against 0.60 ms at 1024 (same host, best of 5 timings). The ints cross as
 big-endian bytes, and every BIGNUM and BN_CTX is made and freed within the
 call, so calls from several threads share nothing. A host where the library
 does not open, or lacks a symbol, takes every power by pow(), with the same
@@ -33,10 +41,11 @@ Certifying a 576-bit prime, the 62 rounds after the pretest, so takes
 ms (`--micro` in BENCH_pr27*.json, same host as above). Where powmod runs on
 pow(), so do the rounds. powmod keeps BN_mod_exp, whose one-word path is as
 fast or faster for g = 4 at 2048 bits. The rounds' bases come from SHAKE-256
-of the candidate, so a test of fewer rounds is a prefix of the 64-round test: paillier.kgen pretests each candidate with PRETEST_ROUNDS
-rounds and certifies only the primes it keeps, with certify, which runs
-the remaining rounds and no second trial division. That finds the same keys
-as 64 rounds on every candidate.
+of the candidate, so a test of fewer rounds is a prefix of the 64-round
+test: paillier.kgen pretests each candidate with PRETEST_ROUNDS rounds and
+certifies only the primes it keeps, with certify, which runs the remaining
+rounds and no second trial division. That finds the same keys as 64 rounds
+on every candidate.
 """
 
 import hashlib
@@ -53,9 +62,17 @@ def powmod(base: int, exp: int, mod: int) -> int:
     return _kernel(base, exp, mod)
 
 
+def powmod2(a1: int, e1: int, a2: int, e2: int, mod: int) -> int:
+    """a1^e1 * a2^e2 mod mod, by one BN_mod_exp2_mont call where the
+    libcrypto kernel runs; by two pow() calls and a product on pow()."""
+    two = _kernel_part("powmod2")
+    return two(a1, e1, a2, e2, mod) if two else pow(a1, e1, mod) * pow(a2, e2, mod) % mod
+
+
 def _libcrypto_powmod():
     """pow() for a non-negative exponent and a positive modulus by
-    BN_mod_exp, from the first of LIBCRYPTO_SONAMES that opens with every
+    BN_mod_exp, with the Miller-Rabin rounds' `powers` and `powmod2` as
+    attributes, from the first of LIBCRYPTO_SONAMES that opens with every
     symbol; None when none does."""
     import ctypes
 
@@ -67,7 +84,7 @@ def _libcrypto_powmod():
             bin2bn, bn2binpad, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp
             mont_new, mont_set, mont_free = (lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_set,
                                              lib.BN_MONT_CTX_free)
-            mod_exp_mont = lib.BN_mod_exp_mont
+            mod_exp_mont, mod_exp2 = lib.BN_mod_exp_mont, lib.BN_mod_exp2_mont
         except (OSError, AttributeError):
             continue
         break
@@ -80,6 +97,7 @@ def _libcrypto_powmod():
         (bin2bn, [buf, c_int, ptr], ptr), (bn2binpad, [ptr, buf, c_int], c_int),
         (mod_exp, [ptr] * 5, c_int), (mont_new, [], ptr), (mont_set, [ptr] * 3, c_int),
         (mont_free, [ptr], None), (mod_exp_mont, [ptr] * 6, c_int),
+        (mod_exp2, [ptr] * 8, c_int),
     ):
         fn.argtypes, fn.restype = argtypes, restype
 
@@ -139,7 +157,35 @@ def _libcrypto_powmod():
             mont_free(mont)
             ctx_free(ctx)
 
-    bn_powmod.powers = bn_powers
+    def bn_powmod2(a1: int, e1: int, a2: int, e2: int, mod: int) -> int:
+        """a1^e1 * a2^e2 mod mod by BN_mod_exp2_mont, which shares one chain
+        of squarings between the two powers, for non-negative exponents, an
+        odd mod >= 3 and bases that are not 0 mod mod (the call returns 0
+        for a zero base whatever its exponent); pow() otherwise."""
+        if e1 < 0 or e2 < 0 or mod < 3 or not mod & 1 or not a1 % mod or not a2 % mod:
+            return pow(a1, e1, mod) * pow(a2, e2, mod) % mod
+        width = (mod.bit_length() + 7) // 8
+        out = ctypes.create_string_buffer(width)
+        ctx = b1 = p1 = b2 = p2 = m = r = None
+        try:
+            ctx, b1, p1, b2, p2 = ctx_new(), to_bn(a1 % mod), to_bn(e1), to_bn(a2 % mod), to_bn(e2)
+            m, r = to_bn(mod), bn_new()
+            if not (ctx and b1 and p1 and b2 and p2 and m and r):
+                raise MemoryError("libcrypto could not allocate a BIGNUM")
+            if (not mod_exp2(r, b1, p1, b2, p2, m, ctx, None)
+                    or bn2binpad(r, out, width) != width):
+                raise ArithmeticError("BN_mod_exp2_mont failed")
+            return int.from_bytes(out.raw, "big")
+        finally:
+            bn_free(b1)
+            bn_clear_free(p1)
+            bn_free(b2)
+            bn_clear_free(p2)
+            bn_free(m)
+            bn_free(r)
+            ctx_free(ctx)
+
+    bn_powmod.powers, bn_powmod.powmod2 = bn_powers, bn_powmod2
     return bn_powmod
 
 
@@ -159,6 +205,14 @@ def kernel() -> str:
     power was taken yet."""
     _kernel(1, 1, 1)
     return "pow" if _kernel is pow else "libcrypto"
+
+
+def _kernel_part(name: str):
+    """The kernel's `powers` or `powmod2`, picked first if no power was
+    taken yet; None on pow()."""
+    if _kernel is _load:
+        kernel()
+    return getattr(_kernel, name, None)
 
 
 MR_ROUNDS = 64
@@ -193,9 +247,7 @@ def _miller_rabin(n: int, rounds: int, start: int = 0) -> bool:
     raw = stream.digest(8 * rounds)
     bases = (2 + int.from_bytes(raw[8 * i : 8 * i + 8], "big") % (n - 3)
              for i in range(start, rounds))
-    if _kernel is _load:
-        kernel()
-    powers = getattr(_kernel, "powers", None)
+    powers = _kernel_part("powers")
     with closing(powers(bases, d, n) if powers else (pow(a, d, n) for a in bases)) as xs:
         for x in xs:
             if x in (1, n - 1):

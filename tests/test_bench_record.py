@@ -273,8 +273,10 @@ def test_kernel_timings_cover_each_changed_kernel():
     assert list(timings) == list(bench_record.KERNEL_CALLS) == [
         "numth.is_probable_prime.survivor576", "numth.is_probable_prime.mult9973",
         "paillier.enc.sk1152", "paillier.enc.pk1152", "paillier.select.duq_mr_row",
-        "paillier.kgen.1152", "numth.powmod.2048_2047", "numth.powmod.2304_1152",
-        "numth.powmod.576_575", "numth.certify.576", "paillier.dec.sk1152",
+        "paillier.kgen.1152", "numth.powmod.2048_2047", "groupmath.modexp_g.2048",
+        "groupmath.modexp_g.1024", "numth.powmod.2304_1152", "numth.powmod.576_575",
+        "numth.certify.576", "paillier.dec.sk1152", "rng.randbytes.65536",
+        "primitives.xor_bytes.65536",
     ]
     assert all(0 < us < 1e8 for us in timings.values())
     # certification is the 62 rounds after the pretest, each about one
