@@ -1,5 +1,5 @@
-"""Shared fixtures: deterministic groups and homomorphic keys, and a call
-counter.
+"""Shared fixtures: deterministic groups and homomorphic keys, a call
+counter, and the byte seams of the exponentiation kernel's conversion.
 
 Key generation is the slow part, so anything reusable is session-scoped.
 The toy group has C = 4^8 = 9, so the hand-checked vectors stay fixed. The
@@ -71,3 +71,16 @@ def count_calls(monkeypatch):
         return counts
 
     return install
+
+
+@pytest.fixture(scope="session")
+def byte_seams():
+    """byte_seams(bits): numbers below 2^bits at the first two, a middle and
+    the last byte boundary, and one either side: where the kernel's
+    big-endian conversion gains a byte."""
+    def seams(bits):
+        edges = {8, 16, 8 * (bits // 16), 8 * ((bits - 1) // 8)}
+        return [e for k in sorted(edges) if 0 < k < bits
+                for e in ((1 << k) - 1, 1 << k, (1 << k) + 1)]
+
+    return seams

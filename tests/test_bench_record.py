@@ -284,6 +284,9 @@ def test_kernel_timings_cover_each_changed_kernel():
     assert timings["numth.certify.576"] > 10 * timings["numth.powmod.576_575"]
     # each row keeps its own call count; the engine rows stay at MICRO_NUMBER
     assert bench_record.KERNEL_CALLS["paillier.kgen.1152"] == 1
+    # a timing of the survivor row tests each of its composites equally often
+    assert bench_record.KERNEL_CALLS["numth.is_probable_prime.survivor576"] % \
+        bench_record.SURVIVORS == 0
     assert bench_record.MICRO_NUMBER == 20000
 
 

@@ -150,26 +150,18 @@ def any_group(request):
     return gen_group(bits, SeededSource(bits))
 
 
-def _byte_seams(bits):
-    """Numbers below 2^bits at the first two, a middle and the last byte
-    boundary, and one either side: where the kernel's big-endian conversion
-    gains a byte."""
-    edges = {8, 16, 8 * (bits // 16), 8 * ((bits - 1) // 8)}
-    return [e for k in sorted(edges) if 0 < k < bits
-            for e in ((1 << k) - 1, 1 << k, (1 << k) + 1)]
-
-
 def _digest(cfg):
     return hashlib.sha256(export_transcript(run_session(cfg)).encode()).hexdigest()
 
 
 class TestFixedBase:
-    """Powers of g are one powmod call each; they must equal pow() exactly."""
+    """Powers of g in a pinned group are one powmod2 call each, over g and
+    g^(2^k); they must equal pow() exactly."""
 
-    def test_edge_exponents(self, any_group):
+    def test_edge_exponents(self, any_group, byte_seams):
         P, q, g = any_group.P, any_group.q, any_group.g
         exponents = [0, 1, 2, q - 1, q, q + 1, -1, 2 * q + 5, P - 1, P, P + 5, 3 * P]
-        for e in exponents + _byte_seams(q.bit_length()):
+        for e in exponents + byte_seams(q.bit_length()):
             assert modexp(g, e, any_group) == pow(g, e % q, P), e
             assert powmod(g, e, P) == pow(g, e, P), e
 
@@ -195,14 +187,58 @@ class TestFixedBase:
             assert powmod(g, e, P) == pow(g, e, P), e
 
     def test_cache_bounded(self, group512):
-        # g keeps no table: many generators leave no state in groupmath
+        # only the pinned g over a pinned P keeps a table, of one g^(2^k) per
+        # pinned size: other generators, and g over a P that is not pinned,
+        # add no entry and leave groupmath's namespace as it was
         P, q = group512.P, group512.q
-        before = dict(vars(groupmath))
+        modexp(group512.g, 1, group512)
+        before, table = dict(vars(groupmath)), dict(groupmath._G_TO_2K)
         for k in range(2, 14):
             params = GroupParams(P=P, q=q, g=k * k, C=k * k)
             assert modexp(params.g, 12345, params) == pow(params.g, 12345, P)
+        for params in (GroupParams(P=P + 2, q=q, g=PINNED_G, C=PINNED_G),
+                       GroupParams(P=47, q=23, g=PINNED_G, C=PINNED_G)):
+            assert modexp(params.g, 12345, params) == pow(params.g, 12345 % params.q, params.P)
         assert vars(groupmath) == before
+        assert groupmath._G_TO_2K == table
+        assert set(table) <= set(PINNED_SAFE_PRIMES)
         assert not any(hasattr(v, "cache_info") for v in before.values())
+
+    def test_derived_power_is_g_to_2_to_k(self):
+        # g^(2^k), k = ceil(|q| / 2), at every pinned size
+        for bits, P in PINNED_SAFE_PRIMES.items():
+            groupmath._power_of_g(1, bits)
+            assert groupmath._G_TO_2K[bits] == pow(4, 1 << (bits + 1) // 2, P)
+
+    def test_split_seams(self, any_group):
+        # exponents either side of 2^k, where e's high half turns nonzero,
+        # and each of them plus q
+        P, q, g = any_group.P, any_group.q, any_group.g
+        k = (q.bit_length() + 1) // 2
+        for e in (0, (1 << k) - 1, 1 << k, (1 << k) + 1):
+            for f in (e, e + q, e - q):
+                assert modexp(g, f, any_group) == pow(g, f % q, P), f
+
+    def test_powers_of_g_take_one_powmod2_call(self, any_group, monkeypatch):
+        # a power of g, in modexp or as gen_group's C, is one powmod2 call on
+        # (g, e mod 2^k) and (g^(2^k), e >> k), and no powmod call; gen_group
+        # does not call modexp, so perfbench counts none of its powers as
+        # modexp_g
+        P, q, g = any_group.P, any_group.q, any_group.g
+        bits, k = q.bit_length(), (q.bit_length() + 1) // 2
+        groupmath._power_of_g(0, bits)
+        calls = []
+        monkeypatch.setattr(groupmath, "powmod", lambda *args: calls.append(args))
+        monkeypatch.setattr(groupmath, "powmod2", lambda *args: calls.append(args) or
+                            pow(args[0], args[1], args[4]) * pow(args[2], args[3], args[4]) % P)
+        monkeypatch.setattr(groupmath, "modexp", None)
+        exponents = [q - 1, -1, 5, (1 << k) + 3]
+        assert [modexp(g, e, any_group) for e in exponents] == [pow(g, e % q, P) for e in exponents]
+        a = 1 + SeededSource(bits).randbelow(q - 1)
+        assert gen_group(bits, SeededSource(bits)).C == pow(g, a, P)
+        high = groupmath._G_TO_2K[bits]
+        assert calls == [(g, e % (1 << k), high, e >> k, P)
+                         for e in [e % q for e in exponents] + [a]]
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_session_matches_one_dimensional_comb(self, protocol, monkeypatch):
@@ -230,7 +266,7 @@ class TestSharedBase:
     """Powers of one other base, many exponents each, must equal pow()
     exactly, one powmod call per power."""
 
-    def test_powers_match_pow(self, shared_group):
+    def test_powers_match_pow(self, shared_group, byte_seams):
         P, q = shared_group.P, shared_group.q
         base = shared_group.C
         bits = q.bit_length()
@@ -238,12 +274,12 @@ class TestSharedBase:
         exponents = [0, 1, 2, q - 1, q, q + 1, -1, P - 1, P, P + 5, 3 * P] + [
             rnd.randrange(-q, 3 * q) for _ in range(40)
         ]
-        for e in exponents + _byte_seams(bits):
+        for e in exponents + byte_seams(bits):
             assert modexp(base, e, shared_group) == pow(base, e % q, P), e
 
     def test_pinned_paths(self, shared_group, monkeypatch):
-        # every power of a base is one powmod call with the exponent mod q,
-        # however many exponents the base is raised to
+        # every power of a base other than g is one powmod call with the
+        # exponent mod q, however many exponents the base is raised to
         calls = []
         monkeypatch.setattr(groupmath, "powmod", lambda *args: calls.append(args) or pow(*args))
         P, q, base = shared_group.P, shared_group.q, shared_group.C
@@ -254,16 +290,16 @@ class TestSharedBase:
         assert calls == [(base, e % q, P) for e in exponents]
 
     @pytest.mark.parametrize("bits", [512, 640, 1024, 1152, 2048])
-    def test_heads_match_pow_at_every_seam(self, bits):
+    def test_heads_match_pow_at_every_seam(self, bits, byte_seams):
         # odd and even moduli of `bits` bits; exponents and bases at byte
         # seams of the conversion, where a power of two gains a byte
         r = random.Random(bits)
         top = 1 << (bits - 1)
         for n in (r.getrandbits(bits) | top | 1, (r.getrandbits(bits) | top) & ~1):
             base = r.randrange(2, n)
-            for e in [0, 1, n - 1, (1 << bits) - 1] + _byte_seams(bits):
+            for e in [0, 1, n - 1, (1 << bits) - 1] + byte_seams(bits):
                 assert powmod(base, e, n) == pow(base, e, n), (n, e)
-            for b in [0, 1, n - 1, n, n + 1] + _byte_seams(bits):
+            for b in [0, 1, n - 1, n, n + 1] + byte_seams(bits):
                 assert powmod(b, n - 1, n) == pow(b, n - 1, n), (n, b)
 
     @pytest.mark.parametrize("protocol", ["dq-mr", "duq-mr"])

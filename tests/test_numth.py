@@ -10,17 +10,19 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otkit import numth
-from otkit.groupmath import PINNED_SAFE_PRIMES
+from otkit.groupmath import PINNED_SAFE_PRIMES, gen_group, modexp
 from otkit.harness import export_transcript, run_session
-from otkit.numth import MR_ROUNDS, PRETEST_ROUNDS, SMALL_PRIMES, certify, is_probable_prime, powmod
+from otkit.numth import (MR_ROUNDS, PRETEST_ROUNDS, SMALL_PRIMES, certify, is_probable_prime,
+                         powmod, powmod2)
 from otkit.paillier import kgen
 from otkit.rng import SeededSource
 
@@ -72,6 +74,10 @@ def _round_exponents(m):
     return 0, 1, d >> max(0, d.bit_length() - 512) if m.bit_length() > 2304 else d
 
 
+def _two_base_oracle(a1, e1, a2, e2, m):
+    return pow(a1, e1, m) * pow(a2, e2, m) % m
+
+
 @pytest.fixture(scope="module")
 def libcrypto():
     """BN_mod_exp behind pow()'s signature; the tests that need it skip on a
@@ -82,8 +88,52 @@ def libcrypto():
     return kernel
 
 
+@pytest.fixture
+def logged_kernel(libcrypto, monkeypatch):
+    """The libcrypto kernel, loaded through a stand-in for ctypes.CDLL that
+    logs its calls: `live` counts, per pointer, each BIGNUM and context made
+    less each one freed, and `cleared` lists the value of each BIGNUM freed
+    by BN_clear_free."""
+    import ctypes
+
+    log = SimpleNamespace(live=Counter(), cleared=[])
+    made = {}
+
+    class Logged:
+        def __init__(self, name, fn):
+            self.__dict__.update(name=name, fn=fn)
+
+        def __setattr__(self, attr, value):  # argtypes and restype
+            setattr(self.fn, attr, value)
+
+        def __call__(self, *args):
+            out = self.fn(*args)
+            if self.name.endswith("_new") or self.name == "BN_bin2bn" and args[2] is None:
+                log.live[out] += 1
+                made[out] = int.from_bytes(args[0], "big") if self.name == "BN_bin2bn" else None
+            elif self.name.endswith("_free") and args[0]:
+                log.live[args[0]] -= 1
+                if self.name == "BN_clear_free":
+                    log.cleared.append(made[args[0]])
+            return out
+
+    class Library:
+        def __init__(self, soname):
+            self.lib = real(soname)
+
+        def __getattr__(self, name):
+            return Logged(name, getattr(self.lib, name))
+
+    real = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", Library)
+    log.kernel = numth._libcrypto_powmod()
+    monkeypatch.undo()
+    return log
+
+
 class TestKernel:
-    """powmod is pow(): every power equals pow()'s, whichever kernel takes it."""
+    """powmod is pow(), and powmod2 a product of two pow() results: every
+    power equals pow()'s, whichever kernel takes it."""
 
     @pytest.mark.parametrize("name, modulus", _moduli(), ids=[n for n, _ in _moduli()])
     def test_edges(self, libcrypto, name, modulus):
@@ -135,26 +185,86 @@ class TestKernel:
 
     def test_calls_do_not_grow_memory(self, libcrypto):
         # 20 000 calls at 512 bits grow a fresh process by at most 1 MB; one
-        # BIGNUM left unfreed per call would take 2 MB. The process reads its
-        # resident size, since its ru_maxrss starts at the pytest process's peak
-        if not Path("/proc/self/statm").exists():
-            pytest.skip("no /proc/self/statm on this host")
-        code = (
-            "import os, random\n"
-            "from otkit import numth\n"
-            "def rss():\n"
-            "    pages = int(open('/proc/self/statm').read().split()[1])\n"
-            "    return pages * os.sysconf('SC_PAGESIZE')\n"
-            "kernel = numth._libcrypto_powmod()\n"
-            "r = random.Random(1)\n"
-            "m = r.getrandbits(512) | 1 << 511 | 1\n"
-            "b, e = r.getrandbits(512), r.getrandbits(512)\n"
-            "for _ in range(1000): kernel(b, e, m)\n"
-            "before = rss()\n"
-            "for _ in range(20000): kernel(b, e, m)\n"
-            "print(rss() - before)\n"
-        )
-        assert int(_python(code)) <= 1 << 20
+        # BIGNUM left unfreed per call would take 2 MB
+        assert _growth("kernel(b, e, m)") <= 1 << 20
+
+    def test_powmod2_calls_do_not_grow_memory(self, libcrypto):
+        assert _growth("kernel.powmod2(b, e, e, b, m)") <= 1 << 20
+
+    @pytest.mark.parametrize("name, modulus", _odd_moduli(), ids=[n for n, _ in _odd_moduli()])
+    def test_powmod2_edges(self, libcrypto, byte_seams, name, modulus):
+        # each base and each exponent takes each slot once, beside a power
+        # in the other slot and beside an exponent of 0: bases and exponents
+        # at byte seams, 0, q - 1 (q = (m - 1) / 2, the order at a pinned
+        # P) and m - 1, and a zero base, which takes pow(); exponents above
+        # 2304 bits keep their top 512 bits, where pow() takes seconds a power
+        m = modulus() if callable(modulus) else modulus
+        seams = byte_seams(m.bit_length())
+        bases = [1, 2, 4, m - 1, m, m + 1, -5, *seams]
+        exponents = [e >> max(0, e.bit_length() - 512) if m.bit_length() > 2304 else e
+                     for e in (0, 1, (m - 1) // 2 - 1, m - 1, *seams)]
+        power = cache(lambda a, e: pow(a, e, m))
+        for i in range(max(len(bases), len(exponents))):
+            a1, e1 = bases[i % len(bases)], exponents[i % len(exponents)]
+            a2, e2 = bases[-1 - i % len(bases)], exponents[-1 - i % len(exponents)]
+            for f1, f2 in ((e1, e2), (e1, 0), (0, e2)):
+                assert (libcrypto.powmod2(a1, f1, a2, f2, m)
+                        == power(a1, f1) * power(a2, f2) % m), (a1, f1, a2, f2)
+
+    @given(a1=st.integers(-(1 << 600), 1 << 600), e1=st.integers(0, 1 << 600),
+           a2=st.integers(-(1 << 600), 1 << 600), e2=st.integers(0, 1 << 600),
+           mod=st.integers(1, 1 << 600))
+    @settings(max_examples=200, deadline=None)
+    def test_powmod2_random(self, libcrypto, a1, e1, a2, e2, mod):
+        want = _two_base_oracle(a1, e1, a2, e2, mod)
+        assert libcrypto.powmod2(a1, e1, a2, e2, mod) == want
+        assert powmod2(a1, e1, a2, e2, mod) == want
+
+    def test_powmod2_even_modulus_and_negative_exponent_are_pow(self, libcrypto):
+        # BN_mod_exp2_mont needs an odd modulus and non-negative exponents:
+        # anything else is pow()'s, refusals included
+        P = PINNED_SAFE_PRIMES[512]
+        for args in ((3, -1, 5, 7, 23), (3, 5, 7, -2, P), (3, 5, 7, 9, 24), (3, 5, 7, 9, P + 1),
+                     (3, 5, 7, 9, 2), (3, 5, 7, 9, 1), (5, -1, 7, 9, 24), (3, 5, 7, 9, -7)):
+            assert libcrypto.powmod2(*args) == _two_base_oracle(*args), args
+        for args in ((2, -1, 3, 1, 4), (3, 5, 7, 9, 0)):
+            with pytest.raises(ValueError):
+                _two_base_oracle(*args)
+            with pytest.raises(ValueError):
+                libcrypto.powmod2(*args)
+
+    def test_powmod2_in_two_threads(self, libcrypto):
+        r = random.Random(2)
+        m = r.getrandbits(512) | 1 << 511 | 1
+        work = [[tuple(r.getrandbits(512) for _ in range(4)) for _ in range(1000)]
+                for _ in range(2)]
+        results = [None, None]
+
+        def run(i):
+            results[i] = [libcrypto.powmod2(a1, e1, a2, e2, m) for a1, e1, a2, e2 in work[i]]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for i in range(2):
+            assert results[i] == [_two_base_oracle(*w, m) for w in work[i]]
+
+    def test_powmod2_frees_what_it_allocates(self, logged_kernel):
+        # every BIGNUM and context a call allocates is freed once, both
+        # exponents by BN_clear_free, on the kernel's path and on pow()'s
+        P = PINNED_SAFE_PRIMES[1024]
+        calls = [(3, 5, 7, 11, P), (P - 2, P - 3, 2, (P - 1) // 2, P), (3, 0, 7, 0, P),
+                 (0, 5, 7, 11, P), (3, 5, 7, 11, P + 1)]
+        for args in calls:
+            assert logged_kernel.kernel.powmod2(*args) == _two_base_oracle(*args)
+        assert not +logged_kernel.live and not -logged_kernel.live
+        # three calls take the kernel, each with six BIGNUMs and a BN_CTX
+        # alive at once
+        assert len(logged_kernel.live) >= 7
+        assert logged_kernel.cleared == [5, 11, P - 3, (P - 1) // 2, 0, 0]
 
     def test_lazy_load(self):
         # a session that takes no power never imports ctypes; one that does
@@ -174,13 +284,32 @@ class TestKernel:
         assert second in ("True False libcrypto", "True False pow")
 
     def test_fallback_when_the_library_does_not_open(self, monkeypatch):
-        # no such library, or one without the BN symbols: powmod is pow()
-        for sonames in (("libotkit-absent.so",), ("libc.so.6",)):
+        # no such library, one without the BN symbols, or libcrypto without
+        # BN_mod_exp2_mont alone: every power is pow()
+        import ctypes
+
+        real = ctypes.CDLL
+
+        class WithoutExp2:
+            def __init__(self, soname):
+                self.lib = real(soname)
+
+            def __getattr__(self, name):
+                if name == "BN_mod_exp2_mont":
+                    raise AttributeError(name)
+                return getattr(self.lib, name)
+
+        for sonames, cdll in ((("libotkit-absent.so",), real), (("libc.so.6",), real),
+                              (numth.LIBCRYPTO_SONAMES, WithoutExp2)):
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
             monkeypatch.setattr(numth, "LIBCRYPTO_SONAMES", sonames)
             monkeypatch.setattr(numth, "_kernel", numth._load)
             assert numth._libcrypto_powmod() is None
             assert powmod(3, 5, 23) == pow(3, 5, 23)
             assert numth._kernel is pow and numth.kernel() == "pow"
+            assert powmod2(3, 5, 7, 9, 23) == pow(3, 5, 23) * pow(7, 9, 23) % 23
+            group = gen_group(512, SeededSource(512))
+            assert modexp(group.g, group.q - 1, group) == pow(group.g, group.q - 1, group.P)
 
     @pytest.mark.parametrize("name, modulus", _odd_moduli(), ids=[n for n, _ in _odd_moduli()])
     def test_round_powers(self, libcrypto, name, modulus):
@@ -269,41 +398,10 @@ class TestKernel:
         )
         assert int(_python(code)) <= 1 << 20
 
-    def test_round_powers_free_what_they_allocate(self, monkeypatch):
+    def test_round_powers_free_what_they_allocate(self, logged_kernel):
         # every BIGNUM and context a sequence allocates is freed once, on
         # every way a sequence can end, and the exponent by BN_clear_free
-        import ctypes
-
-        live, cleared = Counter(), []
-
-        class Logged:
-            def __init__(self, name, fn):
-                self.__dict__.update(name=name, fn=fn)
-
-            def __setattr__(self, attr, value):  # argtypes and restype
-                setattr(self.fn, attr, value)
-
-            def __call__(self, *args):
-                out = self.fn(*args)
-                if self.name.endswith("_new") or self.name == "BN_bin2bn" and args[2] is None:
-                    live[out] += 1
-                elif self.name.endswith("_free") and args[0]:
-                    live[args[0]] -= 1
-                    if self.name == "BN_clear_free":
-                        cleared.append(args[0])
-                return out
-
-        class Library:
-            def __init__(self, soname):
-                self.lib = real(soname)
-
-            def __getattr__(self, name):
-                return Logged(name, getattr(self.lib, name))
-
-        real = ctypes.CDLL
-        monkeypatch.setattr(ctypes, "CDLL", Library)
-        powers = numth._libcrypto_powmod().powers
-        monkeypatch.undo()
+        powers, live = logged_kernel.kernel.powers, logged_kernel.live
 
         def failing():
             yield 2
@@ -318,7 +416,7 @@ class TestKernel:
             list(powers(failing(), p >> 1, p))
         powers(iter([2]), p >> 1, p).close()  # never started: allocates nothing
         assert not +live and not -live
-        assert len(live) >= 6 and len(cleared) == 3
+        assert len(live) >= 6 and logged_kernel.cleared == [p >> 1] * 3
 
     def test_rounds_bypass_powmod(self, count_calls):
         # Miller-Rabin takes its powers by the kernel, not through powmod, so
@@ -338,6 +436,31 @@ def _python(code):
     proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     return proc.stdout.strip()
+
+
+def _growth(call):
+    """Bytes that 20 000 runs of `call`, after 1000 to warm up, add to a
+    fresh process's resident size, with the libcrypto kernel as `kernel`
+    and 512-bit ints m (odd), b and e. The process reads its resident size,
+    since its ru_maxrss starts at the pytest process's peak."""
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("no /proc/self/statm on this host")
+    code = (
+        "import os, random\n"
+        "from otkit import numth\n"
+        "def rss():\n"
+        "    pages = int(open('/proc/self/statm').read().split()[1])\n"
+        "    return pages * os.sysconf('SC_PAGESIZE')\n"
+        "kernel = numth._libcrypto_powmod()\n"
+        "r = random.Random(1)\n"
+        "m = r.getrandbits(512) | 1 << 511 | 1\n"
+        "b, e = r.getrandbits(512), r.getrandbits(512)\n"
+        f"for _ in range(1000): {call}\n"
+        "before = rss()\n"
+        f"for _ in range(20000): {call}\n"
+        "print(rss() - before)\n"
+    )
+    return int(_python(code))
 
 
 def test_children_keep_the_bytecode_setting():
