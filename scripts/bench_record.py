@@ -45,7 +45,8 @@ one ciphertext under the secret key; a 64 KiB `SeededSource.randbytes`; and
 `xor_bytes` of two 64 KiB strings. All are in µs per call, under the
 record's `micro` key. With --append, each keeps the
 lower of the old and the new reading, so alternating runs give each side
-the best over all of its runs.
+the best over all of its runs; `micro_runs` counts the fresh processes
+whose readings the record merged.
 
 --diff prints each file's commit and source size, then both files' kernel
 and OpenSSL version ("?" for a record made before they were kept), then
@@ -58,7 +59,9 @@ end-to-end and B's median is worse than A's by more than the metric's
 follow in the same columns, as `protocol.field` rows (more sessions is
 better, fewer ms is better; no bound). When both files hold traced times,
 the times both hold follow as A, B and B/A (one run each: no pair wins and
-no bound), and then, when both hold micro timings, those the same way. When
+no bound), and then, when both hold micro timings, those the same way,
+under a header that gives each file's `micro_runs` ("?" for a record made
+before they were counted). When
 both files hold traced counts, it then lists every count that differs
 between them.
 """
@@ -399,7 +402,8 @@ def print_diff(path_a: Path, path_b: Path) -> None:
     ma, mb = a.get("micro", {}), b.get("micro", {})
     micro = [name for name in ma if name in mb]
     if micro:
-        print(f"{'micro, best of runs, us per call':<38} {'A':>12} {'B':>12} {'B/A':>7}")
+        runs = f"micro, best of A {a.get('micro_runs', '?')} / B {b.get('micro_runs', '?')} runs"
+        print(f"{runs + ', us per call':<38} {'A':>12} {'B':>12} {'B/A':>7}")
     for name in micro:
         print(f"{name:<38} {ma[name]:>12.5g} {mb[name]:>12.5g} {mb[name] / ma[name]:>7.3f}")
     traced = [w for w in a.get("traced", {}) if w in b.get("traced", {})]
@@ -414,16 +418,17 @@ def record(args) -> None:
     checkout = Path(args.checkout).resolve()
     out = HERE / f"BENCH_{args.tag}.json"
     env = environment(checkout)
-    runs, traced, traced_ms, micro = [], {}, {}, {}
+    runs, traced, traced_ms, micro, micro_runs = [], {}, {}, {}, 0
     if args.append and out.exists():
         old = json.loads(out.read_text())
         if {k: old.get(k) for k in env} != env:
             raise SystemExit(f"{out} was recorded from another checkout, interpreter or kernel")
         runs, traced, traced_ms = old["runs"], old.get("traced", {}), old.get("traced_ms", {})
-        micro = old.get("micro", {})
+        micro, micro_runs = old.get("micro", {}), old.get("micro_runs", 0)
     if args.micro:
         for name, us in micro_run(checkout).items():
             micro[name] = min(us, micro.get(name, us))
+        micro_runs += 1
         print(f"micro: {', '.join(f'{n} {us:.3g} us' for n, us in micro.items())}",
               flush=True)
     if args.trace:
@@ -439,7 +444,7 @@ def record(args) -> None:
                   f"{runs[-1]['metrics'].get('session_ms', float('nan')):.4g}", flush=True)
     doc = {"tag": args.tag, **env, "command": SPEC["command"], "seconds": SPEC["run_seconds"],
            "runs": runs, "summary": summarize(runs), "traced": traced,
-           "traced_ms": traced_ms, "micro": micro}
+           "traced_ms": traced_ms, "micro": micro, "micro_runs": micro_runs}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
 

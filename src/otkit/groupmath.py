@@ -13,22 +13,22 @@ search in scripts/gen_pinned_groups.py and verified by the test suite. No
 session searches for a prime; C is still freshly sampled per session.
 
 Every power of a base other than the pinned g is one numth.powmod call.
-g and P are pinned, so g^(2^k), k = ceil(|q| / 2), is a constant of each
-pinned group, derived on the group's first power of g into a table of at
-most one entry per pinned size. A power of g in a pinned group is then one
-numth.powmod2 call, g^e = g^(e mod 2^k) * (g^(2^k))^(e >> k): two
-half-length exponents over one shared chain of squarings (Straus 1964;
-Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92, for the fixed-base
-split). Where libcrypto loads, that takes about 2.7 ms at 2048 bits
-against 3.9 ms for one BN_mod_exp; without it, each power of g is two
-pow() calls and a product, and any other power one pow() call (about 27 ms
-at 2048 bits). Either way every result is pow()'s.
+g and P are pinned, so a fixed-base table of g is a constant of each pinned
+group: on the group's first power of g, numth.fixed_base builds its comb of
+g mod P, kept in a table of at most one entry per pinned size. A power of g
+in a pinned group is then 128 Montgomery squarings and 256 Montgomery
+products at 2048 bits, where one BN_mod_exp takes about 2048 squarings
+(numth gives the timings). Without libcrypto, each power is one pow() call
+(about 27 ms at 2048 bits). Either way every result is pow()'s. The comb's
+count of products does not depend on the exponent, but which table entry
+each product reads does: like BN_mod_exp, it is not constant-time.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ElementOutOfRange, UsageError
-from .numth import powmod, powmod2
+from .numth import fixed_base, powmod
 from .rng import RandomSource
 
 GroupElement = int
@@ -59,9 +59,10 @@ PINNED_SAFE_PRIMES: dict[int, int] = {
     2048: 0x127FF81DBCCB82A8A543F9E3184B4EE14C543D55FF87AC685FD779DB368C6475F4F31373C73176F947D2FAA83A82931A7FC58369929B2A9FC3BA4B48F153411677EF9BC0688E1E53562839AE5880B08C781992103C730EB352B5C15949FCAE2C64C2A0F5BD0A3F0DB592C3CD53A5E0AE14C047175558968F17A93C3F6E3C913A3773CFE565EEFFE2782EE80ADD1F0670C5B6695B95DA36002BA97E33D8F45F07254BEBB906230683FC436D333B10F67EE1CA0031CD9C0A26D2BB13215AF5E23197A5BF170EE4D55623DF24493D1B959296AFBC435AB1B8C65980B082A79CED7466959EF33D505D71B59B64F7414AE66B4B8C2F4286F67A2D0DBB75415594C6B8F,
 }
 PINNED_G = 4
-# bits of q -> g^(2^k) mod P, k = ceil(bits / 2), for each pinned size whose
-# g took a power: a constant of the group, not work remembered by seed
-_G_TO_2K: dict[int, int] = {}
+# bits of q -> the power of a comb table of g mod the pinned P, for each
+# pinned size whose g took a power: a constant of the group, not work
+# remembered by seed
+_G_TO_2K: dict[int, Callable[[int], int]] = {}
 
 
 def gen_group(bits: int, rng: RandomSource) -> GroupParams:
@@ -77,16 +78,17 @@ def gen_group(bits: int, rng: RandomSource) -> GroupParams:
 
 def _power_of_g(e: int, bits: int) -> int:
     """PINNED_G^e mod the pinned P whose q has the given bits, for e >= 0,
-    by one powmod2 call on (g, e mod 2^k) and (g^(2^k), e >> k)."""
-    P, k = PINNED_SAFE_PRIMES[bits], (bits + 1) // 2
-    if bits not in _G_TO_2K:
-        _G_TO_2K[bits] = powmod(PINNED_G, 1 << k, P)
-    return powmod2(PINNED_G, e & ((1 << k) - 1), _G_TO_2K[bits], e >> k, P)
+    by the size's comb, built on its first use; of two threads that build
+    it at once, one table is kept and the other freed with its power."""
+    power = _G_TO_2K.get(bits)
+    if power is None:
+        power = _G_TO_2K.setdefault(bits, fixed_base(PINNED_G, PINNED_SAFE_PRIMES[bits], bits))
+    return power(e)
 
 
 def modexp(base: GroupElement, e: Scalar, params: GroupParams) -> GroupElement:
     """base^e mod P with the exponent reduced mod q; a power of the pinned g
-    in a pinned group takes _power_of_g's split."""
+    in a pinned group takes _power_of_g's comb."""
     bits = params.q.bit_length()
     if base == params.g == PINNED_G and params.P == PINNED_SAFE_PRIMES.get(bits):
         return _power_of_g(e % params.q, bits)

@@ -319,16 +319,22 @@ def test_micro_keeps_the_best_reading_and_diff_prints_it(tmp_path, monkeypatch, 
     assert bench_record.main(args + ["--append"]) == 0
     a = json.loads((tmp_path / "BENCH_A.json").read_text())
     assert a["micro"] == {"harness.Envelope": 1.2, "harness._hop.SUP_Q1": 4.0}
+    assert a["micro_runs"] == 2
+    # a run without --micro keeps the readings and their count
     assert bench_record.main(args[:-3] + ["--append"]) == 0
-    assert json.loads((tmp_path / "BENCH_A.json").read_text())["micro"] == a["micro"]
+    kept = json.loads((tmp_path / "BENCH_A.json").read_text())
+    assert (kept["micro"], kept["micro_runs"]) == (a["micro"], 2)
 
-    b = {**a, "micro": {"harness.Envelope": 0.6, "harness._hop.SUP_Q1": 3.0}}
+    # B is a record made before micro runs were counted
+    b = {key: value for key, value in a.items() if key != "micro_runs"}
+    b["micro"] = {"harness.Envelope": 0.6, "harness._hop.SUP_Q1": 3.0}
     (tmp_path / "BENCH_B.json").write_text(json.dumps(b))
     capsys.readouterr()
     assert bench_record.main(["--diff", str(tmp_path / "BENCH_A.json"),
                               str(tmp_path / "BENCH_B.json")]) == 0
     out = capsys.readouterr().out.splitlines()
     start = out.index(next(line for line in out if line.startswith("micro")))
+    assert out[start].startswith("micro, best of A 2 / B ? runs, us per call")
     assert out[start].split()[-3:] == ["A", "B", "B/A"]
     assert [line.split() for line in out[start + 1:]] == [
         ["harness.Envelope", "1.2", "0.6", "0.500"],

@@ -2,8 +2,11 @@
 
 import ast
 import dataclasses
+import gc
 import hashlib
 import random
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,7 @@ from otkit.groupmath import (
     rand_scalar,
 )
 from otkit.harness import PROTOCOLS, SessionConfig, export_transcript, run_session
-from otkit.numth import is_probable_prime, powmod
+from otkit.numth import fixed_base, is_probable_prime, powmod
 from otkit.rng import SeededSource
 
 scalars = st.integers(min_value=0, max_value=10 * TOY_Q)
@@ -155,8 +158,9 @@ def _digest(cfg):
 
 
 class TestFixedBase:
-    """Powers of g in a pinned group are one powmod2 call each, over g and
-    g^(2^k); they must equal pow() exactly."""
+    """Powers of g in a pinned group come from one comb table per pinned
+    size, built by numth.fixed_base on the size's first power of g; they
+    must equal pow() exactly."""
 
     def test_edge_exponents(self, any_group, byte_seams):
         P, q, g = any_group.P, any_group.q, any_group.g
@@ -187,7 +191,7 @@ class TestFixedBase:
             assert powmod(g, e, P) == pow(g, e, P), e
 
     def test_cache_bounded(self, group512):
-        # only the pinned g over a pinned P keeps a table, of one g^(2^k) per
+        # only the pinned g over a pinned P keeps a table, one comb per
         # pinned size: other generators, and g over a P that is not pinned,
         # add no entry and leave groupmath's namespace as it was
         P, q = group512.P, group512.q
@@ -204,41 +208,84 @@ class TestFixedBase:
         assert set(table) <= set(PINNED_SAFE_PRIMES)
         assert not any(hasattr(v, "cache_info") for v in before.values())
 
-    def test_derived_power_is_g_to_2_to_k(self):
-        # g^(2^k), k = ceil(|q| / 2), at every pinned size
-        for bits, P in PINNED_SAFE_PRIMES.items():
-            groupmath._power_of_g(1, bits)
-            assert groupmath._G_TO_2K[bits] == pow(4, 1 << (bits + 1) // 2, P)
+    def test_one_table_per_pinned_size(self, monkeypatch):
+        # a size's first power of g builds its table, by fixed_base over g,
+        # the pinned P and q's bits, and every later power of g in that
+        # group, in modexp or as gen_group's C, reuses it
+        built = []
+
+        def logged(base, mod, bits):
+            built.append((base, mod, bits))
+            return fixed_base(base, mod, bits)
+
+        monkeypatch.setattr(groupmath, "_G_TO_2K", {})
+        monkeypatch.setattr(groupmath, "fixed_base", logged)
+        for _ in range(3):
+            for bits, P in PINNED_SAFE_PRIMES.items():
+                group = gen_group(bits, SeededSource(bits))
+                assert modexp(group.g, 5, group) == pow(PINNED_G, 5, P)
+        assert built == [(PINNED_G, P, bits) for bits, P in PINNED_SAFE_PRIMES.items()]
+        assert list(groupmath._G_TO_2K) == list(PINNED_SAFE_PRIMES)
+
+    def test_threads_building_one_size_keep_one_table(self, monkeypatch):
+        # four threads take a size's first power of g at once and all build
+        # a table: each power is pow()'s, one table is kept, and the others
+        # are dropped, which frees them
+        built, barrier = [], threading.Barrier(4)
+
+        def racing(base, mod, bits):
+            power = fixed_base(base, mod, bits)
+            built.append(weakref.ref(power))
+            barrier.wait(timeout=60)
+            return power
+
+        monkeypatch.setattr(groupmath, "_G_TO_2K", {})
+        monkeypatch.setattr(groupmath, "fixed_base", racing)
+        P = PINNED_SAFE_PRIMES[512]
+        results = [None] * 4
+
+        def run(i):
+            results[i] = groupmath._power_of_g(1000 + i, 512)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert results == [pow(PINNED_G, 1000 + i, P) for i in range(4)]
+        gc.collect()
+        assert len(built) == 4
+        assert [ref() for ref in built if ref() is not None] == [groupmath._G_TO_2K[512]]
 
     def test_split_seams(self, any_group):
-        # exponents either side of 2^k, where e's high half turns nonzero,
-        # and each of them plus q
+        # exponents either side of each seam of the comb's b-bit chunks,
+        # b = ceil(|q| / 16), where a tooth's digit bit turns on, and each
+        # of them plus and minus q
         P, q, g = any_group.P, any_group.q, any_group.g
-        k = (q.bit_length() + 1) // 2
-        for e in (0, (1 << k) - 1, 1 << k, (1 << k) + 1):
-            for f in (e, e + q, e - q):
-                assert modexp(g, f, any_group) == pow(g, f % q, P), f
+        b = -(-q.bit_length() // 16)
+        for t in range(16):
+            for e in ((1 << t * b) - 1, 1 << t * b, (1 << t * b) + 1):
+                want = pow(g, e % q, P)
+                for f in (e, e + q, e - q):
+                    assert modexp(g, f, any_group) == want, f
 
-    def test_powers_of_g_take_one_powmod2_call(self, any_group, monkeypatch):
-        # a power of g, in modexp or as gen_group's C, is one powmod2 call on
-        # (g, e mod 2^k) and (g^(2^k), e >> k), and no powmod call; gen_group
-        # does not call modexp, so perfbench counts none of its powers as
-        # modexp_g
+    def test_powers_of_g_take_the_comb(self, any_group, monkeypatch):
+        # a power of g, in modexp or as gen_group's C, is one call of its
+        # size's comb, with e mod q, and no powmod call; gen_group does not
+        # call modexp, so perfbench counts none of its powers as modexp_g
         P, q, g = any_group.P, any_group.q, any_group.g
-        bits, k = q.bit_length(), (q.bit_length() + 1) // 2
+        bits = q.bit_length()
         groupmath._power_of_g(0, bits)
-        calls = []
-        monkeypatch.setattr(groupmath, "powmod", lambda *args: calls.append(args))
-        monkeypatch.setattr(groupmath, "powmod2", lambda *args: calls.append(args) or
-                            pow(args[0], args[1], args[4]) * pow(args[2], args[3], args[4]) % P)
+        comb, calls = groupmath._G_TO_2K[bits], []
+        monkeypatch.setitem(groupmath._G_TO_2K, bits, lambda e: calls.append(e) or comb(e))
+        monkeypatch.setattr(groupmath, "powmod", lambda *args: pytest.fail(f"powmod{args}"))
         monkeypatch.setattr(groupmath, "modexp", None)
-        exponents = [q - 1, -1, 5, (1 << k) + 3]
+        exponents = [q - 1, -1, 5, q + 3]
         assert [modexp(g, e, any_group) for e in exponents] == [pow(g, e % q, P) for e in exponents]
         a = 1 + SeededSource(bits).randbelow(q - 1)
         assert gen_group(bits, SeededSource(bits)).C == pow(g, a, P)
-        high = groupmath._G_TO_2K[bits]
-        assert calls == [(g, e % (1 << k), high, e >> k, P)
-                         for e in [e % q for e in exponents] + [a]]
+        assert calls == [e % q for e in exponents] + [a]
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_session_matches_one_dimensional_comb(self, protocol, monkeypatch):

@@ -2,6 +2,7 @@
 two gcds and certification that resumes after the pretest, each against the
 loop or the test it stands in for."""
 
+import gc
 import hashlib
 import importlib.util
 import os
@@ -18,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkit import numth
+from otkit import groupmath, numth
 from otkit.groupmath import PINNED_SAFE_PRIMES, gen_group, modexp
 from otkit.harness import export_transcript, run_session
-from otkit.numth import (MR_ROUNDS, PRETEST_ROUNDS, SMALL_PRIMES, certify, is_probable_prime,
-                         powmod, powmod2)
+from otkit.numth import (MR_ROUNDS, PRETEST_ROUNDS, SMALL_PRIMES, certify, fixed_base,
+                         is_probable_prime, powmod)
 from otkit.paillier import kgen
 from otkit.rng import SeededSource
 
@@ -74,10 +75,6 @@ def _round_exponents(m):
     return 0, 1, d >> max(0, d.bit_length() - 512) if m.bit_length() > 2304 else d
 
 
-def _two_base_oracle(a1, e1, a2, e2, m):
-    return pow(a1, e1, m) * pow(a2, e2, m) % m
-
-
 @pytest.fixture(scope="module")
 def libcrypto():
     """BN_mod_exp behind pow()'s signature; the tests that need it skip on a
@@ -92,11 +89,11 @@ def libcrypto():
 def logged_kernel(libcrypto, monkeypatch):
     """The libcrypto kernel, loaded through a stand-in for ctypes.CDLL that
     logs its calls: `live` counts, per pointer, each BIGNUM and context made
-    less each one freed, and `cleared` lists the value of each BIGNUM freed
-    by BN_clear_free."""
+    less each one freed, `cleared` lists the value of each BIGNUM freed by
+    BN_clear_free, and `calls` counts the calls of each function."""
     import ctypes
 
-    log = SimpleNamespace(live=Counter(), cleared=[])
+    log = SimpleNamespace(live=Counter(), cleared=[], calls=Counter())
     made = {}
 
     class Logged:
@@ -107,6 +104,7 @@ def logged_kernel(libcrypto, monkeypatch):
             setattr(self.fn, attr, value)
 
         def __call__(self, *args):
+            log.calls[self.name] += 1
             out = self.fn(*args)
             if self.name.endswith("_new") or self.name == "BN_bin2bn" and args[2] is None:
                 log.live[out] += 1
@@ -132,7 +130,7 @@ def logged_kernel(libcrypto, monkeypatch):
 
 
 class TestKernel:
-    """powmod is pow(), and powmod2 a product of two pow() results: every
+    """powmod is pow(), and so is every power of a fixed_base table: every
     power equals pow()'s, whichever kernel takes it."""
 
     @pytest.mark.parametrize("name, modulus", _moduli(), ids=[n for n, _ in _moduli()])
@@ -188,83 +186,108 @@ class TestKernel:
         # BIGNUM left unfreed per call would take 2 MB
         assert _growth("kernel(b, e, m)") <= 1 << 20
 
-    def test_powmod2_calls_do_not_grow_memory(self, libcrypto):
-        assert _growth("kernel.powmod2(b, e, e, b, m)") <= 1 << 20
+    def test_fixed_base_does_not_grow_memory(self, libcrypto):
+        # 20 000 powers at 512 bits, from a new table every 100th power, so
+        # 200 tables built and dropped, grow a fresh process by at most 1 MB:
+        # a table of 512 BIGNUMs left unfreed per build would take 12 MB,
+        # and one result BIGNUM left unfreed per power 2 MB
+        call = "power = kernel.fixed_base(b, m, 512) if not next(n) % 100 else power; power(e)"
+        assert _growth(call, setup="n, power = itertools.count(), None") <= 1 << 20
 
     @pytest.mark.parametrize("name, modulus", _odd_moduli(), ids=[n for n, _ in _odd_moduli()])
-    def test_powmod2_edges(self, libcrypto, byte_seams, name, modulus):
-        # each base and each exponent takes each slot once, beside a power
-        # in the other slot and beside an exponent of 0: bases and exponents
-        # at byte seams, 0, q - 1 (q = (m - 1) / 2, the order at a pinned
-        # P) and m - 1, and a zero base, which takes pow(); exponents above
-        # 2304 bits keep their top 512 bits, where pow() takes seconds a power
+    def test_fixed_base_edges(self, libcrypto, name, modulus):
+        # the comb's digit seams as exponents, for b = ceil(bits / 16): 0,
+        # 1, 2^b - 1 and 2^b (chunk 1, column 1's first tooth), 2^(2b) - 1
+        # and 2^(2b) (chunk 2, column 0's second tooth), the table's top
+        # exponent 2^(16b) - 1, and q - 1 (q = (m - 1) / 2, the order at a
+        # pinned P); bases 0, 1, m - 1, m and m + 1, and g = 4 and a random
+        # base, whose powers are not 0 or +-1. A table above 2304 bits takes
+        # 512-bit exponents, where pow() takes seconds a power
         m = modulus() if callable(modulus) else modulus
-        seams = byte_seams(m.bit_length())
-        bases = [1, 2, 4, m - 1, m, m + 1, -5, *seams]
-        exponents = [e >> max(0, e.bit_length() - 512) if m.bit_length() > 2304 else e
-                     for e in (0, 1, (m - 1) // 2 - 1, m - 1, *seams)]
-        power = cache(lambda a, e: pow(a, e, m))
-        for i in range(max(len(bases), len(exponents))):
-            a1, e1 = bases[i % len(bases)], exponents[i % len(exponents)]
-            a2, e2 = bases[-1 - i % len(bases)], exponents[-1 - i % len(exponents)]
-            for f1, f2 in ((e1, e2), (e1, 0), (0, e2)):
-                assert (libcrypto.powmod2(a1, f1, a2, f2, m)
-                        == power(a1, f1) * power(a2, f2) % m), (a1, f1, a2, f2)
+        bits = m.bit_length() if m.bit_length() <= 2304 else 512
+        b = -(-bits // 16)
+        order = (m - 1) // 2 - 1
+        exponents = (0, 1, (1 << b) - 1, 1 << b, (1 << 2 * b) - 1, 1 << 2 * b, (1 << 16 * b) - 1,
+                     order >> max(0, order.bit_length() - bits))
+        for base in (0, 1, m - 1, m, m + 1, 4, random.Random(bits).randrange(m)):
+            power = libcrypto.fixed_base(base, m, bits)
+            for e in exponents:
+                assert power(e) == pow(base, e, m), (base, e)
 
-    @given(a1=st.integers(-(1 << 600), 1 << 600), e1=st.integers(0, 1 << 600),
-           a2=st.integers(-(1 << 600), 1 << 600), e2=st.integers(0, 1 << 600),
-           mod=st.integers(1, 1 << 600))
-    @settings(max_examples=200, deadline=None)
-    def test_powmod2_random(self, libcrypto, a1, e1, a2, e2, mod):
-        want = _two_base_oracle(a1, e1, a2, e2, mod)
-        assert libcrypto.powmod2(a1, e1, a2, e2, mod) == want
-        assert powmod2(a1, e1, a2, e2, mod) == want
-
-    def test_powmod2_even_modulus_and_negative_exponent_are_pow(self, libcrypto):
-        # BN_mod_exp2_mont needs an odd modulus and non-negative exponents:
-        # anything else is pow()'s, refusals included
+    def test_fixed_base_even_modulus_and_exponents_outside_the_table_are_pow(self, libcrypto):
+        # the comb needs an odd modulus and 0 <= e < 2^(16b): anything else
+        # is pow()'s, refusals included
         P = PINNED_SAFE_PRIMES[512]
-        for args in ((3, -1, 5, 7, 23), (3, 5, 7, -2, P), (3, 5, 7, 9, 24), (3, 5, 7, 9, P + 1),
-                     (3, 5, 7, 9, 2), (3, 5, 7, 9, 1), (5, -1, 7, 9, 24), (3, 5, 7, 9, -7)):
-            assert libcrypto.powmod2(*args) == _two_base_oracle(*args), args
-        for args in ((2, -1, 3, 1, 4), (3, 5, 7, 9, 0)):
-            with pytest.raises(ValueError):
-                _two_base_oracle(*args)
-            with pytest.raises(ValueError):
-                libcrypto.powmod2(*args)
+        power = libcrypto.fixed_base(3, P, 512)
+        for e in (-1, -P, 1 << 512, (1 << 512) + 5, P * P):
+            assert power(e) == pow(3, e, P), e
+        for m in (24, P + 1, 2, 1, -7):
+            power = libcrypto.fixed_base(3, m, 512)
+            for e in (0, 5, 1 << 600):
+                assert power(e) == pow(3, e, m), (m, e)
+        with pytest.raises(ValueError):
+            pow(2, -1, 4)
+        with pytest.raises(ValueError):
+            libcrypto.fixed_base(2, 4, 8)(-1)
+        with pytest.raises(ValueError):
+            libcrypto.fixed_base(3, 0, 8)(5)
 
-    def test_powmod2_in_two_threads(self, libcrypto):
+    def test_fixed_base_in_two_threads(self, libcrypto):
+        # four threads on two cores share one table, with a short switch
+        # interval, and each power is pow()'s
+        m = PINNED_SAFE_PRIMES[512]
         r = random.Random(2)
-        m = r.getrandbits(512) | 1 << 511 | 1
-        work = [[tuple(r.getrandbits(512) for _ in range(4)) for _ in range(1000)]
-                for _ in range(2)]
-        results = [None, None]
+        power = libcrypto.fixed_base(4, m, 512)
+        work = [[r.getrandbits(512) for _ in range(300)] for _ in range(4)]
+        results = [None] * 4
 
         def run(i):
-            results[i] = [libcrypto.powmod2(a1, e1, a2, e2, m) for a1, e1, a2, e2 in work[i]]
+            results[i] = [power(e) for e in work[i]]
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-            assert not t.is_alive()
-        for i in range(2):
-            assert results[i] == [_two_base_oracle(*w, m) for w in work[i]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for i in range(4):
+            assert results[i] == [pow(4, e, m) for e in work[i]]
 
-    def test_powmod2_frees_what_it_allocates(self, logged_kernel):
-        # every BIGNUM and context a call allocates is freed once, both
-        # exponents by BN_clear_free, on the kernel's path and on pow()'s
+    def test_fixed_base_frees_what_it_allocates(self, logged_kernel, monkeypatch):
+        # the table's 512 BIGNUMs and its BN_MONT_CTX live until the power is
+        # collected, and are then freed once; each power frees the BN_CTX
+        # and the result it makes; e = 0, 1 and q - 1 make the same number
+        # of Montgomery products, b squarings and 2b products, and an
+        # exponent outside the table none, nor any while pow() is the kernel
         P = PINNED_SAFE_PRIMES[1024]
-        calls = [(3, 5, 7, 11, P), (P - 2, P - 3, 2, (P - 1) // 2, P), (3, 0, 7, 0, P),
-                 (0, 5, 7, 11, P), (3, 5, 7, 11, P + 1)]
-        for args in calls:
-            assert logged_kernel.kernel.powmod2(*args) == _two_base_oracle(*args)
-        assert not +logged_kernel.live and not -logged_kernel.live
-        # three calls take the kernel, each with six BIGNUMs and a BN_CTX
-        # alive at once
-        assert len(logged_kernel.live) >= 7
-        assert logged_kernel.cleared == [5, 11, P - 3, (P - 1) // 2, 0, 0]
+        q = (P - 1) // 2
+        live, calls = logged_kernel.live, logged_kernel.calls
+        power = logged_kernel.kernel.fixed_base(4, P, 1024)
+        table = +live
+        assert len(table) == 513 and set(table.values()) == {1} and not -live
+        products = []
+        for e in (0, 1, q - 1):
+            calls.clear()
+            assert power(e) == pow(4, e, P)
+            products.append(calls["BN_mod_mul_montgomery"])
+            assert calls["BN_new"] == calls["BN_CTX_new"] == 1
+            assert +live == table and not -live
+        assert products == [3 * 64] * 3
+        calls.clear()
+        for e in (-1, 1 << 1024):
+            assert power(e) == pow(4, e, P)
+        monkeypatch.setattr(numth, "_kernel", pow)
+        assert power(q - 1) == pow(4, q - 1, P)
+        assert not calls
+        del power
+        gc.collect()
+        assert not +live and not -live
+        assert logged_kernel.cleared == []
 
     def test_lazy_load(self):
         # a session that takes no power never imports ctypes; one that does
@@ -285,31 +308,34 @@ class TestKernel:
 
     def test_fallback_when_the_library_does_not_open(self, monkeypatch):
         # no such library, one without the BN symbols, or libcrypto without
-        # BN_mod_exp2_mont alone: every power is pow()
+        # BN_mod_mul_montgomery alone: every power is pow(), and a power of
+        # g comes from a table built there, which is pow() too
         import ctypes
 
         real = ctypes.CDLL
 
-        class WithoutExp2:
+        class WithoutMontgomeryProducts:
             def __init__(self, soname):
                 self.lib = real(soname)
 
             def __getattr__(self, name):
-                if name == "BN_mod_exp2_mont":
+                if name == "BN_mod_mul_montgomery":
                     raise AttributeError(name)
                 return getattr(self.lib, name)
 
         for sonames, cdll in ((("libotkit-absent.so",), real), (("libc.so.6",), real),
-                              (numth.LIBCRYPTO_SONAMES, WithoutExp2)):
+                              (numth.LIBCRYPTO_SONAMES, WithoutMontgomeryProducts)):
             monkeypatch.setattr(ctypes, "CDLL", cdll)
             monkeypatch.setattr(numth, "LIBCRYPTO_SONAMES", sonames)
             monkeypatch.setattr(numth, "_kernel", numth._load)
             assert numth._libcrypto_powmod() is None
             assert powmod(3, 5, 23) == pow(3, 5, 23)
             assert numth._kernel is pow and numth.kernel() == "pow"
-            assert powmod2(3, 5, 7, 9, 23) == pow(3, 5, 23) * pow(7, 9, 23) % 23
+            assert fixed_base(3, 23, 5)(9) == pow(3, 9, 23)
+            monkeypatch.setattr(groupmath, "_G_TO_2K", {})
             group = gen_group(512, SeededSource(512))
             assert modexp(group.g, group.q - 1, group) == pow(group.g, group.q - 1, group.P)
+            assert groupmath._G_TO_2K[512].func is pow
 
     @pytest.mark.parametrize("name, modulus", _odd_moduli(), ids=[n for n, _ in _odd_moduli()])
     def test_round_powers(self, libcrypto, name, modulus):
@@ -438,15 +464,16 @@ def _python(code):
     return proc.stdout.strip()
 
 
-def _growth(call):
-    """Bytes that 20 000 runs of `call`, after 1000 to warm up, add to a
-    fresh process's resident size, with the libcrypto kernel as `kernel`
-    and 512-bit ints m (odd), b and e. The process reads its resident size,
-    since its ru_maxrss starts at the pytest process's peak."""
+def _growth(call, setup=""):
+    """Bytes that 20 000 runs of `call`, after `setup` and 1000 runs to warm
+    up, add to a fresh process's resident size, with the libcrypto kernel as
+    `kernel`, 512-bit ints m (odd), b and e, and itertools imported. The
+    process reads its resident size, since its ru_maxrss starts at the
+    pytest process's peak."""
     if not Path("/proc/self/statm").exists():
         pytest.skip("no /proc/self/statm on this host")
     code = (
-        "import os, random\n"
+        "import itertools, os, random\n"
         "from otkit import numth\n"
         "def rss():\n"
         "    pages = int(open('/proc/self/statm').read().split()[1])\n"
@@ -455,6 +482,7 @@ def _growth(call):
         "r = random.Random(1)\n"
         "m = r.getrandbits(512) | 1 << 511 | 1\n"
         "b, e = r.getrandbits(512), r.getrandbits(512)\n"
+        f"{setup}\n"
         f"for _ in range(1000): {call}\n"
         "before = rss()\n"
         f"for _ in range(20000): {call}\n"
