@@ -1,8 +1,9 @@
 """Number-theory helpers: modular exponentiation and probabilistic primes.
 
-powmod(base, exp, mod) is pow(base, exp, mod), and fixed_base(base, mod,
-bits) returns power(e) == pow(base, e, mod) from a table of base built once;
-one kernel takes every power a session takes. On the first power it opens
+powmod(base, exp, mod) is pow(base, exp, mod), powmod2(a1, e1, a2, e2,
+mod) is a1^e1 * a2^e2 mod mod, and fixed_base(base, mod, bits) returns
+power(e) == pow(base, e, mod) from a table of base built once; one kernel
+takes every power a session takes. On the first power it opens
 OpenSSL's libcrypto (libcrypto.so.3, else libcrypto.so.1.1), the library
 that Python's own hashlib already uses, and from then on takes each power
 with a non-negative exponent by BN_mod_exp through ctypes: Montgomery
@@ -11,6 +12,13 @@ multiplication (Math. Comp. 1985), about 10x faster than pow() from 576 to
 3.0.19, 2 cores of a shared host, `--micro` in BENCH_pr25*.json). The ints
 cross as big-endian bytes, and every BIGNUM and BN_CTX of a power is made
 and freed within the call, so calls from several threads share nothing.
+powmod2 takes BN_mod_exp2_mont, which shares one chain of squarings between
+its two powers (Straus 1964, "Shamir's trick"), when both exponents are
+non-negative, the modulus is odd and at least 3, and neither base is 0 mod
+it (the call gives 0 for a zero base whatever its exponent); otherwise it
+multiplies two pow() results. No caller in the package takes it now that
+powers of g come from the comb; it stays for pairing two scalings of one
+column (ROADMAP item 11).
 
 fixed_base builds, for an odd mod >= 3, a Lim-Lee comb (CRYPTO '94) of 8
 teeth and 2 columns: 512 BIGNUMs in Montgomery form that share one
@@ -88,10 +96,17 @@ def fixed_base(base: int, mod: int, bits: int):
     return comb(base, mod, bits) if comb else partial(pow, base, mod=mod)
 
 
+def powmod2(a1: int, e1: int, a2: int, e2: int, mod: int) -> int:
+    """a1^e1 * a2^e2 mod mod, by one BN_mod_exp2_mont call where the
+    libcrypto kernel runs; by two pow() calls and a product on pow()."""
+    two = _kernel_part("powmod2")
+    return two(a1, e1, a2, e2, mod) if two else pow(a1, e1, mod) * pow(a2, e2, mod) % mod
+
+
 def _libcrypto_powmod():
     """pow() for a non-negative exponent and a positive modulus by
-    BN_mod_exp, with the Miller-Rabin rounds' `powers` and the comb's
-    `fixed_base` as attributes, from the first of LIBCRYPTO_SONAMES that
+    BN_mod_exp, with the Miller-Rabin rounds' `powers`, `powmod2` and the
+    comb's `fixed_base` as attributes, from the first of LIBCRYPTO_SONAMES that
     opens with every symbol; None when none does."""
     import ctypes
     import weakref
@@ -104,7 +119,8 @@ def _libcrypto_powmod():
             bin2bn, bn2binpad, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp
             mont_new, mont_set, mont_free = (lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_set,
                                              lib.BN_MONT_CTX_free)
-            mod_exp_mont, mont_mul = lib.BN_mod_exp_mont, lib.BN_mod_mul_montgomery
+            mod_exp_mont, mod_exp2 = lib.BN_mod_exp_mont, lib.BN_mod_exp2_mont
+            mont_mul = lib.BN_mod_mul_montgomery
             to_mont, from_mont, bn_copy = (lib.BN_to_montgomery, lib.BN_from_montgomery,
                                            lib.BN_copy)
         except (OSError, AttributeError):
@@ -119,7 +135,7 @@ def _libcrypto_powmod():
         (bin2bn, [buf, c_int, ptr], ptr), (bn2binpad, [ptr, buf, c_int], c_int),
         (mod_exp, [ptr] * 5, c_int), (mont_new, [], ptr), (mont_set, [ptr] * 3, c_int),
         (mont_free, [ptr], None), (mod_exp_mont, [ptr] * 6, c_int),
-        (mont_mul, [ptr] * 5, c_int), (to_mont, [ptr] * 4, c_int),
+        (mod_exp2, [ptr] * 8, c_int), (mont_mul, [ptr] * 5, c_int), (to_mont, [ptr] * 4, c_int),
         (from_mont, [ptr] * 4, c_int), (bn_copy, [ptr] * 2, ptr),
     ):
         fn.argtypes, fn.restype = argtypes, restype
@@ -178,6 +194,34 @@ def _libcrypto_powmod():
             bn_free(m)
             bn_free(r)
             mont_free(mont)
+            ctx_free(ctx)
+
+    def bn_powmod2(a1: int, e1: int, a2: int, e2: int, mod: int) -> int:
+        """a1^e1 * a2^e2 mod mod by BN_mod_exp2_mont, which shares one chain
+        of squarings between the two powers, for non-negative exponents, an
+        odd mod >= 3 and bases that are not 0 mod mod (the call returns 0
+        for a zero base whatever its exponent); pow() otherwise."""
+        if e1 < 0 or e2 < 0 or mod < 3 or not mod & 1 or not a1 % mod or not a2 % mod:
+            return pow(a1, e1, mod) * pow(a2, e2, mod) % mod
+        width = (mod.bit_length() + 7) // 8
+        out = ctypes.create_string_buffer(width)
+        ctx = b1 = p1 = b2 = p2 = m = r = None
+        try:
+            ctx, b1, p1, b2, p2 = ctx_new(), to_bn(a1 % mod), to_bn(e1), to_bn(a2 % mod), to_bn(e2)
+            m, r = to_bn(mod), bn_new()
+            if not (ctx and b1 and p1 and b2 and p2 and m and r):
+                raise MemoryError("libcrypto could not allocate a BIGNUM")
+            if (not mod_exp2(r, b1, p1, b2, p2, m, ctx, None)
+                    or bn2binpad(r, out, width) != width):
+                raise ArithmeticError("BN_mod_exp2_mont failed")
+            return int.from_bytes(out.raw, "big")
+        finally:
+            bn_free(b1)
+            bn_clear_free(p1)
+            bn_free(b2)
+            bn_clear_free(p2)
+            bn_free(m)
+            bn_free(r)
             ctx_free(ctx)
 
     def free_table(table, mont):
@@ -264,7 +308,8 @@ def _libcrypto_powmod():
         weakref.finalize(power, free_table, table, mont)
         return power
 
-    bn_powmod.powers, bn_powmod.fixed_base = bn_powers, bn_fixed_base
+    bn_powmod.powers, bn_powmod.powmod2 = bn_powers, bn_powmod2
+    bn_powmod.fixed_base = bn_fixed_base
     return bn_powmod
 
 
@@ -287,7 +332,7 @@ def kernel() -> str:
 
 
 def _kernel_part(name: str):
-    """The kernel's `powers` or `fixed_base`, picked first if no power was
+    """The kernel's `powers`, `powmod2` or `fixed_base`, picked first if no power was
     taken yet; None on pow()."""
     if _kernel is _load:
         kernel()

@@ -23,7 +23,7 @@ from otkit import groupmath, numth
 from otkit.groupmath import PINNED_SAFE_PRIMES, gen_group, modexp
 from otkit.harness import export_transcript, run_session
 from otkit.numth import (MR_ROUNDS, PRETEST_ROUNDS, SMALL_PRIMES, certify, fixed_base,
-                         is_probable_prime, powmod)
+                         is_probable_prime, powmod, powmod2)
 from otkit.paillier import kgen
 from otkit.rng import SeededSource
 
@@ -73,6 +73,10 @@ def _round_exponents(m):
     while d % 2 == 0:
         d //= 2
     return 0, 1, d >> max(0, d.bit_length() - 512) if m.bit_length() > 2304 else d
+
+
+def _two_base_oracle(a1, e1, a2, e2, m):
+    return pow(a1, e1, m) * pow(a2, e2, m) % m
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +134,9 @@ def logged_kernel(libcrypto, monkeypatch):
 
 
 class TestKernel:
-    """powmod is pow(), and so is every power of a fixed_base table: every
-    power equals pow()'s, whichever kernel takes it."""
+    """powmod is pow(), powmod2 a product of two pow() results, and every
+    power of a fixed_base table pow()'s: every power equals pow()'s,
+    whichever kernel takes it."""
 
     @pytest.mark.parametrize("name, modulus", _moduli(), ids=[n for n, _ in _moduli()])
     def test_edges(self, libcrypto, name, modulus):
@@ -185,6 +190,84 @@ class TestKernel:
         # 20 000 calls at 512 bits grow a fresh process by at most 1 MB; one
         # BIGNUM left unfreed per call would take 2 MB
         assert _growth("kernel(b, e, m)") <= 1 << 20
+
+    def test_powmod2_calls_do_not_grow_memory(self, libcrypto):
+        assert _growth("kernel.powmod2(b, e, e, b, m)") <= 1 << 20
+
+    @pytest.mark.parametrize("name, modulus", _odd_moduli(), ids=[n for n, _ in _odd_moduli()])
+    def test_powmod2_edges(self, libcrypto, byte_seams, name, modulus):
+        # each base and each exponent takes each slot once, beside a power
+        # in the other slot and beside an exponent of 0: bases and exponents
+        # at byte seams, 0, q - 1 (q = (m - 1) / 2, the order at a pinned
+        # P) and m - 1, and a zero base, which takes pow(); exponents above
+        # 2304 bits keep their top 512 bits, where pow() takes seconds a power
+        m = modulus() if callable(modulus) else modulus
+        seams = byte_seams(m.bit_length())
+        bases = [1, 2, 4, m - 1, m, m + 1, -5, *seams]
+        exponents = [e >> max(0, e.bit_length() - 512) if m.bit_length() > 2304 else e
+                     for e in (0, 1, (m - 1) // 2 - 1, m - 1, *seams)]
+        power = cache(lambda a, e: pow(a, e, m))
+        for i in range(max(len(bases), len(exponents))):
+            a1, e1 = bases[i % len(bases)], exponents[i % len(exponents)]
+            a2, e2 = bases[-1 - i % len(bases)], exponents[-1 - i % len(exponents)]
+            for f1, f2 in ((e1, e2), (e1, 0), (0, e2)):
+                assert (libcrypto.powmod2(a1, f1, a2, f2, m)
+                        == power(a1, f1) * power(a2, f2) % m), (a1, f1, a2, f2)
+
+    @given(a1=st.integers(-(1 << 600), 1 << 600), e1=st.integers(0, 1 << 600),
+           a2=st.integers(-(1 << 600), 1 << 600), e2=st.integers(0, 1 << 600),
+           mod=st.integers(1, 1 << 600))
+    @settings(max_examples=200, deadline=None)
+    def test_powmod2_random(self, libcrypto, a1, e1, a2, e2, mod):
+        want = _two_base_oracle(a1, e1, a2, e2, mod)
+        assert libcrypto.powmod2(a1, e1, a2, e2, mod) == want
+        assert powmod2(a1, e1, a2, e2, mod) == want
+
+    def test_powmod2_even_modulus_and_negative_exponent_are_pow(self, libcrypto):
+        # BN_mod_exp2_mont needs an odd modulus and non-negative exponents:
+        # anything else is pow()'s, refusals included
+        P = PINNED_SAFE_PRIMES[512]
+        for args in ((3, -1, 5, 7, 23), (3, 5, 7, -2, P), (3, 5, 7, 9, 24), (3, 5, 7, 9, P + 1),
+                     (3, 5, 7, 9, 2), (3, 5, 7, 9, 1), (5, -1, 7, 9, 24), (3, 5, 7, 9, -7)):
+            assert libcrypto.powmod2(*args) == _two_base_oracle(*args), args
+        for args in ((2, -1, 3, 1, 4), (3, 5, 7, 9, 0)):
+            with pytest.raises(ValueError):
+                _two_base_oracle(*args)
+            with pytest.raises(ValueError):
+                libcrypto.powmod2(*args)
+
+    def test_powmod2_in_two_threads(self, libcrypto):
+        r = random.Random(2)
+        m = r.getrandbits(512) | 1 << 511 | 1
+        work = [[tuple(r.getrandbits(512) for _ in range(4)) for _ in range(1000)]
+                for _ in range(2)]
+        results = [None, None]
+
+        def run(i):
+            results[i] = [libcrypto.powmod2(a1, e1, a2, e2, m) for a1, e1, a2, e2 in work[i]]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for i in range(2):
+            assert results[i] == [_two_base_oracle(*w, m) for w in work[i]]
+
+    def test_powmod2_frees_what_it_allocates(self, logged_kernel):
+        # every BIGNUM and context a call allocates is freed once, both
+        # exponents by BN_clear_free, on the kernel's path and on pow()'s
+        P = PINNED_SAFE_PRIMES[1024]
+        calls = [(3, 5, 7, 11, P), (P - 2, P - 3, 2, (P - 1) // 2, P), (3, 0, 7, 0, P),
+                 (0, 5, 7, 11, P), (3, 5, 7, 11, P + 1)]
+        for args in calls:
+            assert logged_kernel.kernel.powmod2(*args) == _two_base_oracle(*args)
+        assert not +logged_kernel.live and not -logged_kernel.live
+        # three calls take the kernel, each with six BIGNUMs and a BN_CTX
+        # alive at once
+        assert len(logged_kernel.live) >= 7
+        assert logged_kernel.cleared == [5, 11, P - 3, (P - 1) // 2, 0, 0]
 
     def test_fixed_base_does_not_grow_memory(self, libcrypto):
         # 20 000 powers at 512 bits, from a new table every 100th power, so
@@ -308,29 +391,35 @@ class TestKernel:
 
     def test_fallback_when_the_library_does_not_open(self, monkeypatch):
         # no such library, one without the BN symbols, or libcrypto without
-        # BN_mod_mul_montgomery alone: every power is pow(), and a power of
-        # g comes from a table built there, which is pow() too
+        # BN_mod_exp2_mont or BN_mod_mul_montgomery alone: every power is
+        # pow(), and a power of g comes from a table built there, which is
+        # pow() too
         import ctypes
 
         real = ctypes.CDLL
 
-        class WithoutMontgomeryProducts:
-            def __init__(self, soname):
-                self.lib = real(soname)
+        def without(symbol):
+            class Without:
+                def __init__(self, soname):
+                    self.lib = real(soname)
 
-            def __getattr__(self, name):
-                if name == "BN_mod_mul_montgomery":
-                    raise AttributeError(name)
-                return getattr(self.lib, name)
+                def __getattr__(self, name):
+                    if name == symbol:
+                        raise AttributeError(name)
+                    return getattr(self.lib, name)
+
+            return Without
 
         for sonames, cdll in ((("libotkit-absent.so",), real), (("libc.so.6",), real),
-                              (numth.LIBCRYPTO_SONAMES, WithoutMontgomeryProducts)):
+                              (numth.LIBCRYPTO_SONAMES, without("BN_mod_exp2_mont")),
+                              (numth.LIBCRYPTO_SONAMES, without("BN_mod_mul_montgomery"))):
             monkeypatch.setattr(ctypes, "CDLL", cdll)
             monkeypatch.setattr(numth, "LIBCRYPTO_SONAMES", sonames)
             monkeypatch.setattr(numth, "_kernel", numth._load)
             assert numth._libcrypto_powmod() is None
             assert powmod(3, 5, 23) == pow(3, 5, 23)
             assert numth._kernel is pow and numth.kernel() == "pow"
+            assert powmod2(3, 5, 7, 9, 23) == pow(3, 5, 23) * pow(7, 9, 23) % 23
             assert fixed_base(3, 23, 5)(9) == pow(3, 9, 23)
             monkeypatch.setattr(groupmath, "_G_TO_2K", {})
             group = gen_group(512, SeededSource(512))
